@@ -52,6 +52,9 @@ class DistillConfig:
             raise ConfigError(f"kd weight must be >= 0, got {self.kd_weight}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("hidden", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def resolved_learning_rate(self) -> float:
         if self.learning_rate is not None:

@@ -39,6 +39,12 @@ def _token_row(token: str, dim: int, seed: int) -> np.ndarray:
     return row
 
 
+def clear_token_cache() -> None:
+    """Drop the embedder's cached token rows (up to 65,536 of them, about
+    40 MB at dim 64), for a process that will embed nothing more."""
+    _token_row.cache_clear()
+
+
 def toy_embed(text: str, dim: int, seed: int) -> np.ndarray:
     """Deterministic bag-of-tokens embedding: L2-normalized sum of per-token
     Gaussian rows. Text with no tokens maps to the first basis vector e1
@@ -192,6 +198,7 @@ class TripletStore:
                 raise DataError(f"companion store lacks embedding id '{triplet_id(i)}'")
         self.triplets = list(triplets)
         self.embeddings = embeddings
+        self._scoring: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_texts(cls, triplets: list[Triplet], dim: int, seed: int) -> "TripletStore":
@@ -208,6 +215,17 @@ class TripletStore:
     def dim(self) -> int:
         return self.embeddings.dim
 
+    def scoring_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The embedding matrix and its row norms, computed and checked for
+        zero norms once per matrix rather than once per query."""
+        mat = self.embeddings.matrix()
+        if self._scoring is None or self._scoring[0] is not mat:
+            norms = np.linalg.norm(mat, axis=1)
+            if (norms == 0.0).any():
+                raise DataError("triplet store contains a zero-norm embedding")
+            self._scoring = (mat, norms)
+        return self._scoring
+
 
 def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple[str, float]]:
     """Exact top-k triplets by cosine similarity, descending; ties break by
@@ -222,10 +240,7 @@ def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise DataError("cosine_sim of a zero-norm vector is undefined")
-    mat = store.embeddings.matrix()
-    norms = np.linalg.norm(mat, axis=1)
-    if (norms == 0.0).any():
-        raise DataError("triplet store contains a zero-norm embedding")
+    mat, norms = store.scoring_matrix()
     scores = np.clip((mat @ q) / (norms * qn), -1.0, 1.0)
     # lexsort keys: last key is primary. Negated scores sort descending and
     # the index key resolves bit-equal ties toward the lower index.

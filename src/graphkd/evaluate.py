@@ -96,6 +96,11 @@ def build_report(predictions: Sequence[int], labels: Sequence[int],
             f"micro-F1 {score!r} != accuracy {acc!r} for single-label predictions")
 
     num_classes = len(label_vocab)
+    for what, values in (("label", labels), ("prediction", predictions)):
+        outside = [v for v in values if not 0 <= v < num_classes]
+        if outside:
+            raise DataError(f"{what} {outside[0]} lies outside the {num_classes}-entry "
+                            f"label vocabulary")
     confusion = [[0] * num_classes for _ in range(num_classes)]
     for p, l in zip(predictions, labels):
         confusion[l][p] += 1
@@ -142,6 +147,10 @@ def evaluate_model(predict: Callable[[Subgraph], np.ndarray], subgraphs: list[Su
             logit_rows = list(pool.map(predict, chosen))
     else:
         logit_rows = [predict(sg) for sg in chosen]
+    widest = max(row.size for row in logit_rows)
+    if widest > len(label_vocab):
+        raise DataError(f"the model scores {widest} classes but the label vocabulary "
+                        f"has only {len(label_vocab)}")
     predictions = [int(np.argmax(row)) for row in logit_rows]
     labels = [sg.label for sg in chosen]
     groups = [sg.group for sg in chosen]

@@ -7,27 +7,57 @@ index. Edges carry cosine similarity between content nodes, the retrieval
 similarity between a content node and its triplets, and normalized PMI of
 co-retrieval between triplet pairs (statistics from the training split
 only).
+
+Graphs file: JSON lines, one header line (format, label vocabulary, config
+echo) and then one record per sample (nodes with kind, id and embedding,
+and the row-major adjacency). It is the interchange format and the one a
+person can read and edit.
+
+Companion: ``write_graphs`` also writes ``<graphs>.gkdc`` beside it, a
+processed copy in the ``GKDC`` container of ``serialization``. Its metadata
+holds the sha256 of the graphs file's bytes, the header, and per sample
+the id, split, group, label, node kinds, node ids and ``triplet_rows``:
+for each commonsense node in order, its row of the ``triplets`` tensor.
+Its f64 tensors are ``triplets`` (each distinct commonsense node once),
+``rows`` (every other node's embedding, in sample and node order) and
+``adjacency`` (every sample's n x n matrix flattened row-major into one
+column, in sample order). It holds no path and no time, so the same
+graphs give the same companion bytes.
+
+``read_graphs`` uses the companion only when the sha256 in it matches the
+graphs file as it is on disk; otherwise, or when there is no companion, it
+parses the JSON. A companion that exists but cannot be read is a format
+error. Subgraphs read from a companion equal the parsed ones bitwise;
+their commonsense embeddings are shared, read-only rows of one table.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from .datagen import Dataset, ManifestRecord
-from .embeddings import EmbeddingStore, TripletStore, cosine_sim, top_k_triplets, toy_embed
+from .embeddings import (EmbeddingStore, TripletStore, clear_token_cache, cosine_sim,
+                         top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .serialization import canonical_json
+from .serialization import canonical_json, read_checkpoint, write_checkpoint
 
 CONTENT_KINDS = ("question", "language_context", "visual_context", "vl")
 COMMONSENSE_KIND = "commonsense"
 EDGE_MODES = ("cosine", "pmi", "hybrid")
 GRAPHS_FORMAT = "graphkd-graphs"
 GRAPHS_VERSION = 1
+COMPANION_SUFFIX = ".gkdc"
+COMPANION_FORMAT = "graphkd-graphs-companion"
+COMPANION_VERSION = 1
+HASH_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -241,6 +271,9 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
         if record.split == "train":
             stats.observe({hit.triplet_id for hit in log})
 
+    # The edge pass embeds nothing; releasing the embedder's token rows here
+    # lets its allocations reuse their memory instead of raising the peak.
+    clear_token_cache()
     subgraphs: list[Subgraph] = []
     for record, nodes, log in built:
         adjacency = build_edges(nodes, log, stats, mode=mode, tau=tau)
@@ -256,23 +289,92 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
 
 
 # ---------------------------------------------------------------------------
-# Graph file (line-delimited JSON)
+# Graph file (line-delimited JSON) and its binary companion
 # ---------------------------------------------------------------------------
+
+def companion_path(path) -> Path:
+    """Where the binary companion of the graphs file at ``path`` lives."""
+    return Path(str(path) + COMPANION_SUFFIX)
+
+
+class _CompanionWriter:
+    """Collects the companion's metadata and tensor pieces while the JSON
+    lines are written. Pieces are views of the subgraphs' own arrays, so
+    nothing large is copied or concatenated."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.samples: list[dict] = []
+        self.triplet_rows: dict[tuple[str, bytes], int] = {}
+        self.triplets: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
+        self.adjacency: list[np.ndarray] = []
+        self.dim: int | None = None
+        self.fits = True
+
+    def add(self, sg: Subgraph) -> None:
+        kinds, ids, triplet_rows = [], [], []
+        for node in sg.nodes:
+            emb = np.asarray(node.embedding, dtype=np.float64)
+            if self.dim is None:
+                self.dim = emb.size
+            # The JSON keeps any shape; the companion only 1-D rows of one width.
+            self.fits = self.fits and emb.ndim == 1 and emb.size == self.dim
+            kinds.append(node.kind)
+            ids.append(node.id)
+            if node.kind == COMMONSENSE_KIND:
+                key = (node.id, emb.tobytes())
+                if key not in self.triplet_rows:
+                    self.triplet_rows[key] = len(self.triplets)
+                    self.triplets.append(emb.reshape(1, -1))
+                triplet_rows.append(self.triplet_rows[key])
+            else:
+                self.rows.append(emb.reshape(1, -1))
+        n = len(sg.nodes)
+        self.fits = self.fits and sg.adjacency.size == n * n
+        self.adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
+        self.samples.append({"sample_id": sg.sample_id, "split": sg.split,
+                             "group": sg.group, "label": sg.label, "kinds": kinds,
+                             "ids": ids, "triplet_rows": triplet_rows})
+
+    def write(self, path, header: dict) -> None:
+        """Write the companion, or remove a stale one when these subgraphs
+        do not fit its layout. A temporary name keeps a half-written
+        companion from ever sitting beside the graphs file."""
+        target = companion_path(path)
+        if not self.fits:
+            target.unlink(missing_ok=True)
+            return
+        metadata = {"format": COMPANION_FORMAT, "version": COMPANION_VERSION,
+                    "graphs_sha256": self.digest.hexdigest(), "header": header,
+                    "samples": self.samples}
+        partial = Path(str(target) + ".partial")
+        write_checkpoint(partial, metadata, [("triplets", self.triplets), ("rows", self.rows),
+                                             ("adjacency", self.adjacency)])
+        os.replace(partial, target)
+
 
 def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
                  config: dict) -> None:
     """One header line (format, vocabulary, config echo), then one record
-    per sample with nodes (kind, id, embedding) and the row-major adjacency."""
+    per sample with nodes (kind, id, embedding) and the row-major adjacency.
+    Then the binary companion (see the module docstring)."""
     header = {
         "format": GRAPHS_FORMAT,
         "version": GRAPHS_VERSION,
         "label_vocab": list(label_vocab),
         "config": config,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(header) + "\n")
+    companion = _CompanionWriter()
+    with open(path, "wb") as fh:
+        def emit(doc) -> None:
+            line = (canonical_json(doc) + "\n").encode("utf-8")
+            companion.digest.update(line)
+            fh.write(line)
+
+        emit(header)
         for sg in subgraphs:
-            record = {
+            emit({
                 "sample_id": sg.sample_id,
                 "split": sg.split,
                 "group": sg.group,
@@ -282,11 +384,90 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
                     for n in sg.nodes
                 ],
                 "adjacency": sg.adjacency.reshape(-1).tolist(),
-            }
-            fh.write(canonical_json(record) + "\n")
+            })
+            companion.add(sg)
+    companion.write(path, header)
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None:
+    """Subgraphs and header from the companion, or None when it was written
+    for other bytes than the graphs file now holds."""
+    def broken(reason: str) -> FormatError:
+        return FormatError(f"graphs companion {companion} is unreadable ({reason}); "
+                           f"delete it to read {path} alone")
+
+    try:
+        meta, tensors = read_checkpoint(companion)
+    except FormatError as exc:
+        raise broken(str(exc)) from exc
+    if meta.get("format") != COMPANION_FORMAT or meta.get("version") != COMPANION_VERSION:
+        raise broken(f"format {meta.get('format')!r} version {meta.get('version')!r}")
+    if meta.get("graphs_sha256") != _file_sha256(path):
+        return None
+    try:
+        triplets, rows = tensors["triplets"], tensors["rows"]
+        adjacency = tensors["adjacency"].reshape(-1)
+        triplets.flags.writeable = False
+        subgraphs: list[Subgraph] = []
+        next_row = next_adj = 0
+        for doc in meta["samples"]:
+            kinds, ids, triplet_rows = doc["kinds"], doc["ids"], doc["triplet_rows"]
+            if len(kinds) != len(ids) or kinds.count(COMMONSENSE_KIND) != len(triplet_rows):
+                raise ValueError(f"node lists of sample {doc['sample_id']!r} disagree")
+            nodes = []
+            refs = iter(triplet_rows)
+            for kind, node_id in zip(kinds, ids):
+                if kind == COMMONSENSE_KIND:
+                    ref = next(refs)
+                    if type(ref) is not int or not 0 <= ref < len(triplets):
+                        raise ValueError(f"bad triplet row {ref!r}")
+                    embedding = triplets[ref]
+                else:
+                    embedding = rows[next_row]
+                    next_row += 1
+                nodes.append(Node(kind, node_id, embedding))
+            n = len(nodes)
+            subgraphs.append(Subgraph(
+                sample_id=doc["sample_id"],
+                split=doc["split"],
+                group=doc["group"],
+                label=int(doc["label"]),
+                nodes=nodes,
+                adjacency=adjacency[next_adj:next_adj + n * n].reshape(n, n),
+            ))
+            next_adj += n * n
+        if next_row != len(rows) or next_adj != adjacency.size:
+            raise ValueError("tensor sizes do not match the samples")
+        header = meta["header"]
+        if header.get("format") != GRAPHS_FORMAT:
+            raise ValueError("the header is not a graphs header")
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise broken(f"malformed metadata: {exc}") from exc
+    if not subgraphs:
+        raise FormatError(f"graphs file {path} contains no records")
+    return subgraphs, header
 
 
 def read_graphs(path) -> tuple[list[Subgraph], dict]:
+    """Subgraphs and header of a graphs file, from its companion when that
+    matches the file's bytes, else by parsing the JSON lines."""
+    companion = companion_path(path)
+    if companion.is_file():
+        cached = _read_companion(path, companion)
+        if cached is not None:
+            return cached
+    return _parse_graphs(path)
+
+
+def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:

@@ -4,8 +4,12 @@ Two binary formats live here:
 
 * ``GKDC`` checkpoint container -- magic ``GKDC``, version u32 LE, metadata
   length u64 LE, canonical-JSON metadata (UTF-8, includes the tensor
-  manifest), then all tensors concatenated as f64 LE row-major in manifest
-  order. Teacher and student checkpoints share it.
+  manifest: one ``{"name", "rows", "cols"}`` entry per tensor, with
+  non-negative integer sizes), then all tensors concatenated as f64 LE
+  row-major in manifest order. Teacher and student checkpoints share it,
+  and so does the graphs companion ``<graphs>.gkdc`` that
+  ``graphs.write_graphs`` writes beside a graphs file (its layout is
+  described in ``graphs``).
 * ``GSLB`` soft-label cache -- magic ``GSLB``, version u32 LE, count u64 LE,
   class count u32 LE, then per sample a length-prefixed id (u16 LE) and the
   probability row as f64 LE.
@@ -21,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"GKDC"
 SOFT_LABEL_MAGIC = b"GSLB"
@@ -79,21 +83,44 @@ class _Reader:
 # GKDC checkpoint container
 # ---------------------------------------------------------------------------
 
-def write_checkpoint(path, metadata: dict, tensors: list[tuple[str, np.ndarray]]) -> None:
-    """Write a checkpoint; the tensor manifest is embedded into the metadata."""
+def write_checkpoint(path, metadata: dict,
+                     tensors: list[tuple[str, np.ndarray | list[np.ndarray]]]) -> None:
+    """Write a checkpoint; the tensor manifest is embedded into the metadata.
+
+    A tensor given as a list of 2-D arrays with equal column counts is their
+    row-wise stack (an empty list is 0 x 0). It is written piece by piece,
+    so a large tensor never has to exist as one array."""
+    parts = [(name, [value] if isinstance(value, np.ndarray) else value)
+             for name, value in tensors]
+    manifest = []
+    for name, pieces in parts:
+        widths = {int(p.shape[1]) for p in pieces}
+        if len(widths) > 1:
+            raise ShapeError(f"tensor '{name}' stacks pieces of widths {sorted(widths)}")
+        manifest.append({"name": name, "rows": sum(int(p.shape[0]) for p in pieces),
+                         "cols": widths.pop() if widths else 0})
     meta = dict(metadata)
-    meta["tensors"] = [
-        {"name": name, "rows": int(arr.shape[0]), "cols": int(arr.shape[1])}
-        for name, arr in tensors
-    ]
+    meta["tensors"] = manifest
     meta_bytes = canonical_json(meta).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(meta_bytes)))
         fh.write(meta_bytes)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for _, pieces in parts:
+            for piece in pieces:
+                fh.write(np.ascontiguousarray(piece, dtype="<f8").tobytes())
+
+
+def _check_manifest_entry(entry, at: int) -> None:
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise FormatError("checkpoint manifest entry lacks a tensor name", offset=at)
+    for key in ("rows", "cols"):
+        value = entry.get(key)
+        # bool is an int subclass; JSON true is not a size.
+        if type(value) is not int or value < 0:
+            raise FormatError(f"checkpoint tensor '{entry['name']}' has {key} {value!r}, "
+                              f"expected a non-negative integer", offset=at)
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -107,12 +134,13 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         metadata = json.loads(reader.take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint metadata: {exc}", offset=at) from exc
-    manifest = metadata.get("tensors")
+    manifest = metadata.get("tensors") if isinstance(metadata, dict) else None
     if not isinstance(manifest, list):
         raise FormatError("checkpoint metadata lacks a tensor manifest", offset=at)
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
+        _check_manifest_entry(entry, at)
+        rows, cols = entry["rows"], entry["cols"]
         raw = reader.take(rows * cols * 8)
         tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
     reader.done()

@@ -30,6 +30,13 @@ class TeacherConfig:
     learning_rate: float | None = None
     seed: int = 0
 
+    def validate(self) -> None:
+        """Sizes a training run needs. ``train_teacher`` itself accepts zero
+        epochs (it then returns the seeded initialization)."""
+        for name in ("hidden", "head_hidden", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def resolved_learning_rate(self) -> float:
         if self.learning_rate is not None:
             return self.learning_rate

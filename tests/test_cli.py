@@ -7,7 +7,7 @@ import pytest
 from graphkd.cli import run
 from graphkd.embeddings import read_store
 from graphkd.evaluate import read_report
-from graphkd.graphs import read_graphs
+from graphkd.graphs import companion_path, read_graphs
 
 GEN = ["gen-synth", "--samples", "160", "--classes", "4", "--dim", "16",
        "--triplets-per-class", "4", "--seed", "3"]
@@ -91,6 +91,62 @@ class TestDataErrors:
                     "--student", "mlp", "--epochs", "1",
                     "--out", str(tmp_path / "s.ckpt")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--hidden", "--head-hidden", "--epochs"])
+    def test_train_teacher_rejects_zero_sizes(self, tmp_path, capsys, flag):
+        data = _gen(tmp_path / "d")
+        graphs = tmp_path / "d.graphs"
+        _build(data, graphs)
+        out = tmp_path / "t.ckpt"
+        args = {"--hidden": "8", "--head-hidden": "8", "--epochs": "1"}
+        args[flag] = "0"
+        assert run(["train-teacher", "--graphs", str(graphs), "--out", str(out)]
+                   + [x for kv in args.items() for x in kv]) == 2
+        assert f"{flag.lstrip('-').replace('-', '_')} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--epochs"])
+    def test_distill_rejects_zero_sizes(self, tmp_path, flag):
+        data = _gen(tmp_path / "d")
+        graphs = tmp_path / "d.graphs"
+        _build(data, graphs)
+        teacher = tmp_path / "t.ckpt"
+        assert run(["train-teacher", "--graphs", str(graphs), "--hidden", "8",
+                    "--epochs", "1", "--out", str(teacher)]) == 0
+        args = {"--hidden": "8", "--epochs": "1"}
+        args[flag] = "0"
+        assert run(["distill", "--graphs", str(graphs), "--teacher", str(teacher),
+                    "--student", "mlp", "--out", str(tmp_path / "s.ckpt")]
+                   + [x for kv in args.items() for x in kv]) == 2
+
+    def test_eval_with_truncated_label_vocab_exits_two(self, tmp_path, capsys):
+        data = _gen(tmp_path / "d")
+        graphs = tmp_path / "d.graphs"
+        _build(data, graphs)
+        teacher = tmp_path / "t.ckpt"
+        assert run(["train-teacher", "--graphs", str(graphs), "--hidden", "8",
+                    "--epochs", "1", "--out", str(teacher)]) == 0
+        lines = graphs.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["label_vocab"] = header["label_vocab"][:2]
+        lines[0] = json.dumps(header)
+        graphs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--model", str(teacher), "--graphs", str(graphs),
+                    "--split", "all", "--report", str(tmp_path / "r.json")]) == 2
+        assert "label vocabulary" in capsys.readouterr().err
+
+    def test_truncated_companion_exits_two_with_one_line(self, tmp_path, capsys):
+        data = _gen(tmp_path / "d")
+        graphs = tmp_path / "d.graphs"
+        _build(data, graphs)
+        companion = companion_path(graphs)
+        companion.write_bytes(companion.read_bytes()[:100])
+        capsys.readouterr()
+        assert run(["train-teacher", "--graphs", str(graphs), "--hidden", "8",
+                    "--epochs", "1", "--out", str(tmp_path / "t.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(companion) in err
+
 
 class TestDeterminism:
     def test_gen_synth_twice_identical(self, tmp_path):
@@ -105,6 +161,7 @@ class TestDeterminism:
         _build(data, g1)
         _build(data, g2)
         assert g1.read_bytes() == g2.read_bytes()
+        assert companion_path(g1).read_bytes() == companion_path(g2).read_bytes()
 
     def test_train_teacher_twice_identical(self, tmp_path):
         data = _gen(tmp_path / "d")

@@ -214,6 +214,11 @@ class TestTrainStudent:
         base.update(kw)
         return DistillConfig(**base)
 
+    @pytest.mark.parametrize("field", ["hidden", "epochs"])
+    def test_sizes_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            train_student(_subgraphs(4), [], self._config(**{field: 0}), [])
+
     def test_zero_weight_matches_reference_supervised_loop(self):
         train = _subgraphs(12)
         config = self._config(kd_weight=0.0)

@@ -139,6 +139,27 @@ class TestTopK:
             for (_, gs), (_, ws) in zip(got, want):
                 assert gs == pytest.approx(ws, abs=1e-12)
 
+    def test_norms_computed_once_per_matrix(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        store = _store_from_rows(rng.normal(0, 1, (12, 8)))
+        queries = rng.normal(0, 1, (20, 8))
+        first = [top_k_triplets(q, store, 3) for q in queries]
+        calls = []
+        real_norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **kw: calls.append(kw) or real_norm(*a, **kw))
+        again = [top_k_triplets(q, store, 3) for q in queries]
+        assert again == first
+        assert not any("axis" in kw for kw in calls)
+
+    def test_added_embedding_refreshes_norms(self):
+        store = _store_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        top_k_triplets(np.array([1.0, 0.0]), store, 1)
+        store.embeddings.add("t2", np.array([0.0, 0.0]))
+        store.triplets.append(Triplet("h2", "r", "x2"))
+        with pytest.raises(DataError, match="zero-norm"):
+            top_k_triplets(np.array([1.0, 0.0]), store, 1)
+
 
 class TestEmbeddingStore:
     def test_duplicate_id_rejected(self):

@@ -73,6 +73,12 @@ class TestBuildReport:
         assert report.per_group["g0"]["num_samples"] == 3
         assert report.per_group["g1"]["micro_f1"] == 1.0
 
+    @pytest.mark.parametrize("preds,labels", [([0, 3], [0, 1]), ([0, 1], [0, 3]),
+                                              ([0, -1], [0, 1])])
+    def test_indices_outside_vocab_rejected(self, preds, labels):
+        with pytest.raises(DataError, match="label vocabulary"):
+            build_report(preds, labels, ["g0", "g0"], ["a", "b", "c"], "test")
+
     def test_config_echo_and_seed(self):
         report = self._report()
         assert report.config == {"who": "unit"}
@@ -122,6 +128,12 @@ class TestEvaluateModel:
         a = evaluate_model(_predict, _graphs(), "all", ["a", "b", "c"], threads=1)
         b = evaluate_model(_predict, _graphs(), "all", ["a", "b", "c"], threads=4)
         assert a.to_dict() == b.to_dict()
+
+    def test_model_wider_than_vocab_rejected(self):
+        # Even when every prediction would land inside the vocabulary.
+        with pytest.raises(DataError, match="4 classes"):
+            evaluate_model(lambda sg: np.array([1.0, 0, 0, 0]), _graphs(), "all",
+                           ["a", "b", "c"])
 
     def test_argmax_tie_takes_lowest_class(self):
         report = evaluate_model(lambda sg: np.zeros(3), _graphs(), "all",

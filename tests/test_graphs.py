@@ -11,8 +11,8 @@ from graphkd.embeddings import EmbeddingStore, Triplet, TripletStore, toy_embed
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
 from graphkd.graphs import (CONTENT_KINDS, CooccurrenceStats, Node, RetrievalHit,
                             Subgraph, attach_commonsense, build_content_nodes,
-                            build_edges, normalize_adjacency, pmi_weight,
-                            read_graphs, write_graphs)
+                            build_edges, companion_path, normalize_adjacency,
+                            pmi_weight, read_graphs, write_graphs)
 
 
 def _record(**overrides):
@@ -377,3 +377,131 @@ class TestGraphsFile:
         assert sg.features().shape == (5, 6)
         assert sg.content_features().shape == (4, 6)
         np.testing.assert_array_equal(sg.features()[:4], sg.content_features())
+
+
+def assert_same_graphs(got, want):
+    """Field for field, with bitwise-equal arrays of the same shape."""
+    got_graphs, got_header = got
+    want_graphs, want_header = want
+    assert got_header == want_header
+    assert len(got_graphs) == len(want_graphs)
+    for g, w in zip(got_graphs, want_graphs):
+        assert (g.sample_id, g.split, g.group, g.label) == (w.sample_id, w.split,
+                                                            w.group, w.label)
+        assert type(g.label) is int
+        assert g.adjacency.shape == w.adjacency.shape
+        assert g.adjacency.tobytes() == w.adjacency.tobytes()
+        assert len(g.nodes) == len(w.nodes)
+        for gn, wn in zip(g.nodes, w.nodes):
+            assert (gn.kind, gn.id) == (wn.kind, wn.id)
+            assert gn.embedding.dtype == np.float64
+            assert gn.embedding.shape == wn.embedding.shape
+            assert gn.embedding.tobytes() == wn.embedding.tobytes()
+
+
+class TestGraphsCompanion:
+    def _subgraphs(self):
+        """Samples that share commonsense nodes, with bit patterns that
+        decimal JSON must carry exactly (-0.0, a subnormal, 1/3)."""
+        rng = np.random.default_rng(11)
+        triplets = {f"t{i}": rng.normal(0, 1, 6) for i in range(5)}
+        triplets["t4"][:3] = (-0.0, 5e-324, 1.0 / 3.0)
+        out = []
+        for i in range(6):
+            nodes = [Node(kind, kind, rng.normal(0, 1, 6)) for kind in CONTENT_KINDS]
+            nodes += [Node("commonsense", tid, triplets[tid].copy())
+                      for tid in sorted(triplets)[i % 3: i % 3 + 2 + i % 2]]
+            if i == 5:
+                # Same id as other samples' t0, other vector: kept apart.
+                nodes.append(Node("commonsense", "t0", -triplets["t0"]))
+            n = len(nodes)
+            adj = np.triu(np.abs(rng.normal(0, 0.3, (n, n))), 1)
+            out.append(Subgraph(sample_id=f"s{i}", split=("train", "val", "test")[i % 3],
+                                group=f"g{i % 2}", label=i % 3, nodes=nodes,
+                                adjacency=adj + adj.T))
+        return out
+
+    def _write(self, tmp_path, subgraphs=None):
+        path = tmp_path / "x.graphs"
+        write_graphs(path, subgraphs or self._subgraphs(), ["a", "b", "c"],
+                     {"k": 3, "tau": 0.0})
+        return path
+
+    def test_companion_read_equals_json_read(self, tmp_path):
+        path = self._write(tmp_path)
+        assert companion_path(path).is_file()
+        from_companion = read_graphs(path)
+        companion_path(path).unlink()
+        from_json = read_graphs(path)
+        assert_same_graphs(from_companion, from_json)
+
+    def test_companion_read_equals_what_was_written(self, tmp_path):
+        subgraphs = self._subgraphs()
+        path = self._write(tmp_path, subgraphs)
+        loaded, header = read_graphs(path)
+        assert header["config"] == {"k": 3, "tau": 0.0}
+        assert_same_graphs((loaded, header), (subgraphs, header))
+
+    def test_triplet_rows_are_shared_and_read_only(self, tmp_path):
+        loaded, _ = read_graphs(self._write(tmp_path))
+        rows = {}
+        for sg in loaded:
+            for node in sg.nodes[4:]:
+                assert not node.embedding.flags.writeable
+                rows.setdefault(node.id, []).append(node.embedding)
+        shared = rows["t2"]
+        assert len(shared) > 1
+        assert all(np.shares_memory(shared[0], other) for other in shared[1:])
+
+    def test_edited_json_ignores_stale_companion(self, tmp_path):
+        path = self._write(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"label":0', '"label":2')
+        path.write_text("\n".join(lines) + "\n")
+        loaded, _ = read_graphs(path)
+        assert loaded[0].label == 2
+
+    @pytest.mark.parametrize("damage", ["truncate", "garble"])
+    def test_unreadable_companion_is_a_format_error(self, tmp_path, damage):
+        path = self._write(tmp_path)
+        companion = companion_path(path)
+        blob = companion.read_bytes()
+        if damage == "truncate":
+            companion.write_bytes(blob[:40])
+        else:
+            companion.write_bytes(blob[:16] + b"\xff" * (len(blob) - 16))
+        with pytest.raises(FormatError, match="companion") as info:
+            read_graphs(path)
+        assert "\n" not in str(info.value)
+
+    def test_companion_with_bad_triplet_row_is_a_format_error(self, tmp_path):
+        from graphkd.serialization import read_checkpoint, write_checkpoint
+        path = self._write(tmp_path)
+        meta, tensors = read_checkpoint(companion_path(path))
+        meta.pop("tensors")
+        meta["samples"][0]["triplet_rows"][0] = -1
+        write_checkpoint(companion_path(path), meta, list(tensors.items()))
+        with pytest.raises(FormatError, match="triplet row"):
+            read_graphs(path)
+
+    def test_graphs_without_companion_still_read(self, tmp_path):
+        path = self._write(tmp_path)
+        companion_path(path).unlink()
+        loaded, header = read_graphs(path)
+        assert len(loaded) == 6 and header["label_vocab"] == ["a", "b", "c"]
+
+    def test_write_twice_gives_identical_companion(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        p1, p2 = self._write(tmp_path / "a"), self._write(tmp_path / "b")
+        assert companion_path(p1).read_bytes() == companion_path(p2).read_bytes()
+        assert str(tmp_path).encode() not in companion_path(p1).read_bytes()
+
+    def test_layout_misfit_writes_no_companion(self, tmp_path):
+        path = self._write(tmp_path)
+        odd = self._subgraphs()
+        odd[2].nodes[0] = Node("question", "question", np.ones(7))
+        write_graphs(path, odd, ["a", "b", "c"], {})
+        assert not companion_path(path).exists()
+        loaded, _ = read_graphs(path)
+        assert loaded[2].nodes[0].embedding.size == 7

@@ -1,0 +1,70 @@
+"""The GKDC container: piecewise tensors and manifest validation."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from graphkd.errors import FormatError, ShapeError
+from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, canonical_json,
+                                   read_checkpoint, write_checkpoint)
+
+
+def _raw_checkpoint(path, manifest, payload=b""):
+    meta = canonical_json({"tensors": manifest}).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION)
+                     + struct.pack("<Q", len(meta)) + meta + payload)
+
+
+class TestPieces:
+    def test_pieces_read_back_as_their_stack(self, tmp_path):
+        rng = np.random.default_rng(0)
+        pieces = [rng.normal(0, 1, (r, 3)) for r in (1, 4, 0, 2)]
+        whole = np.vstack(pieces)
+        p1, p2 = tmp_path / "a.gkdc", tmp_path / "b.gkdc"
+        write_checkpoint(p1, {"m": 1}, [("x", pieces), ("empty", [])])
+        write_checkpoint(p2, {"m": 1}, [("x", whole), ("empty", np.zeros((0, 0)))])
+        assert p1.read_bytes() == p2.read_bytes()
+        meta, tensors = read_checkpoint(p1)
+        assert meta["tensors"][0] == {"name": "x", "rows": 7, "cols": 3}
+        assert tensors["x"].tobytes() == whole.tobytes()
+        assert tensors["empty"].shape == (0, 0)
+
+    def test_pieces_of_different_widths_rejected(self, tmp_path):
+        with pytest.raises(ShapeError):
+            write_checkpoint(tmp_path / "x.gkdc", {},
+                             [("x", [np.zeros((1, 2)), np.zeros((1, 3))])])
+
+
+class TestManifestValidation:
+    @pytest.mark.parametrize("entry", [
+        {"name": "w", "cols": 1},
+        {"name": "w", "rows": 1},
+        {"name": "w", "rows": -1, "cols": 1},
+        {"name": "w", "rows": 1.5, "cols": 1},
+        {"name": "w", "rows": "1", "cols": 1},
+        {"name": "w", "rows": True, "cols": 1},
+        {"rows": 1, "cols": 1},
+        ["w", 1, 1],
+    ])
+    def test_bad_entry_is_a_format_error(self, tmp_path, entry):
+        path = tmp_path / "x.gkdc"
+        _raw_checkpoint(path, [entry], payload=b"\0" * 8)
+        with pytest.raises(FormatError, match="checkpoint"):
+            read_checkpoint(path)
+
+    def test_metadata_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "x.gkdc"
+        meta = json.dumps([1, 2]).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION)
+                         + struct.pack("<Q", len(meta)) + meta)
+        with pytest.raises(FormatError, match="manifest"):
+            read_checkpoint(path)
+
+    def test_valid_entry_reads(self, tmp_path):
+        path = tmp_path / "x.gkdc"
+        _raw_checkpoint(path, [{"name": "w", "rows": 1, "cols": 1}],
+                        payload=np.array([2.5], dtype="<f8").tobytes())
+        _, tensors = read_checkpoint(path)
+        assert tensors["w"].tolist() == [[2.5]]

@@ -116,6 +116,12 @@ class TestTrainTeacher:
             assert (got == want).all()
         assert metrics == []
 
+    @pytest.mark.parametrize("field", ["hidden", "head_hidden", "epochs"])
+    def test_validate_rejects_sizes_below_one(self, field):
+        self._config().validate()
+        with pytest.raises(ConfigError, match=field):
+            self._config(**{field: 0}).validate()
+
     def test_empty_train_split_rejected(self):
         with pytest.raises(ConfigError):
             train_teacher([], [], self._config())
