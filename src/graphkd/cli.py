@@ -13,11 +13,9 @@ import sys
 from pathlib import Path
 
 from . import datagen, distill, evaluate, graphs, teacher, verification
-from .embeddings import (EmbeddingStore, TripletStore, read_store,
-                         read_triplets_tsv, toy_embed, write_store)
+from .embeddings import TripletStore, read_store, read_triplets_tsv
 from .errors import (ConfigError, DataError, FormatError, GraphKDError,
                      NumericError)
-from .serialization import canonical_json
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -38,26 +36,6 @@ def cmd_gen_synth(args) -> int:
     paths = datagen.generate_synthetic(config, args.out)
     _log(f"generated {args.samples} samples in {args.out}")
     print(str(paths["manifest"]))
-    return 0
-
-
-def cmd_embed(args) -> int:
-    dataset = datagen.ingest_manifest(args.manifest, resolve_visual=False)
-    store = EmbeddingStore(args.dim)
-    for rec in dataset.records:
-        store.add(f"{rec.sample_id}:question", toy_embed(rec.question, args.dim, args.seed))
-        store.add(f"{rec.sample_id}:language",
-                  toy_embed(rec.language_context, args.dim, args.seed))
-        if rec.visual_text is not None:
-            store.add(f"{rec.sample_id}:visual",
-                      toy_embed(rec.visual_text, args.dim, args.seed))
-    write_store(args.out, store)
-    run_config = {"command": "embed", "manifest": str(args.manifest),
-                  "dim": args.dim, "seed": args.seed, "out": str(args.out)}
-    sidecar = Path(str(args.out) + ".run.json")
-    sidecar.write_text(canonical_json(run_config) + "\n", encoding="utf-8")
-    _log(f"embedded {len(store)} texts from {len(dataset.records)} records")
-    print(str(args.out))
     return 0
 
 
@@ -178,7 +156,7 @@ def cmd_eval(args) -> int:
     }
     report = evaluate.evaluate_model(
         predict, subgraphs, args.split, label_vocab, config=config_echo,
-        seed=model_config.get("seed"), threads=args.threads)
+        seed=model_config.get("seed"))
     evaluate.write_report(args.report, report)
     print(f"split={report.split} n={report.num_samples} "
           f"micro_f1={report.micro_f1:.4f}")
@@ -222,23 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph teacher training and soft-label distillation pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = datagen.SynthConfig
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--noise", type=float, default=0.6)
-    p.add_argument("--mask-prob", type=float, default=0.5)
-    p.add_argument("--triplets-per-class", type=int, default=8)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--samples", type=int, default=defaults.samples)
+    p.add_argument("--classes", type=int, default=defaults.classes)
+    p.add_argument("--dim", type=int, default=defaults.dim)
+    p.add_argument("--noise", type=float, default=defaults.noise)
+    p.add_argument("--mask-prob", type=float, default=defaults.mask_prob)
+    p.add_argument("--triplets-per-class", type=int, default=defaults.triplets_per_class)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("embed", help="embed manifest texts into a store file")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("build-graphs", help="build per-sample subgraphs")
     p.add_argument("--manifest", required=True)
@@ -256,30 +228,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_graphs)
 
+    defaults = teacher.TeacherConfig
     p = sub.add_parser("train-teacher", help="train the GCN teacher")
     p.add_argument("--graphs", required=True)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--head-hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--hidden", type=int, default=defaults.hidden)
+    p.add_argument("--head-hidden", type=int, default=defaults.head_hidden)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default=defaults.optimizer)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate,
                    help="default 0.001 for adam, 0.01 for sgd")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_teacher)
 
+    defaults = distill.DistillConfig
     p = sub.add_parser("distill", help="distill teachers into a student")
     p.add_argument("--graphs", required=True)
     p.add_argument("--teacher", required=True,
                    help="comma-separated teacher checkpoints")
     p.add_argument("--student", choices=distill.STUDENT_KINDS, required=True)
-    p.add_argument("--kd-weight", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kd-weight", type=float, default=defaults.kd_weight)
+    p.add_argument("--temperature", type=float, default=defaults.temperature)
+    p.add_argument("--hidden", type=int, default=defaults.hidden)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default=defaults.optimizer)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
 
@@ -289,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test", "all"),
                    default="test")
     p.add_argument("--report", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for evaluation forward passes")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="baseline-vs-treated comparison report")

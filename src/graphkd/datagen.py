@@ -30,7 +30,7 @@ learnability gap is what the distillation experiment measures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +54,10 @@ class SynthConfig:
     samples: int = 2000
     classes: int = 4
     dim: int = 64
-    noise: float = 0.3
-    mask_prob: float = 0.4
+    noise: float = 0.6
+    mask_prob: float = 0.5
     label_noise: float = 0.25
-    triplets_per_class: int = 16
+    triplets_per_class: int = 8
     split_fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     seed: int = 7
 
@@ -330,11 +330,10 @@ def parse_manifest_line(line: str, lineno: int) -> ManifestRecord:
     )
 
 
-def ingest_manifest(manifest_path, embedding_store=None,
-                    resolve_visual: bool = True) -> Dataset:
+def ingest_manifest(manifest_path, embedding_store=None) -> Dataset:
     """Parse and validate a manifest file. ``embedding_store`` (an
     :class:`EmbeddingStore` or ``None``) is required to resolve visual
-    embedding references unless ``resolve_visual`` is off."""
+    embedding references."""
     records: list[ManifestRecord] = []
     seen: set[str] = set()
     with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -346,7 +345,7 @@ def ingest_manifest(manifest_path, embedding_store=None,
             if rec.sample_id in seen:
                 raise DataError(f"line {lineno}: duplicate sample id '{rec.sample_id}'")
             seen.add(rec.sample_id)
-            if rec.visual_ref is not None and resolve_visual:
+            if rec.visual_ref is not None:
                 if embedding_store is None:
                     raise DataError(
                         f"line {lineno}: visual_ref '{rec.visual_ref}' given but no "

@@ -23,8 +23,8 @@ from .errors import ConfigError, DataError, ShapeError
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
-from .teacher import (DEFAULT_LEARNING_RATE, TEACHER_MODEL_KIND, TeacherParams,
-                      load_teacher, teacher_logits)
+from .teacher import (TEACHER_MODEL_KIND, TeacherParams, check_dataset,
+                      load_teacher, resolved_learning_rate, teacher_logits)
 
 STUDENT_KINDS = ("mlp", "transformer")
 MLP_PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -56,13 +56,6 @@ class DistillConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        if self.optimizer not in DEFAULT_LEARNING_RATE:
-            raise ConfigError(f"unknown optimizer '{self.optimizer}'")
-        return DEFAULT_LEARNING_RATE[self.optimizer]
-
     def to_dict(self) -> dict:
         return {
             "student": self.student,
@@ -73,7 +66,7 @@ class DistillConfig:
             "temperature": self.temperature,
             "epochs": self.epochs,
             "optimizer": self.optimizer,
-            "learning_rate": self.resolved_learning_rate(),
+            "learning_rate": resolved_learning_rate(self),
             "seed": self.seed,
         }
 
@@ -234,14 +227,7 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
     config.validate()
     if not train:
         raise ConfigError("training split is empty")
-    for sg in train + val:
-        if sg.nodes[0].embedding.size != config.dim:
-            raise ConfigError(
-                f"sample '{sg.sample_id}' has dim {sg.nodes[0].embedding.size}, "
-                f"expected {config.dim}")
-        if not 0 <= sg.label < config.num_classes:
-            raise DataError(f"sample '{sg.sample_id}' has label {sg.label}, "
-                            f"but the model has {config.num_classes} classes")
+    check_dataset(train + val, config)
 
     use_kd = config.kd_weight > 0
     soft_rows: list[np.ndarray] = []
@@ -260,7 +246,7 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
     params = init_student(config, rng)
     master = [Tensor(a) for a in params.tensors]
     state = OptimizerState(kind=config.optimizer,
-                           learning_rate=config.resolved_learning_rate())
+                           learning_rate=resolved_learning_rate(config))
 
     content = [sg.content_features() for sg in train]
     labels = [sg.label for sg in train]
@@ -316,11 +302,12 @@ def load_student(path) -> tuple[StudentParams, dict]:
     kind = model.removeprefix("student-")
     if kind not in STUDENT_KINDS:
         raise ConfigError(f"unknown student kind '{kind}' in {path}")
-    names = MLP_PARAM_NAMES if kind == "mlp" else TRANSFORMER_PARAM_NAMES
-    missing = [n for n in names if n not in tensors]
+    params = StudentParams(kind, [])
+    missing = [n for n in params.names if n not in tensors]
     if missing:
         raise ConfigError(f"student checkpoint lacks tensors: {missing}")
-    return StudentParams(kind, [tensors[n] for n in names]), metadata
+    params.tensors = [tensors[n] for n in params.names]
+    return params, metadata
 
 
 def load_predictor(path):

@@ -9,7 +9,6 @@ one code path.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,19 +16,6 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graphs import Subgraph
-
-
-def _global_counts(predictions: Sequence[int], labels: Sequence[int]) -> tuple[int, int, int]:
-    """Pooled true-positive / false-positive / false-negative counts."""
-    classes = set(predictions) | set(labels)
-    tp = fp = fn = 0
-    preds = np.asarray(predictions)
-    labs = np.asarray(labels)
-    for c in classes:
-        tp += int(((preds == c) & (labs == c)).sum())
-        fp += int(((preds == c) & (labs != c)).sum())
-        fn += int(((preds != c) & (labs == c)).sum())
-    return tp, fp, fn
 
 
 def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -40,9 +26,12 @@ def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
             f"{len(predictions)} predictions but {len(labels)} labels")
     if len(labels) == 0:
         raise DataError("micro_f1 of an empty prediction list is undefined")
-    tp, fp, fn = _global_counts(predictions, labels)
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    # Single-label pooling: every correct prediction is a true positive of
+    # its class, every wrong one a false positive of the predicted class and
+    # a false negative of the true one.
+    tp = int((np.asarray(predictions) == np.asarray(labels)).sum())
+    fp = fn = len(labels) - tp
+    return 2 * tp / (2 * tp + fp + fn)
 
 
 def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -135,18 +124,13 @@ def build_report(predictions: Sequence[int], labels: Sequence[int],
 
 def evaluate_model(predict: Callable[[Subgraph], np.ndarray], subgraphs: list[Subgraph],
                    split: str, label_vocab: Sequence[str], config: dict | None = None,
-                   seed: int | None = None, threads: int = 1) -> EvalReport:
+                   seed: int | None = None) -> EvalReport:
     """Run a model over one split and report. Predictions are argmax of the
-    logit row (ties resolve to the lowest class index). Forward passes may
-    run on a thread pool; results merge in sample order either way."""
+    logit row (ties resolve to the lowest class index)."""
     chosen = [sg for sg in subgraphs if split == "all" or sg.split == split]
     if not chosen:
         raise DataError(f"no samples in split '{split}'")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            logit_rows = list(pool.map(predict, chosen))
-    else:
-        logit_rows = [predict(sg) for sg in chosen]
+    logit_rows = [predict(sg) for sg in chosen]
     widest = max(row.size for row in logit_rows)
     if widest > len(label_vocab):
         raise DataError(f"the model scores {widest} classes but the label vocabulary "

@@ -298,7 +298,7 @@ def companion_path(path) -> Path:
 
 
 class _CompanionWriter:
-    """Collects the companion's metadata and tensor pieces while the JSON
+    """Collects the companion's metadata and tensor pieces before the JSON
     lines are written. Pieces are views of the subgraphs' own arrays, so
     nothing large is copied or concatenated."""
 
@@ -310,16 +310,18 @@ class _CompanionWriter:
         self.rows: list[np.ndarray] = []
         self.adjacency: list[np.ndarray] = []
         self.dim: int | None = None
-        self.fits = True
 
     def add(self, sg: Subgraph) -> None:
+        """Take one subgraph; every node embedding must be 1-D of the first
+        one's width, and the adjacency n x n."""
         kinds, ids, triplet_rows = [], [], []
         for node in sg.nodes:
             emb = np.asarray(node.embedding, dtype=np.float64)
             if self.dim is None:
                 self.dim = emb.size
-            # The JSON keeps any shape; the companion only 1-D rows of one width.
-            self.fits = self.fits and emb.ndim == 1 and emb.size == self.dim
+            if emb.shape != (self.dim,):
+                raise DataError(f"sample '{sg.sample_id}' node '{node.id}' has an embedding "
+                                f"of shape {emb.shape}, expected ({self.dim},)")
             kinds.append(node.kind)
             ids.append(node.id)
             if node.kind == COMMONSENSE_KIND:
@@ -331,20 +333,18 @@ class _CompanionWriter:
             else:
                 self.rows.append(emb.reshape(1, -1))
         n = len(sg.nodes)
-        self.fits = self.fits and sg.adjacency.size == n * n
+        if np.shape(sg.adjacency) != (n, n):
+            raise DataError(f"sample '{sg.sample_id}' has an adjacency of shape "
+                            f"{np.shape(sg.adjacency)} for {n} nodes")
         self.adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
         self.samples.append({"sample_id": sg.sample_id, "split": sg.split,
                              "group": sg.group, "label": sg.label, "kinds": kinds,
                              "ids": ids, "triplet_rows": triplet_rows})
 
     def write(self, path, header: dict) -> None:
-        """Write the companion, or remove a stale one when these subgraphs
-        do not fit its layout. A temporary name keeps a half-written
+        """Write the companion. A temporary name keeps a half-written
         companion from ever sitting beside the graphs file."""
         target = companion_path(path)
-        if not self.fits:
-            target.unlink(missing_ok=True)
-            return
         metadata = {"format": COMPANION_FORMAT, "version": COMPANION_VERSION,
                     "graphs_sha256": self.digest.hexdigest(), "header": header,
                     "samples": self.samples}
@@ -358,7 +358,9 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
                  config: dict) -> None:
     """One header line (format, vocabulary, config echo), then one record
     per sample with nodes (kind, id, embedding) and the row-major adjacency.
-    Then the binary companion (see the module docstring)."""
+    Then the binary companion (see the module docstring). Subgraphs whose
+    embeddings are not all 1-D of one width, or whose adjacency is not
+    n x n, are a ``DataError`` before anything is written."""
     header = {
         "format": GRAPHS_FORMAT,
         "version": GRAPHS_VERSION,
@@ -366,6 +368,8 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
         "config": config,
     }
     companion = _CompanionWriter()
+    for sg in subgraphs:
+        companion.add(sg)
     with open(path, "wb") as fh:
         def emit(doc) -> None:
             line = (canonical_json(doc) + "\n").encode("utf-8")
@@ -385,7 +389,6 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
                 ],
                 "adjacency": sg.adjacency.reshape(-1).tolist(),
             })
-            companion.add(sg)
     companion.write(path, header)
 
 
@@ -395,6 +398,19 @@ def _file_sha256(path) -> str:
         while chunk := fh.read(HASH_CHUNK_BYTES):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _check_header(header, path) -> None:
+    """The header's format and version, and a label vocabulary of one or
+    more strings."""
+    if not isinstance(header, dict) or header.get("format") != GRAPHS_FORMAT:
+        raise FormatError(f"{path} is not a graphs file")
+    if header.get("version") != GRAPHS_VERSION:
+        raise FormatError(f"unsupported graphs version {header.get('version')}")
+    vocab = header.get("label_vocab")
+    if not isinstance(vocab, list) or not vocab or not all(isinstance(v, str) for v in vocab):
+        raise FormatError(f"graphs file {path}: label_vocab must be a non-empty list "
+                          f"of strings, got {vocab!r}")
 
 
 def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None:
@@ -412,6 +428,8 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
         raise broken(f"format {meta.get('format')!r} version {meta.get('version')!r}")
     if meta.get("graphs_sha256") != _file_sha256(path):
         return None
+    header = meta.get("header")
+    _check_header(header, path)
     try:
         triplets, rows = tensors["triplets"], tensors["rows"]
         adjacency = tensors["adjacency"].reshape(-1)
@@ -446,9 +464,6 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
             next_adj += n * n
         if next_row != len(rows) or next_adj != adjacency.size:
             raise ValueError("tensor sizes do not match the samples")
-        header = meta["header"]
-        if header.get("format") != GRAPHS_FORMAT:
-            raise ValueError("the header is not a graphs header")
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise broken(f"malformed metadata: {exc}") from exc
     if not subgraphs:
@@ -468,44 +483,57 @@ def read_graphs(path) -> tuple[list[Subgraph], dict]:
 
 
 def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
+    """Parse the JSON lines one at a time. Every node embedding must be 1-D
+    of the first one's width, and every value finite."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"graphs file {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line 1: invalid graphs header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != GRAPHS_FORMAT:
-        raise FormatError(f"{path} is not a graphs file")
-    if header.get("version") != GRAPHS_VERSION:
-        raise FormatError(f"unsupported graphs version {header.get('version')}")
-
-    subgraphs: list[Subgraph] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        first = fh.readline()
+        if not first:
+            raise FormatError(f"graphs file {path} is empty")
         try:
-            doc = json.loads(line)
+            header = json.loads(first)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
-        try:
-            nodes = [
-                Node(n["kind"], n["id"], np.asarray(n["embedding"], dtype=np.float64))
-                for n in doc["nodes"]
-            ]
-            n = len(nodes)
-            adjacency = np.asarray(doc["adjacency"], dtype=np.float64).reshape(n, n)
-            subgraphs.append(Subgraph(
-                sample_id=doc["sample_id"],
-                split=doc["split"],
-                group=doc["group"],
-                label=int(doc["label"]),
-                nodes=nodes,
-                adjacency=adjacency,
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
+            raise FormatError(f"line 1: invalid graphs header: {exc}") from exc
+        _check_header(header, path)
+
+        subgraphs: list[Subgraph] = []
+        dim = None
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
+            try:
+                nodes = [
+                    Node(n["kind"], n["id"], np.asarray(n["embedding"], dtype=np.float64))
+                    for n in doc["nodes"]
+                ]
+                n = len(nodes)
+                adjacency = np.asarray(doc["adjacency"], dtype=np.float64).reshape(n, n)
+                subgraphs.append(Subgraph(
+                    sample_id=doc["sample_id"],
+                    split=doc["split"],
+                    group=doc["group"],
+                    label=int(doc["label"]),
+                    nodes=nodes,
+                    adjacency=adjacency,
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
+            if not nodes:
+                raise FormatError(f"line {lineno}: graph record has no nodes")
+            if dim is None:
+                dim = nodes[0].embedding.size
+            for node in nodes:
+                if node.embedding.shape != (dim,):
+                    raise FormatError(f"line {lineno}: node '{node.id}' has an embedding of "
+                                      f"shape {node.embedding.shape}, expected ({dim},)")
+                if not np.isfinite(node.embedding).all():
+                    raise FormatError(f"line {lineno}: node '{node.id}' has a non-finite "
+                                      f"embedding value")
+            if not np.isfinite(adjacency).all():
+                raise FormatError(f"line {lineno}: non-finite adjacency weight")
     if not subgraphs:
         raise FormatError(f"graphs file {path} contains no records")
     return subgraphs, header

@@ -1,18 +1,14 @@
 """Versioned binary containers and canonical JSON helpers.
 
-Two binary formats live here:
-
-* ``GKDC`` checkpoint container -- magic ``GKDC``, version u32 LE, metadata
-  length u64 LE, canonical-JSON metadata (UTF-8, includes the tensor
-  manifest: one ``{"name", "rows", "cols"}`` entry per tensor, with
-  non-negative integer sizes), then all tensors concatenated as f64 LE
-  row-major in manifest order. Teacher and student checkpoints share it,
-  and so does the graphs companion ``<graphs>.gkdc`` that
-  ``graphs.write_graphs`` writes beside a graphs file (its layout is
-  described in ``graphs``).
-* ``GSLB`` soft-label cache -- magic ``GSLB``, version u32 LE, count u64 LE,
-  class count u32 LE, then per sample a length-prefixed id (u16 LE) and the
-  probability row as f64 LE.
+The ``GKDC`` checkpoint container lives here: magic ``GKDC``, version u32
+LE, metadata length u64 LE, canonical-JSON metadata (UTF-8, includes the
+tensor manifest: one ``{"name", "rows", "cols"}`` entry per tensor, with
+non-negative integer sizes), then all tensors concatenated as f64 LE
+row-major in manifest order, every value finite. Teacher and student
+checkpoints share it, and so does the graphs companion ``<graphs>.gkdc``
+that ``graphs.write_graphs`` writes beside a graphs file (its layout is
+described in ``graphs``). ``_Reader`` is the byte cursor shared with the
+embedding store format of ``embeddings``.
 
 Writers are canonical: the same logical content always produces the same
 bytes, so write -> read -> write is byte-identical.
@@ -28,7 +24,6 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"GKDC"
-SOFT_LABEL_MAGIC = b"GSLB"
 FORMAT_VERSION = 1
 
 
@@ -141,49 +136,13 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     for entry in manifest:
         _check_manifest_entry(entry, at)
         rows, cols = entry["rows"], entry["cols"]
+        start = reader.pos
         raw = reader.take(rows * cols * 8)
-        tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        tensor = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        if not np.isfinite(tensor).all():
+            raise FormatError(f"checkpoint tensor '{entry['name']}' holds non-finite values",
+                              offset=start)
+        tensors[entry["name"]] = tensor
     reader.done()
     return metadata, tensors
 
-
-# ---------------------------------------------------------------------------
-# GSLB soft-label cache
-# ---------------------------------------------------------------------------
-
-def write_soft_labels(path, entries: list[tuple[str, np.ndarray]], num_classes: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(SOFT_LABEL_MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(entries)))
-        fh.write(struct.pack("<I", num_classes))
-        for sample_id, probs in entries:
-            if probs.size != num_classes:
-                raise FormatError(
-                    f"soft-label row for '{sample_id}' has {probs.size} entries, "
-                    f"expected {num_classes}")
-            raw = sample_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(np.ascontiguousarray(probs, dtype="<f8").tobytes())
-
-
-def read_soft_labels(path) -> tuple[list[tuple[str, np.ndarray]], int]:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), "soft-label cache")
-    reader.expect_magic(SOFT_LABEL_MAGIC)
-    reader.expect_version(FORMAT_VERSION)
-    count = reader.u64()
-    num_classes = reader.u32()
-    entries: list[tuple[str, np.ndarray]] = []
-    for _ in range(count):
-        id_len = reader.u16()
-        at = reader.pos
-        try:
-            sample_id = reader.take(id_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 sample id: {exc}", offset=at) from exc
-        raw = reader.take(num_classes * 8)
-        entries.append((sample_id, np.frombuffer(raw, dtype="<f8").copy()))
-    reader.done()
-    return entries, num_classes

@@ -19,6 +19,16 @@ TEACHER_MODEL_KIND = "gcn-teacher"
 PARAM_NAMES = ("w0", "w1", "head_w1", "head_b1", "head_w2", "head_b2")
 
 
+def resolved_learning_rate(config) -> float:
+    """The configured learning rate, else the optimizer's default. Takes a
+    ``TeacherConfig`` or a ``distill.DistillConfig``."""
+    if config.learning_rate is not None:
+        return config.learning_rate
+    if config.optimizer not in DEFAULT_LEARNING_RATE:
+        raise ConfigError(f"unknown optimizer '{config.optimizer}'")
+    return DEFAULT_LEARNING_RATE[config.optimizer]
+
+
 @dataclass
 class TeacherConfig:
     dim: int
@@ -37,13 +47,6 @@ class TeacherConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        if self.optimizer not in DEFAULT_LEARNING_RATE:
-            raise ConfigError(f"unknown optimizer '{self.optimizer}'")
-        return DEFAULT_LEARNING_RATE[self.optimizer]
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -52,7 +55,7 @@ class TeacherConfig:
             "head_hidden": self.head_hidden,
             "epochs": self.epochs,
             "optimizer": self.optimizer,
-            "learning_rate": self.resolved_learning_rate(),
+            "learning_rate": resolved_learning_rate(self),
             "seed": self.seed,
         }
 
@@ -137,15 +140,17 @@ def teacher_logits(params: TeacherParams, subgraph: Subgraph,
 # Training
 # ---------------------------------------------------------------------------
 
-def _check_dataset(subgraphs: list[Subgraph], config: TeacherConfig, what: str) -> None:
+def check_dataset(subgraphs: list[Subgraph], config, what: str = "sample") -> None:
+    """Every sample has the config's dim and a label below its class count.
+    Takes a ``TeacherConfig`` or a ``distill.DistillConfig``."""
     for sg in subgraphs:
         if sg.nodes[0].embedding.size != config.dim:
             raise ConfigError(
-                f"{what} sample '{sg.sample_id}' has dim {sg.nodes[0].embedding.size}, "
+                f"{what} '{sg.sample_id}' has dim {sg.nodes[0].embedding.size}, "
                 f"expected {config.dim}")
         if not 0 <= sg.label < config.num_classes:
             raise DataError(
-                f"{what} sample '{sg.sample_id}' has label {sg.label}, "
+                f"{what} '{sg.sample_id}' has label {sg.label}, "
                 f"but the model has {config.num_classes} classes")
 
 
@@ -157,14 +162,14 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
     (mean train loss, validation micro-F1)."""
     if not train:
         raise ConfigError("training split is empty")
-    _check_dataset(train, config, "train")
-    _check_dataset(val, config, "val")
+    check_dataset(train, config, "train sample")
+    check_dataset(val, config, "val sample")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_teacher(config, rng)
     master = [Tensor(a) for a in params.as_list()]
     state = OptimizerState(kind=config.optimizer,
-                           learning_rate=config.resolved_learning_rate())
+                           learning_rate=resolved_learning_rate(config))
 
     a_hats = [normalize_adjacency(sg.adjacency) for sg in train]
     features = [sg.features() for sg in train]

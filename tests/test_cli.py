@@ -1,13 +1,19 @@
 """Command-line interface: grammar, exit codes, determinism, full pipeline."""
 
+import dataclasses
 import json
+import shutil
 
+import numpy as np
 import pytest
 
-from graphkd.cli import run
-from graphkd.embeddings import read_store
+from graphkd.cli import build_parser, run
+from graphkd.datagen import SynthConfig
+from graphkd.distill import DistillConfig
 from graphkd.evaluate import read_report
 from graphkd.graphs import companion_path, read_graphs
+from graphkd.serialization import read_checkpoint, write_checkpoint
+from graphkd.teacher import TeacherConfig
 
 GEN = ["gen-synth", "--samples", "160", "--classes", "4", "--dim", "16",
        "--triplets-per-class", "4", "--seed", "3"]
@@ -52,6 +58,95 @@ class TestUsageErrors:
     def test_bad_choice_value(self):
         assert run(["build-graphs", "--manifest", "m", "--triplets", "t",
                     "--edge-mode", "psychic", "--out", "o"]) == 1
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("argv, config, not_flags", [
+        (["gen-synth", "--out", "d"], SynthConfig, {"label_noise", "split_fractions"}),
+        (["train-teacher", "--graphs", "g", "--out", "o"], TeacherConfig, set()),
+        (["distill", "--graphs", "g", "--teacher", "t", "--student", "mlp", "--out", "o"],
+         DistillConfig, set()),
+    ])
+    def test_flag_defaults_are_the_config_defaults(self, argv, config, not_flags):
+        flags = {"learning_rate" if k == "lr" else k: v
+                 for k, v in vars(build_parser().parse_args(argv)).items()}
+        defaults = {f.name: f.default for f in dataclasses.fields(config)
+                    if f.default is not dataclasses.MISSING}
+        assert defaults.keys() - flags.keys() == not_flags
+        shared = defaults.keys() & flags.keys()
+        assert {k: flags[k] for k in shared} == {k: defaults[k] for k in shared}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A graphs file, its companion and a teacher trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    graphs = root / "d.graphs"
+    _build(_gen(root / "d"), graphs)
+    teacher = root / "t.ckpt"
+    assert run(["train-teacher", "--graphs", str(graphs), "--hidden", "8",
+                "--epochs", "1", "--out", str(teacher)]) == 0
+    return graphs, teacher
+
+
+def _mutate_graphs(path, mutation):
+    text = path.read_text(encoding="utf-8")
+    if mutation == "truncate":
+        path.write_text(text[:len(text) // 2], encoding="utf-8")
+        return
+    lines = text.splitlines()
+    header, record = json.loads(lines[0]), json.loads(lines[2])
+    node = record["nodes"][1]
+    if mutation == "short-embedding":
+        node["embedding"] = node["embedding"][:10]
+    elif mutation == "nested-embedding":
+        node["embedding"] = [node["embedding"]]
+    elif mutation == "nan-embedding":
+        node["embedding"][0] = float("nan")
+    elif mutation == "nan-adjacency":
+        record["adjacency"][1] = float("nan")
+    elif mutation == "no-nodes":
+        record["nodes"], record["adjacency"] = [], []
+    elif mutation == "no-label-vocab":
+        del header["label_vocab"]
+    lines[0], lines[2] = json.dumps(header), json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
+    @pytest.mark.parametrize("mutation", [
+        "truncate", "short-embedding", "nested-embedding", "nan-embedding",
+        "nan-adjacency", "no-nodes", "no-label-vocab"])
+    def test_malformed_graphs_exit_two_with_one_line(self, trained, tmp_path, capsys,
+                                                     command, mutation):
+        source, teacher = trained
+        graphs = tmp_path / "d.graphs"
+        shutil.copy(source, graphs)
+        shutil.copy(companion_path(source), companion_path(graphs))
+        _mutate_graphs(graphs, mutation)
+        out = tmp_path / "out"
+        argv = (["train-teacher", "--graphs", str(graphs), "--epochs", "1", "--out", str(out)]
+                if command == "train-teacher" else
+                ["eval", "--model", str(teacher), "--graphs", str(graphs), "--report", str(out)])
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_exits_two(self, trained, tmp_path, capsys):
+        graphs, teacher = trained
+        meta, tensors = read_checkpoint(teacher)
+        meta.pop("tensors")
+        tensors["w0"][0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        write_checkpoint(bad, meta, list(tensors.items()))
+        capsys.readouterr()
+        assert run(["eval", "--model", str(bad), "--graphs", str(graphs),
+                    "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and err.count("\n") == 1
 
 
 class TestDataErrors:
@@ -175,17 +270,6 @@ class TestDeterminism:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_embed_twice_identical(self, tmp_path):
-        data = _gen(tmp_path / "d")
-        outs = []
-        for name in ("1", "2"):
-            out = tmp_path / f"e{name}.gemb"
-            assert run(["embed", "--manifest", str(data["manifest"]),
-                        "--dim", "16", "--seed", "3", "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-
 class TestPipeline:
     def test_full_pipeline_produces_parsable_comparison(self, tmp_path, capsys):
         data = _gen(tmp_path / "d")
@@ -240,20 +324,6 @@ class TestPipeline:
         _, meta = load_student(out)
         assert len(meta["teachers"]) == 2
 
-    def test_eval_threads_byte_identical(self, tmp_path):
-        data = _gen(tmp_path / "d")
-        graphs = tmp_path / "d.graphs"
-        _build(data, graphs)
-        teacher = tmp_path / "t.ckpt"
-        assert run(["train-teacher", "--graphs", str(graphs), "--hidden", "8",
-                    "--epochs", "1", "--seed", "0", "--out", str(teacher)]) == 0
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert run(["eval", "--model", str(teacher), "--graphs", str(graphs),
-                    "--report", str(r1), "--threads", "1"]) == 0
-        assert run(["eval", "--model", str(teacher), "--graphs", str(graphs),
-                    "--report", str(r2), "--threads", "4"]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
-
     def test_build_graphs_embeds_triplet_surfaces_when_no_store(self, tmp_path):
         data = _gen(tmp_path / "d")
         out = tmp_path / "alt.graphs"
@@ -264,18 +334,6 @@ class TestPipeline:
         subgraphs, header = read_graphs(out)
         assert header["config"]["triplet_embeddings"] is None
         assert all(sg.size >= 4 for sg in subgraphs)
-
-    def test_embed_writes_store_and_sidecar(self, tmp_path):
-        data = _gen(tmp_path / "d")
-        out = tmp_path / "texts.gemb"
-        assert run(["embed", "--manifest", str(data["manifest"]),
-                    "--dim", "16", "--seed", "3", "--out", str(out)]) == 0
-        store = read_store(out)
-        assert len(store) == 2 * 160   # question + language context per record
-        sidecar = json.loads((tmp_path / "texts.gemb.run.json").read_text())
-        assert sidecar["command"] == "embed"
-        assert sidecar["seed"] == 3
-
 
 class TestGradcheckCommand:
     def test_passes_and_prints(self, capsys):

@@ -13,7 +13,7 @@ from graphkd.embeddings import (EmbeddingStore, TripletStore, read_store,
 from graphkd.errors import ConfigError, DataError
 from graphkd.serialization import canonical_json
 
-SMALL = dict(samples=240, dim=16, triplets_per_class=4, seed=3)
+SMALL = dict(samples=240, dim=16, noise=0.3, mask_prob=0.4, triplets_per_class=4, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,8 @@ class TestGeneration:
         assert dataset.groups == ["g0", "g1", "g2"]
 
     def test_split_counts(self, small_dataset):
-        dataset = ingest_manifest(small_dataset["manifest"], resolve_visual=False)
+        dataset = ingest_manifest(small_dataset["manifest"],
+                                  read_store(small_dataset["visual_embeddings"]))
         assert dataset.split_counts == {"train": 168, "val": 24, "test": 48}
 
     def test_triplet_store_alignment(self, small_dataset):
@@ -53,8 +54,9 @@ class TestGeneration:
         TripletStore(triplets, store)  # alignment would raise
 
     def test_class_counts_near_uniform_at_defaults(self, tmp_path):
-        paths = generate_synthetic(SynthConfig(), tmp_path / "full")
-        dataset = ingest_manifest(paths["manifest"], resolve_visual=False)
+        paths = generate_synthetic(SynthConfig(noise=0.3, mask_prob=0.4,
+                                               triplets_per_class=16), tmp_path / "full")
+        dataset = ingest_manifest(paths["manifest"], read_store(paths["visual_embeddings"]))
         gt_lines = paths["ground_truth"].read_text().splitlines()[1:]
         clean = {json.loads(l)["sample_id"]: json.loads(l)["label"] for l in gt_lines}
         counts = {}
@@ -70,7 +72,8 @@ class TestGeneration:
         gt_lines = small_dataset["ground_truth"].read_text().splitlines()[1:]
         masked = {json.loads(l)["sample_id"]: json.loads(l)["masked"]
                   for l in gt_lines}
-        dataset = ingest_manifest(small_dataset["manifest"], resolve_visual=False)
+        dataset = ingest_manifest(small_dataset["manifest"],
+                                  read_store(small_dataset["visual_embeddings"]))
         saw_masked = saw_clean = False
         for rec in dataset.records:
             has_signature = any(tok.startswith("sig") for tok in rec.question.split())
@@ -85,7 +88,8 @@ class TestGeneration:
     def test_label_noise_applied_to_train_only(self, small_dataset):
         gt_lines = small_dataset["ground_truth"].read_text().splitlines()[1:]
         clean = {json.loads(l)["sample_id"]: json.loads(l)["label"] for l in gt_lines}
-        dataset = ingest_manifest(small_dataset["manifest"], resolve_visual=False)
+        dataset = ingest_manifest(small_dataset["manifest"],
+                                  read_store(small_dataset["visual_embeddings"]))
         flips = {"train": 0, "val": 0, "test": 0}
         totals = {"train": 0, "val": 0, "test": 0}
         for rec in dataset.records:
@@ -222,7 +226,7 @@ class TestMaskingDirection:
         scores = {}
         for rho in (0.0, 0.8):
             paths = generate_synthetic(
-                SynthConfig(samples=400, dim=32, triplets_per_class=4,
+                SynthConfig(samples=400, dim=32, noise=0.3, triplets_per_class=4,
                             mask_prob=rho, seed=5), tmp_path / f"rho{rho}")
             store = read_store(paths["visual_embeddings"])
             tstore = TripletStore(read_triplets_tsv(paths["triplets"]),

@@ -14,7 +14,6 @@ from graphkd.distill import (DistillConfig, StudentParams, combined_loss,
                              train_student)
 from graphkd.errors import ConfigError, DataError, ShapeError
 from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
-from graphkd.serialization import read_soft_labels, write_soft_labels
 from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, save_teacher,
                              teacher_logits, train_teacher)
 from graphkd.verification import student_loss_error
@@ -332,41 +331,6 @@ class TestStudentCheckpoint:
 
 
 class TestSoftLabelCache:
-    def test_round_trip(self, tmp_path):
-        graphs = _subgraphs(5)
-        entries = compute_soft_labels([_teacher()], graphs)
-        path = tmp_path / "c.gslb"
-        write_soft_labels(path, entries, 3)
-        loaded, classes = read_soft_labels(path)
-        assert classes == 3
-        assert [e[0] for e in loaded] == [e[0] for e in entries]
-        for (_, got), (_, want) in zip(loaded, entries):
-            assert (got == want).all()
-
-    def test_write_read_write_identical(self, tmp_path):
-        entries = compute_soft_labels([_teacher()], _subgraphs(3))
-        p1, p2 = tmp_path / "a.gslb", tmp_path / "b.gslb"
-        write_soft_labels(p1, entries, 3)
-        loaded, classes = read_soft_labels(p1)
-        write_soft_labels(p2, loaded, classes)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_corrupt_magic(self, tmp_path):
-        path = tmp_path / "bad.gslb"
-        path.write_bytes(b"XXXX" + bytes(16))
-        from graphkd.errors import FormatError
-        with pytest.raises(FormatError, match="magic"):
-            read_soft_labels(path)
-
-    def test_truncation_reports_offset(self, tmp_path):
-        entries = compute_soft_labels([_teacher()], _subgraphs(2))
-        path = tmp_path / "t.gslb"
-        write_soft_labels(path, entries, 3)
-        path.write_bytes(path.read_bytes()[:-4])
-        from graphkd.errors import FormatError
-        with pytest.raises(FormatError, match="byte offset"):
-            read_soft_labels(path)
-
     def test_cached_rows_match_direct_computation(self):
         graphs = _subgraphs(4)
         teacher = _teacher()

@@ -497,11 +497,18 @@ class TestGraphsCompanion:
         assert companion_path(p1).read_bytes() == companion_path(p2).read_bytes()
         assert str(tmp_path).encode() not in companion_path(p1).read_bytes()
 
-    def test_layout_misfit_writes_no_companion(self, tmp_path):
+    @pytest.mark.parametrize("misfit", ["wider-embedding", "2-d-embedding",
+                                        "flat-adjacency"])
+    def test_layout_misfit_is_rejected_before_writing(self, tmp_path, misfit):
         path = self._write(tmp_path)
+        before = path.read_bytes(), companion_path(path).read_bytes()
         odd = self._subgraphs()
-        odd[2].nodes[0] = Node("question", "question", np.ones(7))
-        write_graphs(path, odd, ["a", "b", "c"], {})
-        assert not companion_path(path).exists()
-        loaded, _ = read_graphs(path)
-        assert loaded[2].nodes[0].embedding.size == 7
+        if misfit == "wider-embedding":
+            odd[2].nodes[0] = Node("question", "question", np.ones(7))
+        elif misfit == "2-d-embedding":
+            odd[2].nodes[0] = Node("question", "question", np.ones((1, 6)))
+        else:
+            odd[2].adjacency = odd[2].adjacency.reshape(-1)
+        with pytest.raises(DataError, match="'s2'"):
+            write_graphs(path, odd, ["a", "b", "c"], {})
+        assert (path.read_bytes(), companion_path(path).read_bytes()) == before

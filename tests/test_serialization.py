@@ -68,3 +68,13 @@ class TestManifestValidation:
                         payload=np.array([2.5], dtype="<f8").tobytes())
         _, tensors = read_checkpoint(path)
         assert tensors["w"].tolist() == [[2.5]]
+
+
+class TestValues:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_format_error(self, tmp_path, value):
+        path = tmp_path / "x.gkdc"
+        _raw_checkpoint(path, [{"name": "w", "rows": 1, "cols": 2}],
+                        payload=np.array([1.0, value], dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="'w' holds non-finite"):
+            read_checkpoint(path)

@@ -150,7 +150,8 @@ class TestTrainTeacher:
         from graphkd.graphs import build_dataset_graphs
 
         paths = generate_synthetic(
-            SynthConfig(samples=200, dim=16, triplets_per_class=4, seed=3),
+            SynthConfig(samples=200, dim=16, noise=0.3, mask_prob=0.4,
+                        triplets_per_class=4, seed=3),
             tmp_path / "data")
         store = read_store(paths["visual_embeddings"])
         tstore = TripletStore(read_triplets_tsv(paths["triplets"]),
