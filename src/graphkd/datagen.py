@@ -37,7 +37,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore, Triplet, toy_embed, write_store, write_triplets_tsv
 from .errors import ConfigError, DataError
-from .serialization import canonical_json
+from .serialization import canonical_json, utf8_lines
 
 SPLITS = ("train", "val", "test")
 NUM_GROUPS = 3
@@ -295,6 +295,19 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
 _REQUIRED_FIELDS = ("sample_id", "question", "language_context", "label", "group", "split")
 
 
+def _check_text(doc: dict, fieldname: str, lineno: int) -> None:
+    """A string that UTF-8 can encode: JSON's \\u escapes can spell an
+    unpaired surrogate, which no output file could then hold."""
+    value = doc[fieldname]
+    if not isinstance(value, str):
+        raise DataError(f"line {lineno}: field '{fieldname}' must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"line {lineno}: field '{fieldname}' holds an unpaired "
+                        f"surrogate escape") from exc
+
+
 def parse_manifest_line(line: str, lineno: int) -> ManifestRecord:
     try:
         doc = json.loads(line)
@@ -305,13 +318,13 @@ def parse_manifest_line(line: str, lineno: int) -> ManifestRecord:
     for fieldname in _REQUIRED_FIELDS:
         if fieldname not in doc:
             raise DataError(f"line {lineno}: missing field '{fieldname}'")
-        if not isinstance(doc[fieldname], str):
-            raise DataError(f"line {lineno}: field '{fieldname}' must be a string")
+        _check_text(doc, fieldname, lineno)
     has_text = "visual_text" in doc
     has_ref = "visual_ref" in doc
     if has_text == has_ref:
         raise DataError(
             f"line {lineno}: exactly one of visual_text / visual_ref is required")
+    _check_text(doc, "visual_text" if has_text else "visual_ref", lineno)
     if doc["split"] not in SPLITS:
         raise DataError(f"line {lineno}: unknown split token '{doc['split']}'")
     if not doc["question"]:
@@ -336,24 +349,23 @@ def ingest_manifest(manifest_path, embedding_store=None) -> Dataset:
     embedding references."""
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = parse_manifest_line(line, lineno)
-            if rec.sample_id in seen:
-                raise DataError(f"line {lineno}: duplicate sample id '{rec.sample_id}'")
-            seen.add(rec.sample_id)
-            if rec.visual_ref is not None:
-                if embedding_store is None:
-                    raise DataError(
-                        f"line {lineno}: visual_ref '{rec.visual_ref}' given but no "
-                        "embedding store was supplied")
-                if rec.visual_ref not in embedding_store:
-                    raise DataError(
-                        f"line {lineno}: missing embedding id '{rec.visual_ref}'")
-            records.append(rec)
+    for lineno, line in enumerate(utf8_lines(manifest_path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        rec = parse_manifest_line(line, lineno)
+        if rec.sample_id in seen:
+            raise DataError(f"line {lineno}: duplicate sample id '{rec.sample_id}'")
+        seen.add(rec.sample_id)
+        if rec.visual_ref is not None:
+            if embedding_store is None:
+                raise DataError(
+                    f"line {lineno}: visual_ref '{rec.visual_ref}' given but no "
+                    "embedding store was supplied")
+            if rec.visual_ref not in embedding_store:
+                raise DataError(
+                    f"line {lineno}: missing embedding id '{rec.visual_ref}'")
+        records.append(rec)
     if not records:
         raise DataError(f"manifest {manifest_path} contains no records")
 

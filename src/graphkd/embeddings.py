@@ -13,11 +13,12 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DataError, FormatError, ShapeError
-from .serialization import _Reader
+from .serialization import _Reader, utf8_lines
 
 EMBEDDING_MAGIC = b"GEMB"
 EMBEDDING_VERSION = 1
@@ -69,15 +70,25 @@ def toy_embed(text: str, dim: int, seed: int) -> np.ndarray:
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """u.v / (|u||v|), clamped to [-1, 1] to absorb rounding."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.shape != v.shape:
-        raise ShapeError(f"cosine_sim dimension mismatch: {u.size} vs {v.size}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    return pairwise_cosine([u, v])[0]
+
+
+def pairwise_cosine(vectors: list[np.ndarray]) -> list[float]:
+    """``cosine_sim`` of every pair (i, j), i < j, in ``combinations`` order,
+    with each vector's norm computed once."""
+    flat = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
+    for v in flat[1:]:
+        if v.shape != flat[0].shape:
+            raise ShapeError(f"cosine_sim dimension mismatch: {flat[0].size} vs {v.size}")
+    pairs = list(combinations(range(len(flat)), 2))
+    if not pairs:
+        return []
+    norms = [np.linalg.norm(v) for v in flat]
+    if min(norms) == 0.0:
         raise DataError("cosine_sim of a zero-norm vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    dots = np.array([np.dot(flat[a], flat[b]) for a, b in pairs])
+    scales = np.array([norms[a] * norms[b] for a, b in pairs])
+    return np.clip(dots / scales, -1.0, 1.0).tolist()
 
 
 class EmbeddingStore:
@@ -240,13 +251,18 @@ def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise DataError("cosine_sim of a zero-norm vector is undefined")
+    if not np.isfinite(qn):
+        raise DataError("query embedding holds non-finite values")
     mat, norms = store.scoring_matrix()
     scores = np.clip((mat @ q) / (norms * qn), -1.0, 1.0)
-    # lexsort keys: last key is primary. Negated scores sort descending and
-    # the index key resolves bit-equal ties toward the lower index.
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    top = order[: min(k, len(scores))]
-    return [(triplet_id(int(i)), float(scores[i])) for i in top]
+    # Every index scoring at least the k-th best score, ties at the boundary
+    # included, in ascending index order; a stable sort of those by
+    # descending score then keeps the lower index first among equal scores.
+    k = min(k, len(scores))
+    cut = len(scores) - k
+    candidates = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+    top = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+    return [(triplet_id(i), s) for i, s in zip(top.tolist(), scores[top].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +273,13 @@ def read_triplets_tsv(path) -> list[Triplet]:
     """One triplet per line: head TAB relation TAB tail. Line i maps to
     embedding id t{i}."""
     triplets: list[Triplet] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(
-                    f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            triplets.append(Triplet(*fields))
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(
+                f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        triplets.append(Triplet(*fields))
     return triplets
 
 

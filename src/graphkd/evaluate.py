@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, FormatError, NumericError
 from .graphs import Subgraph
+from .serialization import utf8_lines
 
 
 def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -149,14 +150,42 @@ def write_report(path, report: EvalReport) -> None:
 
 
 def read_report(path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not a report file: {exc}") from exc
+    """A report written by ``write_report``. The scores ``compare`` reads
+    must be numbers in [0, 1]: ``micro_f1``, and the ``micro_f1`` of each
+    ``per_group`` entry that has one. Group names, which ``compare`` writes,
+    must be encodable as UTF-8."""
+    text = "".join(utf8_lines(path))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not a report file: {exc}") from exc
     if not isinstance(doc, dict) or "micro_f1" not in doc:
         raise DataError(f"{path} is not a report file")
+    _check_score(doc["micro_f1"], "micro_f1", path)
+    per_group = doc.get("per_group")
+    if per_group is not None:
+        if not isinstance(per_group, dict):
+            raise FormatError(f"report {path}: per_group must be an object, "
+                              f"got {type(per_group).__name__}")
+        for group, entry in per_group.items():
+            try:
+                group.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise FormatError(f"report {path}: per_group name {group!r} holds an "
+                                  f"unpaired surrogate escape") from exc
+            if not isinstance(entry, dict):
+                raise FormatError(f"report {path}: per_group entry {group!r} must be an "
+                                  f"object, got {type(entry).__name__}")
+            if entry.get("micro_f1") is not None:
+                _check_score(entry["micro_f1"], f"per_group {group!r} micro_f1", path)
     return EvalReport.from_dict(doc)
+
+
+def _check_score(value, what: str, path) -> None:
+    # bool is an int subclass; JSON true is not a score.
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+        raise FormatError(f"report {path}: {what} must be a number in [0, 1], "
+                          f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,20 @@ commonsense triplets retrieved for them, ordered by ascending triplet
 index. Edges carry cosine similarity between content nodes, the retrieval
 similarity between a content node and its triplets, and normalized PMI of
 co-retrieval between triplet pairs (statistics from the training split
-only).
+only). Each content node's norm is computed once per sample. The NPMI of
+every pair co-retrieved on the training split is computed once, into an
+``NpmiTable`` indexed by triplet, and each sample's commonsense block is
+read from it.
 
 Graphs file: JSON lines, one header line (format, label vocabulary, config
 echo) and then one record per sample (nodes with kind, id and embedding,
 and the row-major adjacency). It is the interchange format and the one a
-person can read and edit.
+person can read and edit. Each line is ``canonical_json`` of its object.
+The writer assembles a record from JSON fragments in that sorted-key
+order. It formats each distinct commonsense node once: the fragment is
+keyed, like the companion's ``triplet_rows``, by id and embedding bytes.
+Embeddings and adjacency are written as float64 values, as the companion
+holds them.
 
 Companion: ``write_graphs`` also writes ``<graphs>.gkdc`` beside it, a
 processed copy in the ``GKDC`` container of ``serialization``. Its metadata
@@ -44,10 +52,10 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Dataset, ManifestRecord
-from .embeddings import (EmbeddingStore, TripletStore, clear_token_cache, cosine_sim,
+from .embeddings import (EmbeddingStore, TripletStore, clear_token_cache, pairwise_cosine,
                          top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .serialization import canonical_json, read_checkpoint, write_checkpoint
+from .serialization import canonical_json, read_checkpoint, utf8_lines, write_checkpoint
 
 CONTENT_KINDS = ("question", "language_context", "visual_context", "vl")
 COMMONSENSE_KIND = "commonsense"
@@ -96,21 +104,58 @@ class RetrievalHit:
     similarity: float
 
 
+@dataclass(frozen=True)
+class NpmiTable:
+    """Normalized PMI of every triplet pair co-retrieved on the training
+    split, computed once: ``weights[slots[a], slots[b]]``, 0.0 where the
+    pair has no edge. Triplets without statistics share the last row and
+    column, which are all zeros. The table is (U + 1) x (U + 1) for the U
+    triplets retrieved on the training split."""
+
+    slots: dict[str, int]
+    weights: np.ndarray
+
+    def block(self, ids: list[str]) -> np.ndarray:
+        """The len(ids) x len(ids) matrix of weights between ``ids``."""
+        spare = len(self.slots)
+        rows = [self.slots.get(tid, spare) for tid in ids]
+        return self.weights[np.ix_(rows, rows)]
+
+
 @dataclass
 class CooccurrenceStats:
     """Sample-level retrieval counts over the training split: in how many
-    samples was each triplet (and each unordered triplet pair) retrieved."""
+    samples was each triplet (and each unordered triplet pair) retrieved.
+    A pair is keyed by its two ids in ascending triplet index. The NPMI
+    table is computed on first use and kept until the next ``observe``, so
+    edit the counts by hand only before that first use."""
 
     num_samples: int = 0
     counts: dict[str, int] = field(default_factory=dict)
     pair_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    _npmi: NpmiTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def observe(self, retrieved_ids: set[str]) -> None:
+        self._npmi = None
         self.num_samples += 1
         for tid in retrieved_ids:
             self.counts[tid] = self.counts.get(tid, 0) + 1
         for a, b in combinations(sorted(retrieved_ids, key=_triplet_index), 2):
             self.pair_counts[(a, b)] = self.pair_counts.get((a, b), 0) + 1
+
+    def npmi_table(self) -> NpmiTable:
+        """``pmi_weight`` of every counted pair whose triplets both have
+        counts, each computed once."""
+        if self._npmi is None:
+            slots = {tid: i for i, tid in enumerate(self.counts)}
+            weights = np.zeros((len(slots) + 1, len(slots) + 1))
+            for (a, b), c12 in self.pair_counts.items():
+                if a in slots and b in slots:
+                    weight = _npmi(c12, self.counts[a], self.counts[b], self.num_samples)
+                    if weight is not None:
+                        weights[slots[a], slots[b]] = weights[slots[b], slots[a]] = weight
+            self._npmi = NpmiTable(slots, weights)
+        return self._npmi
 
 
 def _triplet_index(triplet_id: str) -> int:
@@ -175,16 +220,18 @@ def pmi_weight(stats: CooccurrenceStats, id1: str, id2: str) -> float | None:
         if tid not in stats.counts:
             raise DataError(f"no retrieval statistics for triplet '{tid}'")
     key = tuple(sorted((id1, id2), key=_triplet_index))
-    c12 = stats.pair_counts.get(key, 0)
+    return _npmi(stats.pair_counts.get(key, 0), stats.counts[id1], stats.counts[id2],
+                 stats.num_samples)
+
+
+def _npmi(c12: int, c1: int, c2: int, num_samples: int) -> float | None:
     if c12 == 0:
         return None
-    c1 = stats.counts[id1]
-    c2 = stats.counts[id2]
-    pmi = math.log(c12 * stats.num_samples / (c1 * c2))
+    pmi = math.log(c12 * num_samples / (c1 * c2))
     if pmi <= 0.0:
         return None
     # min() absorbs the last-ulp rounding when the pair always co-occurs.
-    return min(pmi / -math.log(c12 / stats.num_samples), 1.0)
+    return min(pmi / -math.log(c12 / num_samples), 1.0)
 
 
 def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceStats,
@@ -194,7 +241,8 @@ def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceS
     Content-content edges: cosine similarity when above ``tau`` (negative
     similarities never become edges, keeping weights in [0, 1]).
     Content-commonsense edges: the retrieval similarity, clamped to [0, 1].
-    Commonsense-commonsense edges: normalized PMI, in modes pmi / hybrid.
+    Commonsense-commonsense edges: normalized PMI, in modes pmi / hybrid,
+    read from ``stats.npmi_table()``.
     """
     if mode not in EDGE_MODES:
         raise ConfigError(f"unknown edge mode '{mode}'")
@@ -207,8 +255,8 @@ def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceS
 
     content = [i for i, node in enumerate(nodes) if node.kind in CONTENT_KINDS]
     kind_to_index = {nodes[i].kind: i for i in content}
-    for a, b in combinations(content, 2):
-        sim = cosine_sim(nodes[a].embedding, nodes[b].embedding)
+    sims = pairwise_cosine([nodes[i].embedding for i in content])
+    for (a, b), sim in zip(combinations(content, 2), sims):
         if sim > tau and sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
 
@@ -220,15 +268,11 @@ def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceS
         adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
 
     if mode in ("pmi", "hybrid"):
+        # Triplets never retrieved on the training split have no statistics
+        # and therefore no PMI edges.
         commonsense = [i for i, node in enumerate(nodes) if node.kind == COMMONSENSE_KIND]
-        for a, b in combinations(commonsense, 2):
-            # Triplets never retrieved on the training split have no
-            # statistics and therefore no PMI edges.
-            if nodes[a].id not in stats.counts or nodes[b].id not in stats.counts:
-                continue
-            weight = pmi_weight(stats, nodes[a].id, nodes[b].id)
-            if weight is not None:
-                adjacency[a, b] = adjacency[b, a] = weight
+        adjacency[np.ix_(commonsense, commonsense)] = stats.npmi_table().block(
+            [nodes[i].id for i in commonsense])
     return adjacency
 
 
@@ -354,13 +398,20 @@ class _CompanionWriter:
         os.replace(partial, target)
 
 
+def _node_json(kind: str, node_id: str, embedding: np.ndarray) -> str:
+    """``canonical_json`` of one node object, keys in its sorted order."""
+    return (f'{{"embedding":{canonical_json(embedding.tolist())},'
+            f'"id":{canonical_json(node_id)},"kind":{canonical_json(kind)}}}')
+
+
 def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
                  config: dict) -> None:
     """One header line (format, vocabulary, config echo), then one record
-    per sample with nodes (kind, id, embedding) and the row-major adjacency.
-    Then the binary companion (see the module docstring). Subgraphs whose
-    embeddings are not all 1-D of one width, or whose adjacency is not
-    n x n, are a ``DataError`` before anything is written."""
+    per sample with nodes (kind, id, embedding) and the row-major adjacency,
+    each line ``canonical_json`` of its object. Then the binary companion
+    (see the module docstring). Subgraphs whose embeddings are not all 1-D
+    of one width, or whose adjacency is not n x n, are a ``DataError``
+    before anything is written."""
     header = {
         "format": GRAPHS_FORMAT,
         "version": GRAPHS_VERSION,
@@ -370,25 +421,28 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
     companion = _CompanionWriter()
     for sg in subgraphs:
         companion.add(sg)
+    # A commonsense node's JSON is formatted once per row of the triplet
+    # table, that is once per distinct id and embedding.
+    fragments = [_node_json(COMMONSENSE_KIND, tid, row[0])
+                 for (tid, _), row in zip(companion.triplet_rows, companion.triplets)]
     with open(path, "wb") as fh:
-        def emit(doc) -> None:
-            line = (canonical_json(doc) + "\n").encode("utf-8")
+        def emit(text: str) -> None:
+            line = (text + "\n").encode("utf-8")
             companion.digest.update(line)
             fh.write(line)
 
-        emit(header)
-        for sg in subgraphs:
-            emit({
-                "sample_id": sg.sample_id,
-                "split": sg.split,
-                "group": sg.group,
-                "label": sg.label,
-                "nodes": [
-                    {"kind": n.kind, "id": n.id, "embedding": n.embedding.tolist()}
-                    for n in sg.nodes
-                ],
-                "adjacency": sg.adjacency.reshape(-1).tolist(),
-            })
+        emit(canonical_json(header))
+        for sg, doc in zip(subgraphs, companion.samples):
+            refs = iter(doc["triplet_rows"])
+            nodes = ",".join(
+                fragments[next(refs)] if node.kind == COMMONSENSE_KIND
+                else _node_json(node.kind, node.id, np.asarray(node.embedding, dtype=np.float64))
+                for node in sg.nodes)
+            adjacency = np.asarray(sg.adjacency, dtype=np.float64).reshape(-1).tolist()
+            emit(f'{{"adjacency":{canonical_json(adjacency)},'
+                 f'"group":{canonical_json(sg.group)},"label":{canonical_json(sg.label)},'
+                 f'"nodes":[{nodes}],"sample_id":{canonical_json(sg.sample_id)},'
+                 f'"split":{canonical_json(sg.split)}}}')
     companion.write(path, header)
 
 
@@ -485,55 +539,55 @@ def read_graphs(path) -> tuple[list[Subgraph], dict]:
 def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
     """Parse the JSON lines one at a time. Every node embedding must be 1-D
     of the first one's width, and every value finite."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise FormatError(f"graphs file {path} is empty")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line 1: invalid graphs header: {exc}") from exc
-        _check_header(header, path)
+    lines = utf8_lines(path)
+    first = next(lines, "")
+    if not first:
+        raise FormatError(f"graphs file {path} is empty")
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line 1: invalid graphs header: {exc}") from exc
+    _check_header(header, path)
 
-        subgraphs: list[Subgraph] = []
-        dim = None
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
-            try:
-                nodes = [
-                    Node(n["kind"], n["id"], np.asarray(n["embedding"], dtype=np.float64))
-                    for n in doc["nodes"]
-                ]
-                n = len(nodes)
-                adjacency = np.asarray(doc["adjacency"], dtype=np.float64).reshape(n, n)
-                subgraphs.append(Subgraph(
-                    sample_id=doc["sample_id"],
-                    split=doc["split"],
-                    group=doc["group"],
-                    label=int(doc["label"]),
-                    nodes=nodes,
-                    adjacency=adjacency,
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
-            if not nodes:
-                raise FormatError(f"line {lineno}: graph record has no nodes")
-            if dim is None:
-                dim = nodes[0].embedding.size
-            for node in nodes:
-                if node.embedding.shape != (dim,):
-                    raise FormatError(f"line {lineno}: node '{node.id}' has an embedding of "
-                                      f"shape {node.embedding.shape}, expected ({dim},)")
-                if not np.isfinite(node.embedding).all():
-                    raise FormatError(f"line {lineno}: node '{node.id}' has a non-finite "
-                                      f"embedding value")
-            if not np.isfinite(adjacency).all():
-                raise FormatError(f"line {lineno}: non-finite adjacency weight")
+    subgraphs: list[Subgraph] = []
+    dim = None
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
+        try:
+            nodes = [
+                Node(n["kind"], n["id"], np.asarray(n["embedding"], dtype=np.float64))
+                for n in doc["nodes"]
+            ]
+            n = len(nodes)
+            adjacency = np.asarray(doc["adjacency"], dtype=np.float64).reshape(n, n)
+            subgraphs.append(Subgraph(
+                sample_id=doc["sample_id"],
+                split=doc["split"],
+                group=doc["group"],
+                label=int(doc["label"]),
+                nodes=nodes,
+                adjacency=adjacency,
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
+        if not nodes:
+            raise FormatError(f"line {lineno}: graph record has no nodes")
+        if dim is None:
+            dim = nodes[0].embedding.size
+        for node in nodes:
+            if node.embedding.shape != (dim,):
+                raise FormatError(f"line {lineno}: node '{node.id}' has an embedding of "
+                                  f"shape {node.embedding.shape}, expected ({dim},)")
+            if not np.isfinite(node.embedding).all():
+                raise FormatError(f"line {lineno}: node '{node.id}' has a non-finite "
+                                  f"embedding value")
+        if not np.isfinite(adjacency).all():
+            raise FormatError(f"line {lineno}: non-finite adjacency weight")
     if not subgraphs:
         raise FormatError(f"graphs file {path} contains no records")
     return subgraphs, header

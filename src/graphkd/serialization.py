@@ -11,7 +11,8 @@ described in ``graphs``). ``_Reader`` is the byte cursor shared with the
 embedding store format of ``embeddings``.
 
 Writers are canonical: the same logical content always produces the same
-bytes, so write -> read -> write is byte-identical.
+bytes, so write -> read -> write is byte-identical. ``utf8_lines`` is how
+the text readers read their files.
 """
 
 from __future__ import annotations
@@ -27,9 +28,23 @@ CHECKPOINT_MAGIC = b"GKDC"
 FORMAT_VERSION = 1
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, raw UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
+
+
+def utf8_lines(path):
+    """The lines of the text file at ``path``, read lazily. Bytes that are
+    not UTF-8 are a ``FormatError`` that names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc.reason} "
+                              f"({exc.object[exc.start:exc.end]!r})") from exc
 
 
 class _Reader:

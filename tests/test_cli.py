@@ -89,6 +89,16 @@ def trained(tmp_path_factory):
     return graphs, teacher
 
 
+@pytest.fixture(scope="module")
+def report(trained, tmp_path_factory):
+    """A test-split report of the trained teacher."""
+    graphs, teacher = trained
+    path = tmp_path_factory.mktemp("report") / "teacher.json"
+    assert run(["eval", "--model", str(teacher), "--graphs", str(graphs),
+                "--report", str(path)]) == 0
+    return path
+
+
 def _mutate_graphs(path, mutation):
     text = path.read_text(encoding="utf-8")
     if mutation == "truncate":
@@ -133,6 +143,65 @@ class TestMalformedInputs:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("artifact", ["manifest", "triplets", "graphs", "report"])
+    def test_non_utf8_input_exits_two_naming_the_path(self, trained, report, tmp_path, capsys,
+                                                      artifact):
+        graphs, teacher = trained
+        data = tmp_path / "d"
+        shutil.copytree(graphs.parent / "d", data)
+        bad = {"manifest": data / "manifest.jsonl", "triplets": data / "triplets.tsv",
+               "graphs": tmp_path / "d.graphs", "report": tmp_path / "r.json"}[artifact]
+        shutil.copy(graphs, tmp_path / "d.graphs")
+        shutil.copy(companion_path(graphs), companion_path(tmp_path / "d.graphs"))
+        shutil.copy(report, tmp_path / "r.json")
+        blob = bad.read_bytes()
+        at = blob.index(b"\n") + 1
+        bad.write_bytes(blob[:at] + b"\xff" + blob[at:])
+        out = tmp_path / "out"
+        argv = {
+            "manifest": ["build-graphs", "--manifest", str(data / "manifest.jsonl"),
+                         "--triplets", str(data / "triplets.tsv"), "--out", str(out)],
+            "triplets": ["build-graphs", "--manifest", str(data / "manifest.jsonl"),
+                         "--triplets", str(data / "triplets.tsv"), "--out", str(out)],
+            "graphs": ["eval", "--model", str(teacher), "--graphs", str(bad),
+                       "--report", str(out)],
+            "report": ["compare", "--baseline", str(bad), "--treated", str(report),
+                       "--out", str(out)],
+        }[artifact]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutation", ["per-group-list", "per-group-number",
+                                          "micro-f1-string", "micro-f1-nan",
+                                          "surrogate-group"])
+    def test_malformed_report_exits_two_with_one_line(self, report, tmp_path, capsys,
+                                                      mutation):
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        if mutation == "per-group-list":
+            doc["per_group"] = list(doc["per_group"].values())
+        elif mutation == "per-group-number":
+            doc["per_group"][sorted(doc["per_group"])[0]] = 0.5
+        elif mutation == "micro-f1-string":
+            doc["micro_f1"] = str(doc["micro_f1"])
+        elif mutation == "surrogate-group":
+            doc["per_group"]["g\ud800"] = doc["per_group"].popitem()[1]
+        else:
+            doc["micro_f1"] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "cmp.json"
+        capsys.readouterr()
+        assert run(["compare", "--baseline", str(bad), "--treated", str(report),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
         assert not out.exists()
 
     def test_non_finite_checkpoint_exits_two(self, trained, tmp_path, capsys):

@@ -168,6 +168,24 @@ class TestIngestValidation:
         with pytest.raises(DataError, match="line 2"):
             ingest_manifest(path)
 
+    @pytest.mark.parametrize("field, value", [("sample_id", "s\ud800"),
+                                              ("visual_text", "pic \udfff")])
+    def test_unpaired_surrogate_escape_rejected(self, field, value):
+        doc = json.loads(self._line())
+        doc[field] = value
+        line = json.dumps(doc)
+        assert "\\ud" in line
+        with pytest.raises(DataError, match=f"line 4: field '{field}'.*surrogate"):
+            parse_manifest_line(line, 4)
+
+    @pytest.mark.parametrize("field", ["visual_text", "visual_ref"])
+    def test_non_string_visual_field_rejected(self, field):
+        doc = json.loads(self._line())
+        doc.pop("visual_text", None)
+        doc[field] = 123
+        with pytest.raises(DataError, match=f"field '{field}' must be a string"):
+            parse_manifest_line(canonical_json(doc), 1)
+
     def test_both_visual_fields_rejected(self):
         doc = json.loads(self._line())
         doc["visual_ref"] = "v0"

@@ -139,6 +139,27 @@ class TestTopK:
             for (_, gs), (_, ws) in zip(got, want):
                 assert gs == pytest.approx(ws, abs=1e-12)
 
+    def test_exact_ties_across_the_cut_match_full_sort_bitwise(self):
+        # Reference: the full two-key sort, descending score, then index.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            palette = rng.normal(0, 1, (3, 5))
+            rows = palette[rng.integers(0, 3, int(rng.integers(1, 30)))]
+            store = _store_from_rows(rows)
+            query = rng.normal(0, 1, 5)
+            k = int(rng.integers(1, 8))
+            mat, norms = store.scoring_matrix()
+            scores = np.clip((mat @ query) / (norms * np.linalg.norm(query)), -1.0, 1.0)
+            order = np.lexsort((np.arange(len(scores)), -scores))[:k]
+            want = [(f"t{i}", float(scores[i])) for i in order]
+            assert top_k_triplets(query, store, k) == want
+
+    def test_non_finite_query_rejected(self):
+        store = _store_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="non-finite"):
+                top_k_triplets(np.array([1.0, bad]), store, 1)
+
     def test_norms_computed_once_per_matrix(self, monkeypatch):
         rng = np.random.default_rng(5)
         store = _store_from_rows(rng.normal(0, 1, (12, 8)))

@@ -1,18 +1,24 @@
 """Subgraph construction: content nodes, retrieval attachment, PMI edges,
 adjacency normalization, and the graphs file."""
 
+import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from graphkd.datagen import ManifestRecord
-from graphkd.embeddings import EmbeddingStore, Triplet, TripletStore, toy_embed
+from graphkd.datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
+from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
+                                read_store, read_triplets_tsv, toy_embed)
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
-from graphkd.graphs import (CONTENT_KINDS, CooccurrenceStats, Node, RetrievalHit,
-                            Subgraph, attach_commonsense, build_content_nodes,
-                            build_edges, companion_path, normalize_adjacency,
-                            pmi_weight, read_graphs, write_graphs)
+from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, CooccurrenceStats,
+                            Node, RetrievalHit, Subgraph, attach_commonsense,
+                            build_content_nodes, build_dataset_graphs, build_edges,
+                            companion_path, normalize_adjacency, pmi_weight, read_graphs,
+                            write_graphs)
+from graphkd.serialization import read_checkpoint
 
 
 def _record(**overrides):
@@ -512,3 +518,160 @@ class TestGraphsCompanion:
         with pytest.raises(DataError, match="'s2'"):
             write_graphs(path, odd, ["a", "b", "c"], {})
         assert (path.read_bytes(), companion_path(path).read_bytes()) == before
+
+
+def _reference_graph_lines(subgraphs, label_vocab, config):
+    """The writer before fragment reuse: the canonical JSON of each record
+    object, built whole."""
+    header = {"format": GRAPHS_FORMAT, "version": GRAPHS_VERSION,
+              "label_vocab": list(label_vocab), "config": config}
+    records = [{
+        "sample_id": sg.sample_id,
+        "split": sg.split,
+        "group": sg.group,
+        "label": sg.label,
+        "nodes": [{"kind": n.kind, "id": n.id, "embedding": n.embedding.tolist()}
+                  for n in sg.nodes],
+        "adjacency": sg.adjacency.reshape(-1).tolist(),
+    } for sg in subgraphs]
+    return [(json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+             + "\n").encode("utf-8") for doc in [header] + records]
+
+
+def _odd_subgraphs():
+    """Non-ASCII and escaped strings; -0.0, a subnormal and 1e-300 in
+    embeddings and adjacency; one commonsense id with two vectors, one
+    node shared unchanged between samples; a sample with no commonsense
+    nodes."""
+    rng = np.random.default_rng(21)
+    special = [-0.0, 5e-324, 1e-300]
+    t3 = rng.normal(0, 1, 6)
+    t3[:3] = special
+    t7 = rng.normal(0, 1, 6)
+    commonsense = [[("t3", t3), ("t7", t7)], [("t3", -t3), ("t7", t7.copy())], []]
+    names = [("s0-é", "grüppe"), ("样本1", "g\"1\\"), ("s2\n", "g2")]
+    out = []
+    for i, ((sample_id, group), extra) in enumerate(zip(names, commonsense)):
+        nodes = [Node(kind, kind, rng.normal(0, 1, 6)) for kind in CONTENT_KINDS]
+        nodes[i].embedding[3:] = special
+        nodes += [Node("commonsense", tid, vec) for tid, vec in extra]
+        n = len(nodes)
+        adj = np.triu(np.abs(rng.normal(0, 0.3, (n, n))), 1)
+        adj[0, 1:4] = special
+        adj = adj + adj.T
+        adj[0, 1] = adj[1, 0] = -0.0
+        out.append(Subgraph(sample_id=sample_id, split=("train", "val", "test")[i],
+                            group=group, label=i, nodes=nodes, adjacency=adj))
+    return out
+
+
+class TestWriterMatchesWholeRecordJson:
+    def _built_subgraphs(self, tmp_path):
+        config = SynthConfig(samples=40, classes=3, dim=8, triplets_per_class=4, seed=2)
+        paths = generate_synthetic(config, tmp_path / "d")
+        dataset = ingest_manifest(paths["manifest"], read_store(paths["visual_embeddings"]))
+        store = TripletStore(read_triplets_tsv(paths["triplets"]),
+                             read_store(paths["triplet_embeddings"]))
+        return build_dataset_graphs(dataset, store, seed=2, k=3)
+
+    @pytest.mark.parametrize("source", ["odd", "built"])
+    def test_lines_equal_reference_and_companion_hashes_them(self, tmp_path, source):
+        subgraphs = _odd_subgraphs() if source == "odd" else self._built_subgraphs(tmp_path)
+        config = {"k": 3, "note": "ü"}
+        path = tmp_path / "x.graphs"
+        write_graphs(path, subgraphs, ["a", "b", "ç"], config)
+        got = path.read_bytes().splitlines(keepends=True)
+        want = _reference_graph_lines(subgraphs, ["a", "b", "ç"], config)
+        assert len(got) == len(want)
+        for lineno, (g, w) in enumerate(zip(got, want), start=1):
+            assert g == w, f"line {lineno}"
+        meta, _ = read_checkpoint(companion_path(path))
+        assert meta["graphs_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _reference_edges(nodes, log, stats, mode="hybrid", tau=0.0):
+    """build_edges before the NPMI table: one cosine_sim per content pair
+    and one pmi_weight per commonsense pair."""
+    n = len(nodes)
+    index = {node.id: i for i, node in enumerate(nodes)}
+    adjacency = np.zeros((n, n))
+    content = [i for i, node in enumerate(nodes) if node.kind in CONTENT_KINDS]
+    kind_to_index = {nodes[i].kind: i for i in content}
+    for a, b in itertools.combinations(content, 2):
+        sim = cosine_sim(nodes[a].embedding, nodes[b].embedding)
+        if sim > tau and sim > 0.0:
+            adjacency[a, b] = adjacency[b, a] = sim
+    for hit in log:
+        if hit.triplet_id in index:
+            a, b = kind_to_index[hit.content_kind], index[hit.triplet_id]
+            adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
+    if mode in ("pmi", "hybrid"):
+        commonsense = [i for i, node in enumerate(nodes) if node.kind == "commonsense"]
+        for a, b in itertools.combinations(commonsense, 2):
+            if nodes[a].id not in stats.counts or nodes[b].id not in stats.counts:
+                continue
+            weight = pmi_weight(stats, nodes[a].id, nodes[b].id)
+            if weight is not None:
+                adjacency[a, b] = adjacency[b, a] = weight
+    return adjacency
+
+
+class TestNpmiTableEdges:
+    NUM_TRIPLETS = 24
+
+    def _stats(self, rng):
+        """Training retrievals in which t0 and t1 always come together, t2
+        comes nearly always, and t23 never comes."""
+        stats = CooccurrenceStats()
+        for s in range(80):
+            chosen = {f"t{i}" for i in rng.choice(np.arange(3, self.NUM_TRIPLETS - 1),
+                                                  size=int(rng.integers(2, 7)), replace=False)}
+            if s % 5 == 0:
+                chosen |= {"t0", "t1"}
+            if s % 20:
+                chosen.add("t2")
+            stats.observe(chosen)
+        return stats
+
+    def _sample(self, rng):
+        nodes = [Node(kind, kind, rng.normal(0, 1, 8)) for kind in CONTENT_KINDS]
+        ids = sorted(rng.choice(self.NUM_TRIPLETS, size=int(rng.integers(0, 9)),
+                                replace=False))
+        nodes += [Node("commonsense", f"t{i}", rng.normal(0, 1, 8)) for i in ids]
+        log = [RetrievalHit(CONTENT_KINDS[int(rng.integers(4))], f"t{i}",
+                            float(rng.uniform(-0.5, 1.2))) for i in ids]
+        return nodes, log
+
+    def test_table_fill_equals_pairwise_reference_bitwise(self):
+        rng = np.random.default_rng(17)
+        stats = self._stats(rng)
+        seen = {"unseen": 0, "independent": 0, "always": 0}
+        for _ in range(150):
+            nodes, log = self._sample(rng)
+            for mode, tau in (("hybrid", 0.0), ("pmi", 0.3), ("cosine", -0.2)):
+                want = _reference_edges(nodes, log, stats, mode, tau)
+                assert build_edges(nodes, log, stats, mode, tau).tobytes() == want.tobytes()
+            ids = [node.id for node in nodes[4:]]
+            seen["unseen"] += "t23" in ids
+            for a, b in itertools.combinations(ids, 2):
+                if a in stats.counts and b in stats.counts:
+                    weight = pmi_weight(stats, a, b)
+                    key = (a, b)
+                    seen["independent"] += weight is None and key in stats.pair_counts
+                    seen["always"] += weight == 1.0
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_always_cooccurring_pair_weighs_exactly_one(self):
+        stats = self._stats(np.random.default_rng(4))
+        table = stats.npmi_table()
+        assert stats.counts["t0"] == stats.counts["t1"] == stats.pair_counts[("t0", "t1")]
+        assert table.block(["t0", "t1"])[0, 1] == 1.0
+        assert not table.block(["t0", "t23", "t99"])[1:].any()
+
+    def test_table_is_computed_once_and_refreshed_by_observe(self):
+        stats = self._stats(np.random.default_rng(4))
+        table = stats.npmi_table()
+        assert stats.npmi_table() is table
+        stats.observe({"t0", "t5"})
+        assert stats.npmi_table() is not table
+        assert stats.npmi_table().block(["t0", "t1"])[0, 1] < 1.0
