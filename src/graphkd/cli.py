@@ -92,7 +92,6 @@ def cmd_train_teacher(args) -> int:
         dim=dim, num_classes=len(label_vocab), hidden=args.hidden,
         head_hidden=args.head_hidden, epochs=args.epochs,
         optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
-    config.validate()
     params, metadata, metrics = teacher.train_teacher(
         train, val, config, graph_config=header.get("config"))
     for entry in metrics:

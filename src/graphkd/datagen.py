@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, Triplet, toy_embed, write_store, write_triplets_tsv
+from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, write_store,
+                         write_triplets_tsv)
 from .errors import ConfigError, DataError
 from .serialization import canonical_json, utf8_lines
 
@@ -140,9 +141,11 @@ def topic_signature(topic: int) -> list[str]:
     return [f"sig{topic}w{j}" for j in range(SIGNATURE_TOKENS)]
 
 
-def topic_prototype(topic: int, dim: int, seed: int) -> np.ndarray:
-    """Unit vector the embedder produces for the pure topic signature text."""
-    return toy_embed(" ".join(topic_signature(topic)), dim, seed)
+def topic_prototype(topic: int, dim: int, seed: int,
+                    rows: TokenRows | None = None) -> np.ndarray:
+    """Unit vector the embedder produces for the pure topic signature text,
+    with token rows from ``rows`` when given (see ``toy_embed``)."""
+    return toy_embed(" ".join(topic_signature(topic)), dim, seed, rows)
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -170,7 +173,9 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     num_topics = config.classes * config.triplets_per_class
-    prototypes = [topic_prototype(t, config.dim, config.seed) for t in range(num_topics)]
+    rows = token_rows([" ".join(topic_signature(t)) for t in range(num_topics)],
+                      config.dim, config.seed)
+    prototypes = [topic_prototype(t, config.dim, config.seed, rows) for t in range(num_topics)]
     class_of = [t % config.classes for t in range(num_topics)]
     class_dirs = [_unit(rng, config.dim) for _ in range(config.classes)]
 

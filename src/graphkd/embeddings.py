@@ -1,6 +1,15 @@
 """Id-keyed embedding tables, a deterministic stand-in text embedder, and
 exact top-k triplet retrieval by cosine similarity.
 
+The stand-in embedder sums one Gaussian row per token and L2-normalizes.
+A token's row is derived as: the blake2b digest of ``"{seed}:{token}"`` read
+as a 64-bit integer, then numpy's ``SeedSequence`` words for that integer,
+then a ``PCG64`` seeded with those words, then ``standard_normal(dim)``.
+``token_rows`` derives the rows of all distinct tokens of a set of texts in
+one pass, with the ``SeedSequence`` words computed as arrays. A graph build
+makes one such table for all the texts it embeds, so each distinct token's
+row is computed once per build.
+
 The on-disk embedding format (``GEMB``) stores vectors as f32 little-endian;
 in memory everything is float64. Stores quantize to f32 on insertion so that
 write -> read reproduces the in-memory table bitwise.
@@ -11,7 +20,6 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from hashlib import blake2b
 from itertools import combinations
 
@@ -31,25 +39,126 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
 
-@lru_cache(maxsize=65536)
-def _token_row(token: str, dim: int, seed: int) -> np.ndarray:
-    digest = blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
-    rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-    row = rng.standard_normal(dim)
-    row.flags.writeable = False
-    return row
+# numpy's SeedSequence (pool size 4), whose words seed each token's PCG64.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 
 
-def clear_token_cache() -> None:
-    """Drop the embedder's cached token rows (up to 65,536 of them, about
-    40 MB at dim 64), for a process that will embed nothing more."""
-    _token_row.cache_clear()
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of ``count`` hashing steps and after the
+    last one, as a column: step j xors with row j and multiplies by row j+1."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def toy_embed(text: str, dim: int, seed: int) -> np.ndarray:
-    """Deterministic bag-of-tokens embedding: L2-normalized sum of per-token
-    Gaussian rows. Text with no tokens maps to the first basis vector e1
-    (the documented empty-text sentinel)."""
+# mix_entropy hashes 4 entropy words, then 12 pool words; generate_state
+# hashes 8 output words.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One hashing step per row of ``values``, row i with ``consts[i]`` and
+    ``consts[i + 1]``; uint32 arithmetic wraps as numpy's does."""
+    hashed = (values ^ consts[:-1]) * consts[1:]
+    return hashed ^ (hashed >> _XSHIFT)
+
+
+def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    uint64 seed ``s`` at once: a C-contiguous len(seeds) x 4 uint64 array.
+    The entropy is each seed's low and high 32-bit words, zero-padded to
+    the pool size of 4, which is what SeedSequence makes of one integer."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
+    entropy[0] = seeds & np.uint64(_MASK32)
+    entropy[1] = seeds >> np.uint64(32)
+    pool = _hashmix(entropy, _HASH_A[0:5])
+    step = 4
+    for src in range(4):
+        # Every other pool word is mixed with a fresh hash of this one.
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(np.broadcast_to(pool[src], (3, seeds.size)), _HASH_A[step:step + 4])
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+        step += 3
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
+    words = np.empty((seeds.size, 4), dtype=np.uint64)
+    words[:] = (state[0::2] | (state[1::2] << np.uint64(32))).T
+    return words
+
+
+class _SeedWords:
+    """Hands PCG64 one row of ``seed_sequence_words``, the words it would
+    have asked of ``SeedSequence(seed)``. ``token_rows`` registers it as a
+    numpy ``ISeedSequence``: subclassing that here would import
+    ``numpy.random`` with this module, in commands that embed nothing."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError(
+                f"token rows need PCG64 to be seeded with 4 uint64 words, "
+                f"not {n_words} of {dtype}")
+        return self.words
+
+
+@dataclass(frozen=True)
+class TokenRows:
+    """One Gaussian row per distinct token, for one (dim, seed):
+    ``rows[index[token]]``."""
+
+    dim: int
+    seed: int
+    index: dict[str, int]
+    rows: np.ndarray
+
+
+def token_rows(texts, dim: int, seed: int) -> TokenRows:
+    """The row of every distinct token in ``texts``, each computed once.
+
+    A token's row is ``Generator(PCG64(s)).standard_normal(dim)``, where
+    ``s`` is the little-endian 64-bit blake2b digest of ``"{seed}:{token}"``.
+    The PCG64 is seeded with ``SeedSequence(s)``'s words, derived for all
+    tokens at once by ``seed_sequence_words``."""
+    if dim < 2:
+        raise DataError(f"embedding dim must be >= 2, got {dim}")
+    index: dict[str, int] = {}
+    for text in texts:
+        for token in tokenize(text):
+            index.setdefault(token, len(index))
+    digests = b"".join(blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+                       for token in index)
+    words = seed_sequence_words(np.frombuffer(digests, dtype="<u8"))
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    rows = np.empty((len(index), dim))
+    for row_words, row in zip(words, rows):
+        np.random.Generator(np.random.PCG64(_SeedWords(row_words))).standard_normal(
+            dim, out=row)
+    rows.flags.writeable = False
+    return TokenRows(dim, seed, index, rows)
+
+
+def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> np.ndarray:
+    """Deterministic bag-of-tokens embedding: the L2-normalized sum of one
+    Gaussian row per token, added one by one in token order. A token's row
+    is blake2b of ``"{seed}:{token}"`` -> ``SeedSequence`` words -> ``PCG64``
+    -> ``standard_normal(dim)`` (see ``token_rows``). Text with no tokens
+    maps to the first basis vector e1 (the documented empty-text sentinel).
+
+    ``rows`` is a ``token_rows`` table for the same dim and seed that holds
+    every token of ``text``. A graph build passes one table for all its
+    texts, so each distinct token's row is computed once per build. Without
+    ``rows``, the rows of this text's tokens are computed for this call."""
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
     tokens = tokenize(text)
@@ -57,9 +166,18 @@ def toy_embed(text: str, dim: int, seed: int) -> np.ndarray:
         vec = np.zeros(dim)
         vec[0] = 1.0
         return vec
+    if rows is None:
+        rows = token_rows([text], dim, seed)
+    elif (rows.dim, rows.seed) != (dim, seed):
+        raise DataError(f"token rows for dim {rows.dim} and seed {rows.seed} cannot "
+                        f"embed at dim {dim} and seed {seed}")
+    try:
+        picked = [rows.index[token] for token in tokens]
+    except KeyError as exc:
+        raise DataError(f"token {exc} has no row in the token-row table") from exc
     total = np.zeros(dim)
-    for token in tokens:
-        total += _token_row(token, dim, seed)
+    for i in picked:
+        total += rows.rows[i]
     norm = np.linalg.norm(total)
     if norm == 0.0:
         vec = np.zeros(dim)
@@ -215,8 +333,9 @@ class TripletStore:
     def from_texts(cls, triplets: list[Triplet], dim: int, seed: int) -> "TripletStore":
         """Embed each triplet's surface form with the stand-in embedder."""
         store = EmbeddingStore(dim)
+        rows = token_rows([t.surface() for t in triplets], dim, seed)
         for i, t in enumerate(triplets):
-            store.add(triplet_id(i), toy_embed(t.surface(), dim, seed))
+            store.add(triplet_id(i), toy_embed(t.surface(), dim, seed, rows))
         return cls(triplets, store)
 
     def __len__(self) -> int:

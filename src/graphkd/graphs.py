@@ -45,6 +45,7 @@ import hashlib
 import json
 import math
 import os
+from collections import _count_elements
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -52,8 +53,8 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Dataset, ManifestRecord
-from .embeddings import (EmbeddingStore, TripletStore, clear_token_cache, pairwise_cosine,
-                         top_k_triplets, toy_embed)
+from .embeddings import (EmbeddingStore, TokenRows, TripletStore, pairwise_cosine,
+                         token_rows, top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .serialization import canonical_json, read_checkpoint, utf8_lines, write_checkpoint
 
@@ -138,10 +139,11 @@ class CooccurrenceStats:
     def observe(self, retrieved_ids: set[str]) -> None:
         self._npmi = None
         self.num_samples += 1
-        for tid in retrieved_ids:
-            self.counts[tid] = self.counts.get(tid, 0) + 1
-        for a, b in combinations(sorted(retrieved_ids, key=_triplet_index), 2):
-            self.pair_counts[(a, b)] = self.pair_counts.get((a, b), 0) + 1
+        # The tally loop behind Counter.update, in C: one pass per sample, no
+        # Python-level get and set per pair.
+        _count_elements(self.counts, retrieved_ids)
+        _count_elements(self.pair_counts,
+                        combinations(sorted(retrieved_ids, key=_triplet_index), 2))
 
     def npmi_table(self) -> NpmiTable:
         """``pmi_weight`` of every counted pair whose triplets both have
@@ -163,10 +165,12 @@ def _triplet_index(triplet_id: str) -> int:
 
 
 def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
-                        embedding_store: EmbeddingStore | None = None) -> list[Node]:
-    """Embed one sample's four content nodes in the fixed kind order."""
-    question = toy_embed(record.question, dim, seed)
-    language = toy_embed(record.language_context, dim, seed)
+                        embedding_store: EmbeddingStore | None = None,
+                        rows: TokenRows | None = None) -> list[Node]:
+    """Embed one sample's four content nodes in the fixed kind order, with
+    token rows from ``rows`` when given (see ``toy_embed``)."""
+    question = toy_embed(record.question, dim, seed, rows)
+    language = toy_embed(record.language_context, dim, seed, rows)
     if record.visual_ref is not None:
         if embedding_store is None:
             raise DataError(
@@ -179,7 +183,7 @@ def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
             raise ConfigError(
                 f"embedding store dim {visual.size} does not match graph dim {dim}")
     else:
-        visual = toy_embed(record.visual_text or "", dim, seed)
+        visual = toy_embed(record.visual_text or "", dim, seed, rows)
 
     mean = 0.5 * (visual + language)
     norm = np.linalg.norm(mean)
@@ -302,22 +306,28 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
                          tau: float = 0.0) -> list[Subgraph]:
     """Two-pass construction over a validated dataset: retrieval first
     (accumulating training-split co-occurrence statistics), then edges.
-    Node embeddings use the triplet store's dimension."""
+    Node embeddings use the triplet store's dimension. Each distinct token
+    of the dataset's texts gets its row once, in one ``token_rows`` table."""
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
 
+    # A record with a visual_ref has no visual_text, so this is every text
+    # build_content_nodes embeds.
+    rows = token_rows([text for r in dataset.records
+                       for text in (r.question, r.language_context, r.visual_text or "")],
+                      dim, seed)
     built: list[tuple[ManifestRecord, list[Node], list[RetrievalHit]]] = []
     stats = CooccurrenceStats()
     for record in dataset.records:
-        content = build_content_nodes(record, dim, seed, dataset.visual_store)
+        content = build_content_nodes(record, dim, seed, dataset.visual_store, rows)
         commonsense, log = attach_commonsense(content, triplet_store, k)
         built.append((record, content + commonsense, log))
         if record.split == "train":
             stats.observe({hit.triplet_id for hit in log})
 
-    # The edge pass embeds nothing; releasing the embedder's token rows here
-    # lets its allocations reuse their memory instead of raising the peak.
-    clear_token_cache()
+    # The edge pass embeds nothing; releasing the token rows here lets its
+    # allocations reuse their memory instead of raising the peak.
+    del rows
     subgraphs: list[Subgraph] = []
     for record, nodes, log in built:
         adjacency = build_edges(nodes, log, stats, mode=mode, tau=tau)
@@ -456,7 +466,8 @@ def _file_sha256(path) -> str:
 
 def _check_header(header, path) -> None:
     """The header's format and version, and a label vocabulary of one or
-    more strings."""
+    more strings that UTF-8 can encode: JSON's \\u escapes can spell an
+    unpaired surrogate, which no checkpoint or report could then hold."""
     if not isinstance(header, dict) or header.get("format") != GRAPHS_FORMAT:
         raise FormatError(f"{path} is not a graphs file")
     if header.get("version") != GRAPHS_VERSION:
@@ -465,6 +476,12 @@ def _check_header(header, path) -> None:
     if not isinstance(vocab, list) or not vocab or not all(isinstance(v, str) for v in vocab):
         raise FormatError(f"graphs file {path}: label_vocab must be a non-empty list "
                           f"of strings, got {vocab!r}")
+    for label in vocab:
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"graphs file {path}: label_vocab entry {label!r} holds an "
+                              f"unpaired surrogate escape") from exc
 
 
 def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None:

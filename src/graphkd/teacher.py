@@ -41,8 +41,7 @@ class TeacherConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Sizes a training run needs. ``train_teacher`` itself accepts zero
-        epochs (it then returns the seeded initialization)."""
+        """Sizes a training run needs; ``train_teacher`` checks them first."""
         for name in ("hidden", "head_hidden", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -160,6 +159,7 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
     """Per-sample training in seeded-shuffled order; returns the final-epoch
     parameters, the checkpoint metadata (config echo), and per-epoch metrics
     (mean train loss, validation micro-F1)."""
+    config.validate()
     if not train:
         raise ConfigError("training split is empty")
     check_dataset(train, config, "train sample")

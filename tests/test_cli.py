@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from graphkd.cli import build_parser, run
 from graphkd.datagen import SynthConfig
 from graphkd.distill import DistillConfig
+from graphkd.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION, read_store
 from graphkd.evaluate import read_report
 from graphkd.graphs import companion_path, read_graphs
 from graphkd.serialization import read_checkpoint, write_checkpoint
@@ -119,15 +121,73 @@ def _mutate_graphs(path, mutation):
         record["nodes"], record["adjacency"] = [], []
     elif mutation == "no-label-vocab":
         del header["label_vocab"]
+    elif mutation == "surrogate-label":
+        header["label_vocab"][0] += "\ud800"
     lines[0], lines[2] = json.dumps(header), json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _spoil_companion_label(path):
+    """Append an unpaired surrogate escape to the first label of the
+    companion's header. The graphs file is untouched, so the companion still
+    matches it and is the copy that gets read."""
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    meta = json.loads(blob[16:16 + meta_len])
+    meta["header"]["label_vocab"][0] += "\ud800"
+    raw = json.dumps(meta).encode("ascii")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + meta_len:])
+
+
+def _gemb(dim, entries, count=None, magic=EMBEDDING_MAGIC, version=EMBEDDING_VERSION):
+    """GEMB bytes of (id bytes, row) entries; ``count`` overrides the header's."""
+    out = [magic, struct.pack("<IIQ", version, dim, len(entries) if count is None else count)]
+    for key, row in entries:
+        out += [struct.pack("<H", len(key)), key, np.asarray(row, dtype="<f4").tobytes()]
+    return b"".join(out)
+
+
+GEMB_MUTATIONS = ["truncated", "trailing-byte", "count-plus-one", "count-minus-one",
+                  "dim-zero", "wrong-dim", "nan-value", "inf-value", "duplicate-id",
+                  "bad-utf8-id", "bad-magic", "bad-version"]
+
+
+def _mutate_gemb(path, mutation):
+    blob = path.read_bytes()
+    store = read_store(path)
+    dim, entries = store.dim, [(k.encode("utf-8"), store.vector(k)) for k in store.ids()]
+    assert _gemb(dim, entries) == blob
+    (first, _), (second, row) = entries[0], entries[1]
+    if mutation == "truncated":
+        blob = blob[:len(blob) // 2]
+    elif mutation == "trailing-byte":
+        blob += b"\0"
+    elif mutation in ("count-plus-one", "count-minus-one"):
+        blob = _gemb(dim, entries, count=len(entries) + (1 if mutation == "count-plus-one" else -1))
+    elif mutation == "dim-zero":
+        blob = _gemb(0, [(key, row[:0]) for key, row in entries])
+    elif mutation == "wrong-dim":
+        blob = _gemb(dim // 2, [(key, row[:dim // 2]) for key, row in entries])
+    elif mutation in ("nan-value", "inf-value"):
+        row = row.copy()
+        row[0] = np.nan if mutation == "nan-value" else np.inf
+        blob = _gemb(dim, [entries[0], (second, row)] + entries[2:])
+    elif mutation == "duplicate-id":
+        blob = _gemb(dim, [entries[0], (first, row)] + entries[2:])
+    elif mutation == "bad-utf8-id":
+        blob = _gemb(dim, [entries[0], (b"\xff" * len(second), row)] + entries[2:])
+    elif mutation == "bad-magic":
+        blob = _gemb(dim, entries, magic=b"GEMX")
+    else:
+        blob = _gemb(dim, entries, version=EMBEDDING_VERSION + 1)
+    path.write_bytes(blob)
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     @pytest.mark.parametrize("mutation", [
         "truncate", "short-embedding", "nested-embedding", "nan-embedding",
-        "nan-adjacency", "no-nodes", "no-label-vocab"])
+        "nan-adjacency", "no-nodes", "no-label-vocab", "surrogate-label"])
     def test_malformed_graphs_exit_two_with_one_line(self, trained, tmp_path, capsys,
                                                      command, mutation):
         source, teacher = trained
@@ -144,6 +204,44 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
+    def test_surrogate_label_in_companion_exits_two(self, trained, tmp_path, capsys, command):
+        source, teacher = trained
+        graphs = tmp_path / "d.graphs"
+        shutil.copy(source, graphs)
+        shutil.copy(companion_path(source), companion_path(graphs))
+        _spoil_companion_label(companion_path(graphs))
+        out = tmp_path / "out"
+        argv = (["train-teacher", "--graphs", str(graphs), "--epochs", "1", "--out", str(out)]
+                if command == "train-teacher" else
+                ["eval", "--model", str(teacher), "--graphs", str(graphs), "--report", str(out)])
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "surrogate" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("store", ["embeddings", "triplet-embeddings"])
+    @pytest.mark.parametrize("mutation", GEMB_MUTATIONS)
+    def test_malformed_embedding_store_exits_two(self, trained, tmp_path, capsys, store,
+                                                 mutation):
+        data = tmp_path / "d"
+        shutil.copytree(trained[0].parent / "d", data)
+        paths = {"embeddings": data / "visual.gemb",
+                 "triplet-embeddings": data / "triplets.gemb"}
+        _mutate_gemb(paths[store], mutation)
+        out = tmp_path / "g.graphs"
+        capsys.readouterr()
+        assert run(["build-graphs", "--manifest", str(data / "manifest.jsonl"),
+                    "--embeddings", str(paths["embeddings"]),
+                    "--triplets", str(data / "triplets.tsv"),
+                    "--triplet-embeddings", str(paths["triplet-embeddings"]),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not companion_path(out).exists()
 
     @pytest.mark.parametrize("artifact", ["manifest", "triplets", "graphs", "report"])
     def test_non_utf8_input_exits_two_naming_the_path(self, trained, report, tmp_path, capsys,

@@ -1,11 +1,15 @@
 """Embedding stores, the stand-in embedder, retrieval, and the GEMB format."""
 
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
+from graphkd.datagen import SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
-                                read_store, read_triplets_tsv, tokenize, top_k_triplets,
-                                toy_embed, write_store, write_triplets_tsv)
+                                read_store, read_triplets_tsv, seed_sequence_words, tokenize,
+                                token_rows, top_k_triplets, toy_embed, write_store,
+                                write_triplets_tsv)
 from graphkd.errors import DataError, FormatError, ShapeError
 
 
@@ -41,6 +45,84 @@ class TestToyEmbed:
     def test_rejects_tiny_dim(self):
         with pytest.raises(DataError):
             toy_embed("x", 1, 0)
+
+
+def _reference_seed(token: str, seed: int) -> int:
+    digest = blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _reference_row(token: str, dim: int, seed: int) -> np.ndarray:
+    """A token's row as numpy derives it from the integer seed."""
+    return np.random.Generator(np.random.PCG64(_reference_seed(token, seed))).standard_normal(dim)
+
+
+def _reference_embed(text: str, dim: int, seed: int) -> np.ndarray:
+    total = np.zeros(dim)
+    for token in tokenize(text):
+        total += _reference_row(token, dim, seed)
+    return total / np.linalg.norm(total)
+
+
+class TestTokenRows:
+    """The bulk row derivation must stay bit-equal to numpy's own seeding;
+    a numpy that changes SeedSequence or PCG64 seeding fails here."""
+
+    EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+    @pytest.fixture(scope="class")
+    def texts(self, tmp_path_factory):
+        """Every text a graph build over a toy dataset embeds (its visual
+        channels are store references), and its triplets' surfaces."""
+        config = SynthConfig(samples=60, classes=3, dim=8, triplets_per_class=4, seed=2)
+        paths = generate_synthetic(config, tmp_path_factory.mktemp("rows") / "d")
+        dataset = ingest_manifest(paths["manifest"], read_store(paths["visual_embeddings"]))
+        return ([text for record in dataset.records
+                 for text in (record.question, record.language_context)]
+                + [t.surface() for t in read_triplets_tsv(paths["triplets"])])
+
+    @staticmethod
+    def _numpy_words(seeds):
+        return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64)
+                         for s in seeds], dtype=np.uint64).reshape(-1, 4)
+
+    def test_words_equal_seed_sequence_on_edge_seeds(self):
+        got = seed_sequence_words(np.array(self.EDGE_SEEDS, dtype=np.uint64))
+        assert got.flags.c_contiguous and got.dtype == np.uint64
+        np.testing.assert_array_equal(got, self._numpy_words(self.EDGE_SEEDS))
+
+    def test_words_equal_seed_sequence_on_every_dataset_token(self, texts):
+        seeds = sorted({_reference_seed(token, 2) for text in texts for token in tokenize(text)})
+        assert len(seeds) > 500
+        got = seed_sequence_words(np.array(seeds, dtype=np.uint64))
+        np.testing.assert_array_equal(got, self._numpy_words(seeds))
+
+    def test_rows_equal_integer_seeded_generator(self, texts):
+        rows = token_rows(texts, 16, 2)
+        assert len(rows.index) == len({t for text in texts for t in tokenize(text)})
+        for token, i in rows.index.items():
+            assert rows.rows[i].tobytes() == _reference_row(token, 16, 2).tobytes(), token
+
+    def test_embeddings_equal_the_sequential_sum(self, texts):
+        rows = token_rows(texts, 16, 2)
+        for text in texts:
+            want = _reference_embed(text, 16, 2).tobytes()
+            assert toy_embed(text, 16, 2, rows).tobytes() == want, text
+            assert toy_embed(text, 16, 2).tobytes() == want, text
+
+    def test_no_texts_give_an_empty_table(self):
+        rows = token_rows(["", "!!"], 8, 0)
+        assert rows.index == {} and rows.rows.shape == (0, 8)
+
+    def test_table_of_other_dim_or_seed_refused(self):
+        rows = token_rows(["cat sat"], 16, 7)
+        for dim, seed in ((8, 7), (16, 8)):
+            with pytest.raises(DataError, match="token rows for dim 16 and seed 7"):
+                toy_embed("cat sat", dim, seed, rows)
+
+    def test_token_missing_from_table_refused(self):
+        with pytest.raises(DataError, match="'dog' has no row"):
+            toy_embed("cat dog", 16, 7, token_rows(["cat sat"], 16, 7))
 
 
 class TestCosine:

@@ -106,15 +106,19 @@ class TestTrainTeacher:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_zero_epochs_equals_initialization(self):
-        train = _random_subgraphs(5)
-        config = self._config(epochs=0)
-        params, _, metrics = train_teacher(train, [], config)
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-        init = init_teacher(config, rng)
-        for got, want in zip(params.as_list(), init.as_list()):
-            assert (got == want).all()
-        assert metrics == []
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            train_teacher(_random_subgraphs(5), [], self._config(epochs=0))
+
+    def test_init_teacher_is_seeded(self):
+        config = self._config()
+
+        def init(seed):
+            return init_teacher(config, np.random.Generator(np.random.PCG64(seed))).as_list()
+
+        for got, want in zip(init(1), init(1)):
+            assert got.tobytes() == want.tobytes()
+        assert any((a != b).any() for a, b in zip(init(1), init(2)))
 
     @pytest.mark.parametrize("field", ["hidden", "head_hidden", "epochs"])
     def test_validate_rejects_sizes_below_one(self, field):

@@ -1,19 +1,57 @@
 """The traced benchmark rebinds package functions by name; every name it
-lists must still resolve, or a rename would only show in a traced run."""
+lists must still resolve, or a rename would only show in a traced run. A
+refactor that routes work around a wrapped name would leave its span empty,
+so a traced graph build must still record each build layer."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import graphkd
+from graphkd import graphs
+from graphkd.datagen import SynthConfig, generate_synthetic, ingest_manifest
+from graphkd.embeddings import TripletStore, read_store, read_triplets_tsv
+
 TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
 
 
-def test_every_wrapped_attribute_resolves():
+def _tracecli():
     spec = importlib.util.spec_from_file_location("tracecli", TRACECLI)
     tracecli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracecli)
+    return tracecli
+
+
+def test_every_wrapped_attribute_resolves():
+    tracecli = _tracecli()
     assert tracecli.WRAPPED
     missing = [f"graphkd.{module}.{attr}" for module, attr, _ in tracecli.WRAPPED
                if not callable(getattr(importlib.import_module(f"graphkd.{module}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_traced_build_records_every_build_layer(tmp_path, monkeypatch):
+    tracecli = _tracecli()
+    for module, attr, _ in tracecli.WRAPPED:
+        # Registers the original for restoring once the test ends.
+        module = importlib.import_module(f"graphkd.{module}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracecli.Tracer()
+    tracer.install(graphkd)
+
+    config = SynthConfig(samples=30, classes=3, dim=8, triplets_per_class=2, seed=4)
+    paths = generate_synthetic(config, tmp_path / "d")
+    dataset = ingest_manifest(paths["manifest"], read_store(paths["visual_embeddings"]))
+    store = TripletStore(read_triplets_tsv(paths["triplets"]),
+                         read_store(paths["triplet_embeddings"]))
+    graphs.build_dataset_graphs(dataset, store, seed=4, k=2)
+
+    calls = {}
+    for key, (_, count) in tracer.spans.items():
+        name = key.split("|")[0]
+        calls[name] = calls.get(name, 0) + count
+    # Visual channels are store references here: two texts per sample.
+    assert calls["embeddings.embed"] == 2 * config.samples
+    assert calls["embeddings.retrieve"] == 4 * config.samples
+    assert calls["graphs.edges"] == config.samples
