@@ -8,10 +8,11 @@ averaged softmax outputs into a compact student that never sees the graph.
 
 __version__ = "0.1.0"
 
-from .autodiff import OptimizerState, Tape, Tensor, backward, gradcheck, optimizer_step
+from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, backward, gradcheck,
+                       optimizer_step)
 from .datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
-from .distill import (DistillConfig, StudentParams, combined_loss, kd_loss,
-                      teacher_soft_labels, train_student)
+from .distill import (DistillConfig, StudentParams, combined_loss, compute_soft_labels,
+                      kd_loss, train_student)
 from .embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
                          top_k_triplets, toy_embed)
 from .evaluate import EvalReport, comparison_report, evaluate_model, micro_f1

@@ -1,4 +1,4 @@
-"""Dense 2-D float64 tensors with reverse-mode differentiation.
+"""Dense float64 tensors with reverse-mode differentiation.
 
 The engine is deliberately small: tensors are immutable matrices, every
 differentiable operation appends one record to an explicit :class:`Tape`,
@@ -6,6 +6,19 @@ and :func:`backward` replays the records once in reverse. Gradients
 accumulate additively when a node feeds several consumers. There is no
 broadcasting beyond row-vector bias addition and no dtype other than
 float64, which keeps the finite-difference checker meaningful.
+
+An untracked tensor may carry one leading stack axis (S x rows x cols).
+Every operation then acts on the last two axes of each slice, so a forward
+pass written for one sample runs unchanged over a stack of same-shape
+samples, slice for slice with the same arithmetic. A matrix operand is
+shared by every slice. Tracked tensors stay 2-D: a stack never goes on a
+tape.
+
+Trainable matrices live end to end in one flat vector
+(:class:`ParameterVector`); the model sees them as views of it.
+:func:`backward` returns the gradient of the registered parameters only,
+flattened in registration order, and :func:`optimizer_step` updates the
+whole vector in place with one sequence of array operations.
 """
 
 from __future__ import annotations
@@ -27,9 +40,14 @@ def _as_matrix(values) -> Array:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ShapeError(f"tensors are 2-D matrices, got array of ndim {arr.ndim}")
+    if arr.ndim > 3:
+        raise ShapeError(f"tensors are matrices or one stack of them, got array of "
+                         f"ndim {arr.ndim}")
     return np.ascontiguousarray(arr)
+
+
+def _shape(arr: Array) -> str:
+    return "x".join(str(n) for n in arr.shape)
 
 
 def _require_finite(arr: Array, op: str) -> None:
@@ -41,7 +59,8 @@ def _require_finite(arr: Array, op: str) -> None:
 
 
 class Tensor:
-    """Immutable (rows x cols) float64 matrix, optionally tracked on a tape."""
+    """Immutable (rows x cols) float64 matrix, optionally tracked on a tape,
+    or an untracked stack of such matrices (S x rows x cols)."""
 
     __slots__ = ("data", "tape", "node")
 
@@ -65,11 +84,11 @@ class Tensor:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
     def tracked(self) -> bool:
@@ -77,12 +96,45 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
-            raise ShapeError(f"item() requires a 1x1 tensor, got {self.rows}x{self.cols}")
+            raise ShapeError(f"item() requires a 1x1 tensor, got {_shape(self.data)}")
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:
         tag = f", node={self.node}" if self.tracked else ""
-        return f"Tensor({self.rows}x{self.cols}{tag})"
+        return f"Tensor({_shape(self.data)}{tag})"
+
+
+class ParameterVector:
+    """Trainable matrices stored end to end, row-major, in one flat float64
+    vector. ``tensors`` are read-only views of ``flat``; ``optimizer_step``
+    rewrites ``flat`` in place, so they always hold the current values."""
+
+    __slots__ = ("flat", "tensors")
+
+    def __init__(self, arrays: Sequence[Array]):
+        matrices = [_as_matrix(a) for a in arrays]
+        for m in matrices:
+            if m.ndim != 2:
+                raise ShapeError(f"parameters are matrices, got shape {_shape(m)}")
+        self.flat = np.concatenate([m.reshape(-1) for m in matrices] or [np.zeros(0)])
+        _require_finite(self.flat, "parameters")
+        self.tensors = [Tensor._wrap(view, None, None) for view in
+                        split_flat(self.flat, [m.shape for m in matrices])]
+
+    def copies(self) -> list[Array]:
+        """Each parameter matrix as a new array, detached from the vector."""
+        return [t.data.copy() for t in self.tensors]
+
+
+def split_flat(flat: Array, shapes: Sequence[tuple[int, int]]) -> list[Array]:
+    """Views of consecutive row-major blocks of ``flat``, one per shape."""
+    views, offset = [], 0
+    for rows, cols in shapes:
+        views.append(flat[offset:offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+    if offset != flat.size:
+        raise ShapeError(f"{flat.size} values do not fill the shapes {list(shapes)}")
+    return views
 
 
 @dataclass
@@ -109,7 +161,9 @@ class Tape:
         self.parameters: list[int] = []
         self._shapes: dict[int, tuple[int, int]] = {}
 
-    def _new_node(self, shape: tuple[int, int]) -> int:
+    def _new_node(self, shape: tuple[int, ...]) -> int:
+        if len(shape) != 2:
+            raise ShapeError(f"a stack of {shape[0]} matrices cannot be tracked on a tape")
         node = self.num_nodes
         self.num_nodes += 1
         self._shapes[node] = shape
@@ -117,7 +171,7 @@ class Tape:
 
     def parameter(self, values) -> Tensor:
         """Register a trainable leaf. Untouched parameters still receive a
-        (zero) entry in the gradient table."""
+        (zero) entry in the gradient vector."""
         t = Tensor(values)
         t.tape = self
         t.node = self._new_node(t.data.shape)
@@ -157,32 +211,36 @@ def _common_tape(*tensors: Tensor) -> Tape | None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    # A matrix pairs with every slice of a stack; two stacks pair slice by slice.
+    stacks = a.data.ndim == 3 and b.data.ndim == 3
+    if a.cols != b.rows or (stacks and a.data.shape[0] != b.data.shape[0]):
+        raise ShapeError(f"matmul shape mismatch: {_shape(a.data)} @ {_shape(b.data)}")
     out = a.data @ b.data
     return _result(_common_tape(a, b), "matmul", (a.node, b.node), out,
                    (a.data, b.data))
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _result(a.tape, "transpose", (a.node,), np.ascontiguousarray(a.data.T), ())
+    return _result(a.tape, "transpose", (a.node,),
+                   np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), ())
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; `b` may be a 1 x n row vector broadcast over a's rows."""
+    """Elementwise sum; `b` may be a 1 x n row vector broadcast over a's rows,
+    or one matrix added to every slice of a stack."""
     if a.data.shape == b.data.shape:
         broadcast = False
-    elif b.rows == 1 and b.cols == a.cols:
+    elif b.data.ndim == 2 and b.cols == a.cols and b.rows in (1, a.rows):
         broadcast = True
     else:
-        raise ShapeError(f"add shape mismatch: {a.rows}x{a.cols} + {b.rows}x{b.cols}")
+        raise ShapeError(f"add shape mismatch: {_shape(a.data)} + {_shape(b.data)}")
     out = a.data + b.data
     return _result(_common_tape(a, b), "add", (a.node, b.node), out, (broadcast,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shape mismatch: {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+        raise ShapeError(f"mul shape mismatch: {_shape(a.data)} * {_shape(b.data)}")
     out = a.data * b.data
     return _result(_common_tape(a, b), "mul", (a.node, b.node), out, (a.data, b.data))
 
@@ -200,8 +258,8 @@ def relu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != a.rows * a.cols:
-        raise ShapeError(f"cannot reshape {a.rows}x{a.cols} to {rows}x{cols}")
-    out = a.data.reshape(rows, cols).copy()
+        raise ShapeError(f"cannot reshape {_shape(a.data)} to {rows}x{cols}")
+    out = a.data.reshape(a.data.shape[:-2] + (rows, cols)).copy()
     return _result(a.tape, "reshape", (a.node,), out, (a.data.shape,))
 
 
@@ -209,34 +267,35 @@ def mean_rows(a: Tensor) -> Tensor:
     """Column-wise mean over rows: N x d -> 1 x d."""
     if a.rows < 1:
         raise ShapeError("mean_rows requires at least one row")
-    out = a.data.mean(axis=0, keepdims=True)
+    out = a.data.mean(axis=-2, keepdims=True)
     return _result(a.tape, "mean_rows", (a.node,), out, (a.rows,))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.array([[a.data.sum()]])
+    """Sum of every entry of a matrix: N x d -> 1 x 1."""
+    out = a.data.sum(axis=(-2, -1), keepdims=True)
     return _result(a.tape, "sum_all", (a.node,), out, (a.data.shape,))
 
 
 def row_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction; each row sums to 1."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
     return _result(a.tape, "row_softmax", (a.node,), out, (out,))
 
 
 def row_log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     return _result(a.tape, "row_log_softmax", (a.node,), out, (np.exp(out),))
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
     """-log softmax(logits)[label] for a 1 x C logit row, stable log-sum-exp."""
-    if logits.rows != 1:
-        raise ShapeError(f"cross_entropy expects a 1xC logit row, got {logits.rows}x{logits.cols}")
+    if logits.data.ndim != 2 or logits.rows != 1:
+        raise ShapeError(f"cross_entropy expects a 1xC logit row, got {_shape(logits.data)}")
     if not 0 <= label < logits.cols:
         raise DataError(f"label {label} out of range for {logits.cols} classes")
     x = logits.data[0]
@@ -265,10 +324,11 @@ def _bw_transpose(rec: Record, g: Array, out: list):
 
 def _bw_add(rec: Record, g: Array, out: list):
     (broadcast,) = rec.saved
+    # `g` is shared, not copied: accumulation never writes into a gradient.
     if rec.inputs[0] is not None:
-        out.append((rec.inputs[0], g.copy()))
+        out.append((rec.inputs[0], g))
     if rec.inputs[1] is not None:
-        out.append((rec.inputs[1], g.sum(axis=0, keepdims=True) if broadcast else g.copy()))
+        out.append((rec.inputs[1], g.sum(axis=0, keepdims=True) if broadcast else g))
 
 
 def _bw_mul(rec: Record, g: Array, out: list):
@@ -337,16 +397,18 @@ _BACKWARD: dict[str, Callable[[Record, Array, list], None]] = {
 }
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
+def backward(tape: Tape, loss: Tensor) -> Array:
     """Reverse-accumulate gradients of a scalar loss over the tape.
 
-    Returns a table mapping node id to gradient tensor. Every registered
-    parameter gets an entry; parameters the loss never touched get zeros.
+    Returns the gradients of the registered parameters, each flattened
+    row-major and concatenated in registration order: the layout of a
+    :class:`ParameterVector` whose tensors were watched in order. Parameters
+    the loss never touched get zeros.
     """
     if loss.tape is not tape or loss.node is None:
         raise ShapeError("loss tensor is not tracked on this tape")
     if loss.data.shape != (1, 1):
-        raise ShapeError(f"loss must be a 1x1 scalar, got {loss.rows}x{loss.cols}")
+        raise ShapeError(f"loss must be a 1x1 scalar, got {_shape(loss.data)}")
 
     grads: list[Array | None] = [None] * tape.num_nodes
     grads[loss.node] = np.ones((1, 1))
@@ -363,14 +425,14 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             else:
                 grads[node] = grads[node] + delta
 
-    table: dict[int, Tensor] = {}
-    for node, g in enumerate(grads):
-        if g is not None:
-            table[node] = Tensor._wrap(np.ascontiguousarray(g), None, None)
+    blocks = []
     for node in tape.parameters:
-        if node not in table:
-            table[node] = Tensor._wrap(np.zeros(tape._shapes[node]), None, None)
-    return table
+        g = grads[node]
+        if g is None:
+            rows, cols = tape._shapes[node]
+            g = np.zeros(rows * cols)
+        blocks.append(g.reshape(-1))
+    return np.concatenate(blocks or [np.zeros(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +463,7 @@ def gradcheck(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],
     tape = Tape()
     tracked = [tape.parameter(a) for a in arrays]
     loss = f(tracked)
-    table = backward(tape, loss)
-    analytic = [table[t.node].data for t in tracked]
+    analytic = split_flat(backward(tape, loss), [t.data.shape for t in tracked])
 
     def perturbed(i: int, idx, value: float) -> list[Array]:
         out = list(arrays)
@@ -429,7 +490,7 @@ def gradcheck(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moment buffers are allocated on first use."""
+    """SGD or Adam state; Adam's moment vectors are allocated on first use."""
 
     kind: str = "adam"
     learning_rate: float = 0.001
@@ -437,9 +498,9 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
-    _scratch: list[Array] = field(default_factory=list, repr=False)
+    m: Array | None = None
+    v: Array | None = None
+    _scratch: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -448,54 +509,48 @@ class OptimizerState:
             raise DataError(f"learning rate must be non-negative, got {self.learning_rate}")
 
 
-def optimizer_step(state: OptimizerState, params: Sequence[Tensor],
-                   grads: Sequence[Tensor]) -> list[Tensor]:
-    """One update; returns new parameter tensors (inputs are immutable)."""
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} params but {len(grads)} grads")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.data.shape != g.data.shape:
-            raise ShapeError(
-                f"param {i} is {p.rows}x{p.cols} but grad is {g.rows}x{g.cols}")
+def optimizer_step(state: OptimizerState, params: ParameterVector, grad: Array) -> None:
+    """One update of the whole parameter vector, in place. ``grad`` is the
+    flat gradient :func:`backward` returns. A non-finite result raises
+    :class:`NumericError` and leaves the parameters unchanged."""
+    flat = params.flat
+    if grad.shape != flat.shape:
+        raise ShapeError(f"{flat.size} parameters but a gradient of shape {grad.shape}")
 
     state.step += 1
     lr = state.learning_rate
-    updated: list[Tensor] = []
     if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            new = p.data - lr * g.data
-            _require_finite(new, "optimizer_step")
-            updated.append(Tensor._wrap(new, None, None))
-        return updated
+        new = flat - lr * grad
+        _require_finite(new, "optimizer_step")
+        np.copyto(flat, new)
+        return
 
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-        state._scratch = [np.empty_like(p.data) for p in params]
+    if state.m is None:
+        state.m = np.zeros_like(flat)
+        state.v = np.zeros_like(flat)
+        state._scratch = np.empty_like(flat)
+    elif state.m.shape != flat.shape:
+        raise ShapeError(f"moment shape {state.m.shape} does not match {flat.size} parameters")
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if state.m[i].shape != p.data.shape:
-            raise ShapeError(f"moment {i} shape {state.m[i].shape} does not match param")
-        m = state.m[i]
-        v = state.v[i]
-        work = state._scratch[i]
-        m *= state.beta1
-        np.multiply(g.data, 1.0 - state.beta1, out=work)
-        m += work
-        v *= state.beta2
-        np.multiply(g.data, g.data, out=work)
-        work *= 1.0 - state.beta2
-        v += work
-        np.divide(v, c2, out=work)
-        np.sqrt(work, out=work)
-        work += state.epsilon
-        np.divide(m, work, out=work)
-        work *= lr / c1
-        new = p.data - work
-        _require_finite(new, "optimizer_step")
-        updated.append(Tensor._wrap(new, None, None))
-    return updated
+    m = state.m
+    v = state.v
+    work = state._scratch
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=work)
+    m += work
+    v *= state.beta2
+    np.multiply(grad, grad, out=work)
+    work *= 1.0 - state.beta2
+    v += work
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += state.epsilon
+    np.divide(m, work, out=work)
+    work *= lr / c1
+    np.subtract(flat, work, out=work)
+    _require_finite(work, "optimizer_step")
+    np.copyto(flat, work)
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:

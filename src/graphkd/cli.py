@@ -143,7 +143,7 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
-    predict, metadata = distill.load_predictor(args.model)
+    predict, metadata = distill.load_model(args.model)
     model_config = metadata.get("config", {})
     if model_config.get("dim") not in (None, dim):
         raise ConfigError(

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (OptimizerState, Tape, Tensor, add, affine, backward,
-                       cross_entropy, glorot_uniform, matmul, mean_rows, mul,
-                       optimizer_step, relu, reshape, row_log_softmax,
-                       row_softmax, sum_all, transpose)
+from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
+                       backward, cross_entropy, glorot_uniform, matmul, mean_rows, mul,
+                       optimizer_step, relu, reshape, row_log_softmax, row_softmax,
+                       sum_all, transpose)
 from .errors import ConfigError, DataError, ShapeError
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
@@ -113,7 +113,8 @@ def init_student(config: DistillConfig, rng: np.random.Generator) -> StudentPara
 def student_forward(kind: str, params: list[Tensor], content: Tensor,
                     internals: dict | None = None) -> Tensor:
     """Logits for one sample from its 4 x dim content embeddings (fixed kind
-    order). Pass a dict as ``internals`` to capture the attention weights."""
+    order), or for an untracked stack of samples. Pass a dict as
+    ``internals`` to capture the attention weights."""
     if content.rows != 4:
         raise ShapeError(f"students take exactly 4 content rows, got {content.rows}")
     if kind == "mlp":
@@ -137,39 +138,20 @@ def student_forward(kind: str, params: list[Tensor], content: Tensor,
     raise ConfigError(f"unknown student kind '{kind}'")
 
 
-def student_logits(params: StudentParams, subgraph: Subgraph) -> np.ndarray:
-    """Untracked prediction from the subgraph's content embeddings."""
+def student_logits(params: StudentParams, subgraphs: list[Subgraph]) -> np.ndarray:
+    """Untracked predictions from the subgraphs' content embeddings, as one
+    forward pass over their stack; returns the n x C logits in sample order."""
     tensors = [Tensor(a) for a in params.tensors]
-    logits = student_forward(params.kind, tensors, Tensor(subgraph.content_features()))
-    return logits.data[0].copy()
+    if not subgraphs:
+        return np.empty((0, tensors[-1].cols))
+    content = Tensor(np.stack([sg.content_features() for sg in subgraphs]))
+    logits = student_forward(params.kind, tensors, content)
+    return logits.data.reshape(len(subgraphs), -1).copy()
 
 
 # ---------------------------------------------------------------------------
 # Distillation losses
 # ---------------------------------------------------------------------------
-
-def _np_row_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def teacher_soft_labels(teachers: list[TeacherParams], subgraph: Subgraph,
-                        temperature: float = 1.0,
-                        a_hat: np.ndarray | None = None) -> np.ndarray:
-    """Mean over the ensemble of softmax(teacher logits / temperature)."""
-    if not teachers:
-        raise ConfigError("need at least one teacher")
-    rows = []
-    widths = set()
-    for params in teachers:
-        logits = teacher_logits(params, subgraph, a_hat=a_hat)
-        widths.add(logits.size)
-        rows.append(_np_row_softmax(logits / temperature))
-    if len(widths) != 1:
-        raise ConfigError(f"teachers disagree on class count: {sorted(widths)}")
-    return np.mean(rows, axis=0)
-
 
 def kd_loss(p_teacher: np.ndarray, student_logits_t: Tensor,
             temperature: float = 1.0) -> Tensor:
@@ -207,14 +189,22 @@ def combined_loss(l_sce: Tensor, l_kd: Tensor | None, kd_weight: float) -> Tenso
 
 def compute_soft_labels(teachers: list[TeacherParams], subgraphs: list[Subgraph],
                         temperature: float = 1.0) -> list[tuple[str, np.ndarray]]:
-    """Soft labels for a whole dataset in sample order (teachers are frozen,
-    so this is computed once and reused across epochs)."""
-    out = []
-    for sg in subgraphs:
-        a_hat = normalize_adjacency(sg.adjacency)
-        out.append((sg.sample_id, teacher_soft_labels(teachers, sg, temperature,
-                                                      a_hat=a_hat)))
-    return out
+    """Soft labels for a whole dataset in sample order: the mean over the
+    ensemble of softmax(teacher logits / temperature). Teachers are frozen,
+    so this is computed once and reused across epochs."""
+    if not teachers:
+        raise ConfigError("need at least one teacher")
+    a_hats = [normalize_adjacency(sg.adjacency) for sg in subgraphs]
+    probs = []
+    for params in teachers:
+        scaled = teacher_logits(params, subgraphs, a_hats) / temperature
+        e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        probs.append(e / e.sum(axis=1, keepdims=True))
+    widths = sorted({p.shape[1] for p in probs})
+    if len(widths) != 1:
+        raise ConfigError(f"teachers disagree on class count: {widths}")
+    mean = np.mean(probs, axis=0)
+    return [(sg.sample_id, row) for sg, row in zip(subgraphs, mean)]
 
 
 def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillConfig,
@@ -236,20 +226,19 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
             raise ConfigError("kd_weight > 0 requires at least one teacher")
         soft_rows = [row for _, row in
                      compute_soft_labels(teachers, train, config.temperature)]
-        for row in soft_rows:
-            if row.size != config.num_classes:
-                raise ConfigError(
-                    f"teacher produces {row.size} classes, student expects "
-                    f"{config.num_classes}")
+        if soft_rows[0].size != config.num_classes:
+            raise ConfigError(
+                f"teacher produces {soft_rows[0].size} classes, student expects "
+                f"{config.num_classes}")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = init_student(config, rng)
-    master = [Tensor(a) for a in params.tensors]
+    params = ParameterVector(init_student(config, rng).tensors)
     state = OptimizerState(kind=config.optimizer,
                            learning_rate=resolved_learning_rate(config))
 
-    content = [sg.content_features() for sg in train]
+    content = [Tensor(sg.content_features()) for sg in train]
     labels = [sg.label for sg in train]
+    val_labels = [sg.label for sg in val]
 
     metrics: list[dict] = []
     for epoch in range(config.epochs):
@@ -257,27 +246,25 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
         total_loss = 0.0
         for idx in order:
             tape = Tape()
-            tracked = [tape.watch(p) for p in master]
-            logits = student_forward(config.student, tracked, Tensor(content[idx]))
+            tracked = [tape.watch(p) for p in params.tensors]
+            logits = student_forward(config.student, tracked, content[idx])
             sce = cross_entropy(logits, labels[idx])
             if use_kd:
                 kd = kd_loss(soft_rows[idx], logits, config.temperature)
                 loss = combined_loss(sce, kd, config.kd_weight)
             else:
                 loss = sce
-            table = backward(tape, loss)
-            grads = [table[t.node] for t in tracked]
-            master = optimizer_step(state, master, grads)
+            optimizer_step(state, params, backward(tape, loss))
             total_loss += loss.item()
 
         entry = {"epoch": epoch + 1, "train_loss": total_loss / len(train)}
         if val:
-            current = StudentParams(config.student, [p.data for p in master])
-            preds = [int(np.argmax(student_logits(current, sg))) for sg in val]
-            entry["val_micro_f1"] = micro_f1(preds, [sg.label for sg in val])
+            current = StudentParams(config.student, [p.data for p in params.tensors])
+            preds = student_logits(current, val).argmax(axis=1)
+            entry["val_micro_f1"] = micro_f1(preds, val_labels)
         metrics.append(entry)
 
-    final = StudentParams(config.student, [p.data.copy() for p in master])
+    final = StudentParams(config.student, params.copies())
     metadata = {
         "model": f"student-{config.student}",
         "config": config.to_dict(),
@@ -310,16 +297,22 @@ def load_student(path) -> tuple[StudentParams, dict]:
     return params, metadata
 
 
-def load_predictor(path):
-    """Open any checkpoint and return (predict(subgraph) -> logit row,
-    metadata). Teachers consume the full subgraph, students only the
+def load_model(path):
+    """Open any checkpoint and return (logits(subgraphs) -> n x C array,
+    metadata). Teachers consume the full subgraphs, students only the
     content embeddings."""
     metadata, _ = read_checkpoint(path)
     model = metadata.get("model")
     if model == TEACHER_MODEL_KIND:
         params, metadata = load_teacher(path)
-        return (lambda sg: teacher_logits(params, sg)), metadata
+        return (lambda subgraphs: teacher_logits(params, subgraphs)), metadata
     if isinstance(model, str) and model.startswith("student-"):
         sparams, metadata = load_student(path)
-        return (lambda sg: student_logits(sparams, sg)), metadata
+        return (lambda subgraphs: student_logits(sparams, subgraphs)), metadata
     raise ConfigError(f"{path} holds an unknown model kind '{model}'")
+
+
+def load_predictor(path):
+    """Like :func:`load_model`, but predict(subgraph) -> its logit row."""
+    logits, metadata = load_model(path)
+    return (lambda sg: logits([sg])[0]), metadata

@@ -2,8 +2,8 @@
 reports.
 
 This module knows nothing about specific model kinds: evaluation takes a
-``predict(subgraph) -> logit row`` callable, so teachers and students share
-one code path.
+``predict(subgraphs) -> n x C logits`` callable, so teachers and students
+share one code path.
 """
 
 from __future__ import annotations
@@ -123,20 +123,20 @@ def build_report(predictions: Sequence[int], labels: Sequence[int],
                       confusion=confusion, config=dict(config or {}), seed=seed)
 
 
-def evaluate_model(predict: Callable[[Subgraph], np.ndarray], subgraphs: list[Subgraph],
-                   split: str, label_vocab: Sequence[str], config: dict | None = None,
-                   seed: int | None = None) -> EvalReport:
-    """Run a model over one split and report. Predictions are argmax of the
-    logit row (ties resolve to the lowest class index)."""
+def evaluate_model(predict: Callable[[list[Subgraph]], np.ndarray],
+                   subgraphs: list[Subgraph], split: str, label_vocab: Sequence[str],
+                   config: dict | None = None, seed: int | None = None) -> EvalReport:
+    """Run a model over one split and report. ``predict`` maps the split's
+    subgraphs to their n x C logits in one call. Predictions are argmax of
+    each logit row (ties resolve to the lowest class index)."""
     chosen = [sg for sg in subgraphs if split == "all" or sg.split == split]
     if not chosen:
         raise DataError(f"no samples in split '{split}'")
-    logit_rows = [predict(sg) for sg in chosen]
-    widest = max(row.size for row in logit_rows)
-    if widest > len(label_vocab):
-        raise DataError(f"the model scores {widest} classes but the label vocabulary "
-                        f"has only {len(label_vocab)}")
-    predictions = [int(np.argmax(row)) for row in logit_rows]
+    logits = predict(chosen)
+    if logits.shape[1] > len(label_vocab):
+        raise DataError(f"the model scores {logits.shape[1]} classes but the label "
+                        f"vocabulary has only {len(label_vocab)}")
+    predictions = logits.argmax(axis=1).tolist()
     labels = [sg.label for sg in chosen]
     groups = [sg.group for sg in chosen]
     return build_report(predictions, labels, groups, label_vocab, split,

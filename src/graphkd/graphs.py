@@ -542,15 +542,43 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
     return subgraphs, header
 
 
+def _check_strings(subgraphs: list[Subgraph], path) -> None:
+    """Every record string (sample id, split, group, node kinds and ids) is a
+    str that UTF-8 can encode. JSON's \\u escapes can spell an unpaired
+    surrogate, which a report or checkpoint could then not hold."""
+    parts: list = []
+    for sg in subgraphs:
+        parts += (sg.sample_id, sg.split, sg.group)
+        parts += [node.kind for node in sg.nodes]
+        parts += [node.id for node in sg.nodes]
+    try:
+        "".join(parts).encode("utf-8")
+        return
+    except (TypeError, UnicodeEncodeError):
+        pass
+    for number, sg in enumerate(subgraphs, start=1):
+        fields = [("sample_id", sg.sample_id), ("split", sg.split), ("group", sg.group)]
+        fields += [(f"node {i} {what}", value) for i, node in enumerate(sg.nodes)
+                   for what, value in (("kind", node.kind), ("id", node.id))]
+        for what, value in fields:
+            where = f"graphs file {path}, record {number}: {what}"
+            if not isinstance(value, str):
+                raise FormatError(f"{where} must be a string, got {type(value).__name__}")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise FormatError(f"{where} {value!r} holds an unpaired surrogate "
+                                  f"escape") from exc
+
+
 def read_graphs(path) -> tuple[list[Subgraph], dict]:
     """Subgraphs and header of a graphs file, from its companion when that
     matches the file's bytes, else by parsing the JSON lines."""
     companion = companion_path(path)
-    if companion.is_file():
-        cached = _read_companion(path, companion)
-        if cached is not None:
-            return cached
-    return _parse_graphs(path)
+    cached = _read_companion(path, companion) if companion.is_file() else None
+    subgraphs, header = cached or _parse_graphs(path)
+    _check_strings(subgraphs, path)
+    return subgraphs, header
 
 
 def _parse_graphs(path) -> tuple[list[Subgraph], dict]:

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (OptimizerState, Tape, Tensor, add, backward, cross_entropy,
-                       glorot_uniform, matmul, mean_rows, optimizer_step, relu)
+from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, backward,
+                       cross_entropy, glorot_uniform, matmul, mean_rows, optimizer_step,
+                       relu)
 from .errors import ConfigError, DataError
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
@@ -116,7 +117,8 @@ def mlp_head(pooled: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> 
 
 def teacher_forward(params: list[Tensor], a_hat: Tensor,
                     features: Tensor) -> tuple[Tensor, Tensor]:
-    """Full forward pass; returns (pooled embedding, logits)."""
+    """Full forward pass; returns (pooled embedding, logits). Untracked
+    inputs may be stacks of same-size graphs, giving stacked outputs."""
     w0, w1, head_w1, head_b1, head_w2, head_b2 = params
     h1 = gcn_layer(a_hat, features, w0, "relu")
     h2 = gcn_layer(a_hat, h1, w1, "identity")
@@ -125,14 +127,23 @@ def teacher_forward(params: list[Tensor], a_hat: Tensor,
     return pooled, logits
 
 
-def teacher_logits(params: TeacherParams, subgraph: Subgraph,
-                   a_hat: np.ndarray | None = None) -> np.ndarray:
-    """Untracked forward pass for prediction; returns the 1 x C logit row."""
-    if a_hat is None:
-        a_hat = normalize_adjacency(subgraph.adjacency)
+def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
+                   a_hats: list[np.ndarray] | None = None) -> np.ndarray:
+    """Untracked forward passes for prediction; returns the n x C logits in
+    sample order. Graphs of one size go through the network as one stack."""
+    if a_hats is None:
+        a_hats = [normalize_adjacency(sg.adjacency) for sg in subgraphs]
+    features = [sg.features() for sg in subgraphs]
+    groups: dict[tuple, list[int]] = {}
+    for i, (a_hat, feats) in enumerate(zip(a_hats, features)):
+        groups.setdefault((a_hat.shape, feats.shape), []).append(i)
     tensors = [Tensor(a) for a in params.as_list()]
-    _, logits = teacher_forward(tensors, Tensor(a_hat), Tensor(subgraph.features()))
-    return logits.data[0].copy()
+    out = np.empty((len(subgraphs), params.head_b2.shape[1]))
+    for members in groups.values():
+        _, logits = teacher_forward(tensors, Tensor(np.stack([a_hats[i] for i in members])),
+                                    Tensor(np.stack([features[i] for i in members])))
+        out[members] = logits.data[:, 0, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +177,15 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
     check_dataset(val, config, "val sample")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = init_teacher(config, rng)
-    master = [Tensor(a) for a in params.as_list()]
+    params = ParameterVector(init_teacher(config, rng).as_list())
     state = OptimizerState(kind=config.optimizer,
                            learning_rate=resolved_learning_rate(config))
 
-    a_hats = [normalize_adjacency(sg.adjacency) for sg in train]
-    features = [sg.features() for sg in train]
+    a_hats = [Tensor(normalize_adjacency(sg.adjacency)) for sg in train]
+    features = [Tensor(sg.features()) for sg in train]
     labels = [sg.label for sg in train]
     val_a_hats = [normalize_adjacency(sg.adjacency) for sg in val]
+    val_labels = [sg.label for sg in val]
 
     metrics: list[dict] = []
     for epoch in range(config.epochs):
@@ -182,24 +193,20 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
         total_loss = 0.0
         for idx in order:
             tape = Tape()
-            tracked = [tape.watch(p) for p in master]
-            _, logits = teacher_forward(tracked, Tensor(a_hats[idx]),
-                                        Tensor(features[idx]))
+            tracked = [tape.watch(p) for p in params.tensors]
+            _, logits = teacher_forward(tracked, a_hats[idx], features[idx])
             loss = cross_entropy(logits, labels[idx])
-            table = backward(tape, loss)
-            grads = [table[t.node] for t in tracked]
-            master = optimizer_step(state, master, grads)
+            optimizer_step(state, params, backward(tape, loss))
             total_loss += loss.item()
 
         entry = {"epoch": epoch + 1, "train_loss": total_loss / len(train)}
         if val:
-            current = TeacherParams.from_list([p.data for p in master])
-            preds = [int(np.argmax(teacher_logits(current, sg, a_hat)))
-                     for sg, a_hat in zip(val, val_a_hats)]
-            entry["val_micro_f1"] = micro_f1(preds, [sg.label for sg in val])
+            current = TeacherParams.from_list([p.data for p in params.tensors])
+            preds = teacher_logits(current, val, val_a_hats).argmax(axis=1)
+            entry["val_micro_f1"] = micro_f1(preds, val_labels)
         metrics.append(entry)
 
-    final = TeacherParams.from_list([p.data.copy() for p in master])
+    final = TeacherParams.from_list(params.copies())
     metadata = {"model": TEACHER_MODEL_KIND, "config": config.to_dict()}
     if graph_config is not None:
         metadata["graph_config"] = graph_config

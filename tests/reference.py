@@ -1,0 +1,123 @@
+"""Per-sample, per-tensor reference implementations for bitwise tests.
+
+These are the training and prediction loops as they were written before
+parameters moved into one flat vector and untracked passes were stacked:
+one 2-D forward per sample, one optimizer update per parameter matrix.
+The package must reproduce them bit for bit.
+"""
+
+import numpy as np
+
+from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, split_flat
+from graphkd.distill import combined_loss, init_student, kd_loss, student_forward
+from graphkd.graphs import normalize_adjacency
+from graphkd.teacher import init_teacher, resolved_learning_rate, teacher_forward
+
+
+class PerTensorOptimizer:
+    """SGD or Adam with the package's ufunc sequence, one matrix at a time."""
+
+    def __init__(self, kind, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.kind, self.lr = kind, learning_rate
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.step, self.m, self.v = 0, [], []
+
+    def update(self, params, grads):
+        """New arrays for ``params`` after one step with ``grads``."""
+        self.step += 1
+        lr = self.lr
+        if self.kind == "sgd":
+            return [p - lr * g for p, g in zip(params, grads)]
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        c1 = 1.0 - self.beta1 ** self.step
+        c2 = 1.0 - self.beta2 ** self.step
+        updated = []
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            work = np.empty_like(p)
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=work)
+            m += work
+            v *= self.beta2
+            np.multiply(g, g, out=work)
+            work *= 1.0 - self.beta2
+            v += work
+            np.divide(v, c2, out=work)
+            np.sqrt(work, out=work)
+            work += self.epsilon
+            np.divide(m, work, out=work)
+            work *= lr / c1
+            updated.append(p - work)
+        return updated
+
+
+def teacher_row(params, sg):
+    """One sample's 1-D teacher logit row from a 2-D forward pass."""
+    tensors = [Tensor(a) for a in params.as_list()]
+    _, logits = teacher_forward(tensors, Tensor(normalize_adjacency(sg.adjacency)),
+                                Tensor(sg.features()))
+    return logits.data[0].copy()
+
+
+def student_row(params, sg):
+    """One sample's 1-D student logit row from a 2-D forward pass."""
+    tensors = [Tensor(a) for a in params.tensors]
+    logits = student_forward(params.kind, tensors, Tensor(sg.content_features()))
+    return logits.data[0].copy()
+
+
+def soft_label_row(teachers, sg, temperature=1.0):
+    """Mean over teachers of softmax(logits / temperature) for one sample."""
+    rows = []
+    for params in teachers:
+        row = teacher_row(params, sg) / temperature
+        e = np.exp(row - row.max())
+        rows.append(e / e.sum())
+    return np.mean(rows, axis=0)
+
+
+def _train(arrays, samples, epochs, seed_rng, kind, learning_rate, loss_of):
+    optimizer = PerTensorOptimizer(kind, learning_rate)
+    for _ in range(epochs):
+        for idx in seed_rng.permutation(samples):
+            tape = Tape()
+            tracked = [tape.parameter(a) for a in arrays]
+            loss = loss_of(tracked, idx)
+            grads = split_flat(backward(tape, loss), [a.shape for a in arrays])
+            arrays = optimizer.update(arrays, grads)
+    return arrays
+
+
+def train_teacher_reference(train, config):
+    """Final teacher parameter arrays of the per-sample, per-tensor loop."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    arrays = init_teacher(config, rng).as_list()
+    a_hats = [normalize_adjacency(sg.adjacency) for sg in train]
+
+    def loss_of(tracked, idx):
+        _, logits = teacher_forward(tracked, Tensor(a_hats[idx]), Tensor(train[idx].features()))
+        return cross_entropy(logits, train[idx].label)
+
+    return _train(arrays, len(train), config.epochs, rng, config.optimizer,
+                  resolved_learning_rate(config), loss_of)
+
+
+def train_student_reference(train, config, teachers):
+    """Final student parameter arrays of the per-sample, per-tensor loop."""
+    soft = [soft_label_row(teachers, sg, config.temperature)
+            for sg in train] if config.kd_weight > 0 else []
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    arrays = init_student(config, rng).tensors
+
+    def loss_of(tracked, idx):
+        logits = student_forward(config.student, tracked,
+                                 Tensor(train[idx].content_features()))
+        sce = cross_entropy(logits, train[idx].label)
+        if config.kd_weight == 0:
+            return sce
+        return combined_loss(sce, kd_loss(soft[idx], logits, config.temperature),
+                             config.kd_weight)
+
+    return _train(arrays, len(train), config.epochs, rng, config.optimizer,
+                  resolved_learning_rate(config), loss_of)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from graphkd.autodiff import (OptimizerState, Tape, Tensor, add, affine, backward,
-                              cross_entropy, gradcheck, matmul, mean_rows, mul,
+from graphkd.autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
+                              backward, cross_entropy, gradcheck, matmul, mean_rows, mul,
                               optimizer_step, relu, reshape, row_log_softmax,
-                              row_softmax, sum_all, transpose)
+                              row_softmax, split_flat, sum_all, transpose)
 from graphkd.errors import (DataError, DeterminismError, NumericError, ShapeError)
+from reference import PerTensorOptimizer
 
 
 class TestMatmul:
@@ -82,14 +83,14 @@ class TestBackward:
         tape = Tape()
         w = tape.parameter(np.arange(4.0).reshape(2, 2))
         grads = backward(tape, sum_all(w))
-        np.testing.assert_array_equal(grads[w.node].data, np.ones((2, 2)))
+        np.testing.assert_array_equal(grads, np.ones(4))
 
     def test_untouched_parameter_gets_zeros(self):
         tape = Tape()
         w = tape.parameter(np.ones((2, 2)))
         unused = tape.parameter(np.ones((3, 1)))
         grads = backward(tape, sum_all(w))
-        np.testing.assert_array_equal(grads[unused.node].data, np.zeros((3, 1)))
+        np.testing.assert_array_equal(grads, [1.0] * 4 + [0.0] * 3)
 
     def test_loss_must_be_scalar(self):
         tape = Tape()
@@ -106,7 +107,7 @@ class TestBackward:
         w = tape.parameter([[2.0]])
         loss = add(mul(w, w), affine(w, 3.0))  # w^2 + 3w -> d/dw = 2w + 3
         grads = backward(tape, loss)
-        np.testing.assert_allclose(grads[w.node].data, [[7.0]])
+        np.testing.assert_allclose(grads, [7.0])
 
     def test_tape_is_topological(self):
         tape = Tape()
@@ -176,7 +177,7 @@ class TestOps:
         tape = Tape()
         b = tape.parameter([[1.0, 1.0]])
         grads = backward(tape, sum_all(add(Tensor(np.zeros((4, 2))), b)))
-        np.testing.assert_array_equal(grads[b.node].data, [[4.0, 4.0]])
+        np.testing.assert_array_equal(grads, [4.0, 4.0])
 
     def test_transpose_and_reshape(self):
         x = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -218,37 +219,49 @@ class TestOps:
             Tensor([[float("nan")]])
 
 
+def _step(state, params, grads):
+    """One optimizer_step on fresh parameters; returns their new values."""
+    vector = ParameterVector(params)
+    optimizer_step(state, vector, np.concatenate([np.asarray(g).reshape(-1) for g in grads]))
+    return vector.copies()
+
+
 class TestOptimizer:
     def test_sgd_hand_value(self):
         state = OptimizerState(kind="sgd", learning_rate=0.1)
-        (new,) = optimizer_step(state, [Tensor([[1.0]])], [Tensor([[0.5]])])
-        assert new.data[0, 0] == pytest.approx(0.95, abs=1e-12)
+        (new,) = _step(state, [[[1.0]]], [[[0.5]]])
+        assert new[0, 0] == pytest.approx(0.95, abs=1e-12)
 
     def test_zero_learning_rate_is_identity(self):
         state = OptimizerState(kind="adam", learning_rate=0.0)
-        params = [Tensor([[1.0, -2.0]])]
-        (new,) = optimizer_step(state, params, [Tensor([[0.3, 0.4]])])
-        np.testing.assert_array_equal(new.data, params[0].data)
+        (new,) = _step(state, [[[1.0, -2.0]]], [[[0.3, 0.4]]])
+        np.testing.assert_array_equal(new, [[1.0, -2.0]])
 
     def test_adam_first_step_magnitude(self):
         # Bias correction makes the first update ~ lr * sign(g).
         state = OptimizerState(kind="adam", learning_rate=0.01)
-        (new,) = optimizer_step(state, [Tensor([[1.0]])], [Tensor([[0.37]])])
-        delta = abs(new.data[0, 0] - 1.0)
+        (new,) = _step(state, [[[1.0]]], [[[0.37]]])
+        delta = abs(new[0, 0] - 1.0)
         assert abs(delta - 0.01) <= 0.001
 
     def test_step_counter_and_moments(self):
         state = OptimizerState(kind="adam", learning_rate=0.01)
-        params = [Tensor(np.ones((2, 3)))]
+        params = ParameterVector([np.ones((2, 3)), np.ones((1, 3))])
         for expected in (1, 2, 3):
-            params = optimizer_step(state, params, [Tensor(np.full((2, 3), 0.1))])
+            optimizer_step(state, params, np.full(9, 0.1))
             assert state.step == expected
-        assert state.m[0].shape == (2, 3) and state.v[0].shape == (2, 3)
+        assert state.m.shape == (9,) and state.v.shape == (9,)
 
     def test_shape_mismatch(self):
         state = OptimizerState(kind="sgd", learning_rate=0.1)
         with pytest.raises(ShapeError):
-            optimizer_step(state, [Tensor(np.ones((2, 2)))], [Tensor(np.ones((2, 3)))])
+            optimizer_step(state, ParameterVector([np.ones((2, 2))]), np.ones(6))
+
+    def test_moments_of_another_vector_rejected(self):
+        state = OptimizerState(kind="adam", learning_rate=0.1)
+        optimizer_step(state, ParameterVector([np.ones((2, 2))]), np.ones(4))
+        with pytest.raises(ShapeError):
+            optimizer_step(state, ParameterVector([np.ones((2, 3))]), np.ones(6))
 
     def test_unknown_kind(self):
         with pytest.raises(DataError):
@@ -258,16 +271,69 @@ class TestOptimizer:
         rng = np.random.default_rng(9)
         state = OptimizerState(kind="adam", learning_rate=0.02)
         w = rng.normal(0, 1, (3, 2))
-        params = [Tensor(w)]
+        params = ParameterVector([w])
         m = np.zeros_like(w)
         v = np.zeros_like(w)
         for t in range(1, 6):
             g = rng.normal(0, 1, (3, 2))
-            params = optimizer_step(state, params, [Tensor(g)])
+            optimizer_step(state, params, g.reshape(-1))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             w = w - 0.02 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-            np.testing.assert_allclose(params[0].data, w, atol=1e-12)
+            np.testing.assert_allclose(params.tensors[0].data, w, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_flat_update_bitwise_equals_per_tensor_reference(self, kind):
+        # Shapes of a small transformer student, odd sizes included, so the
+        # blocks sit at unaligned offsets of the flat vector.
+        rng = np.random.default_rng(21)
+        shapes = [(4, 5), (5, 5), (5, 3), (1, 3), (3, 7), (1, 7), (1, 1)]
+        arrays = [rng.normal(0, 1, s) for s in shapes]
+        vector = ParameterVector(arrays)
+        state = OptimizerState(kind=kind, learning_rate=0.01)
+        reference = [a.copy() for a in arrays]
+        per_tensor = PerTensorOptimizer(kind, 0.01)
+        for _ in range(60):
+            grads = [rng.normal(0, 1, s) * rng.choice([1e-6, 1.0, 30.0]) for s in shapes]
+            optimizer_step(state, vector, np.concatenate([g.reshape(-1) for g in grads]))
+            reference = per_tensor.update(reference, grads)
+            for got, want in zip(vector.tensors, reference):
+                assert got.data.tobytes() == want.tobytes()
+        assert state.step == per_tensor.step == 60
+
+    def test_non_finite_update_leaves_parameters_unchanged(self):
+        state = OptimizerState(kind="sgd", learning_rate=1.0)
+        params = ParameterVector([[[1e308, 2.0]]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            optimizer_step(state, params, np.array([-1e308, 0.0]))
+        np.testing.assert_array_equal(params.flat, [1e308, 2.0])
+
+
+class TestParameterVector:
+    def test_tensors_are_read_only_views_of_the_flat_vector(self):
+        params = ParameterVector([np.arange(6.0).reshape(2, 3), [[7.0]]])
+        np.testing.assert_array_equal(params.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+        assert [t.data.shape for t in params.tensors] == [(2, 3), (1, 1)]
+        with pytest.raises(ValueError):
+            params.tensors[0].data[0, 0] = 1.0
+        optimizer_step(OptimizerState(kind="sgd", learning_rate=1.0), params, np.ones(7))
+        assert params.tensors[1].item() == 6.0
+
+    def test_copies_are_detached(self):
+        params = ParameterVector([[[1.0, 2.0]]])
+        (copy,) = params.copies()
+        optimizer_step(OptimizerState(kind="sgd", learning_rate=1.0), params, np.ones(2))
+        np.testing.assert_array_equal(copy, [[1.0, 2.0]])
+
+    def test_inputs_are_validated(self):
+        with pytest.raises(NumericError):
+            ParameterVector([[[float("nan")]]])
+        with pytest.raises(ShapeError):
+            ParameterVector([np.zeros((2, 2, 2))])
+
+    def test_split_flat_rejects_a_size_mismatch(self):
+        with pytest.raises(ShapeError):
+            split_flat(np.zeros(5), [(2, 2)])
 
 
 class TestTensor:
@@ -282,5 +348,83 @@ class TestTensor:
             t.data[0, 0] = 2.0
 
     def test_rejects_higher_rank(self):
+        # One leading stack axis is allowed; a second is not.
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 2, 2)))
+            Tensor(np.zeros((2, 2, 2, 2)))
+
+
+class TestStacks:
+    """Untracked tensors with a leading stack axis: each op acts on every
+    slice exactly as on the matrix alone."""
+
+    def _slices(self, stacked, op, *matrices_per_slice):
+        out = op(*stacked).data
+        for i, operands in enumerate(zip(*matrices_per_slice)):
+            assert out[i].tobytes() == op(*operands).data.tobytes()
+
+    def test_every_op_matches_slice_by_slice_bitwise(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(0, 1, (5, 3, 4))
+        b = rng.normal(0, 1, (5, 4, 6))
+        w = rng.normal(0, 1, (4, 2))
+        row = rng.normal(0, 1, (1, 4))
+        same = rng.normal(0, 1, (3, 4))
+        stack_a, stack_b = Tensor(a), Tensor(b)
+        mats_a = [Tensor(x) for x in a]
+        mats_b = [Tensor(x) for x in b]
+        self._slices((stack_a, stack_b), matmul, mats_a, mats_b)
+        self._slices((stack_a, Tensor(w)), matmul, mats_a, [Tensor(w)] * 5)
+        self._slices((stack_a, Tensor(row)), add, mats_a, [Tensor(row)] * 5)
+        self._slices((stack_a, Tensor(same)), add, mats_a, [Tensor(same)] * 5)
+        self._slices((stack_a, stack_a), add, mats_a, mats_a)
+        self._slices((stack_a, stack_a), mul, mats_a, mats_a)
+        for op in (transpose, relu, mean_rows, sum_all, row_softmax, row_log_softmax,
+                   lambda t: affine(t, 0.3, -1.5), lambda t: reshape(t, 1, 12)):
+            self._slices((stack_a,), op, mats_a)
+
+    def test_shapes_report_the_stack(self):
+        t = Tensor(np.zeros((5, 3, 4)))
+        assert (t.rows, t.cols) == (3, 4)
+        assert repr(t) == "Tensor(5x3x4)"
+        assert mean_rows(t).data.shape == (5, 1, 4)
+
+    def test_non_finite_entry_anywhere_raises(self):
+        for where in ((0, 0, 0), (2, 1, 3), (4, 2, 3)):
+            for bad in (float("nan"), float("inf")):
+                x = np.zeros((5, 3, 4))
+                x[where] = bad
+                with pytest.raises(NumericError):
+                    Tensor(x)
+        x = np.ones((3, 2, 2))
+        x[2, 1, 1] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            matmul(Tensor(x), Tensor([[1.0, 0.0], [0.0, 10.0]]))
+
+    def test_stack_on_a_tape_raises(self):
+        tape = Tape()
+        with pytest.raises(ShapeError, match="stack"):
+            tape.parameter(np.zeros((2, 3, 3)))
+        with pytest.raises(ShapeError, match="stack"):
+            tape.watch(Tensor(np.zeros((2, 3, 3))))
+        w = tape.parameter(np.ones((3, 2)))
+        with pytest.raises(ShapeError, match="stack"):
+            matmul(Tensor(np.ones((2, 3, 3))), w)
+        with pytest.raises(ShapeError, match="stack"):
+            add(Tensor(np.ones((2, 3, 2))), w)
+        assert tape.records == []
+
+    def test_mismatched_stacks_raise(self):
+        with pytest.raises(ShapeError, match="2x3x4 @ 3x4x2"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+        with pytest.raises(ShapeError, match="2x3x4 @ 2x3x2"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 2))))
+        with pytest.raises(ShapeError):
+            add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 3, 4))))
+        with pytest.raises(ShapeError):
+            add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeError):
+            add(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 3, 4))))
+
+    def test_cross_entropy_refuses_a_stack(self):
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros((2, 1, 3))), 0)

@@ -123,18 +123,28 @@ def _mutate_graphs(path, mutation):
         del header["label_vocab"]
     elif mutation == "surrogate-label":
         header["label_vocab"][0] += "\ud800"
+    elif mutation == "surrogate-group":
+        record["group"] += "\ud800"
+    elif mutation == "surrogate-node-id":
+        node["id"] += "\udfff"
+    elif mutation == "number-split":
+        record["split"] = 7
     lines[0], lines[2] = json.dumps(header), json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _spoil_companion_label(path):
+def _spoil_companion_label(path, field="label"):
     """Append an unpaired surrogate escape to the first label of the
-    companion's header. The graphs file is untouched, so the companion still
-    matches it and is the copy that gets read."""
+    companion's header, or to the group of its second sample. The graphs
+    file is untouched, so the companion still matches it and is the copy
+    that gets read."""
     blob = path.read_bytes()
     (meta_len,) = struct.unpack_from("<Q", blob, 8)
     meta = json.loads(blob[16:16 + meta_len])
-    meta["header"]["label_vocab"][0] += "\ud800"
+    if field == "label":
+        meta["header"]["label_vocab"][0] += "\ud800"
+    else:
+        meta["samples"][1]["group"] += "\ud800"
     raw = json.dumps(meta).encode("ascii")
     path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + meta_len:])
 
@@ -187,7 +197,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     @pytest.mark.parametrize("mutation", [
         "truncate", "short-embedding", "nested-embedding", "nan-embedding",
-        "nan-adjacency", "no-nodes", "no-label-vocab", "surrogate-label"])
+        "nan-adjacency", "no-nodes", "no-label-vocab", "surrogate-label",
+        "surrogate-group", "surrogate-node-id", "number-split"])
     def test_malformed_graphs_exit_two_with_one_line(self, trained, tmp_path, capsys,
                                                      command, mutation):
         source, teacher = trained
@@ -207,11 +218,18 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     def test_surrogate_label_in_companion_exits_two(self, trained, tmp_path, capsys, command):
+        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "label")
+
+    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
+    def test_surrogate_group_in_companion_exits_two(self, trained, tmp_path, capsys, command):
+        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "group")
+
+    def _spoiled_companion_exits_two(self, trained, tmp_path, capsys, command, field):
         source, teacher = trained
         graphs = tmp_path / "d.graphs"
         shutil.copy(source, graphs)
         shutil.copy(companion_path(source), companion_path(graphs))
-        _spoil_companion_label(companion_path(graphs))
+        _spoil_companion_label(companion_path(graphs), field)
         out = tmp_path / "out"
         argv = (["train-teacher", "--graphs", str(graphs), "--epochs", "1", "--out", str(out)]
                 if command == "train-teacher" else

@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from graphkd.autodiff import (OptimizerState, Tape, Tensor, backward, cross_entropy,
-                              optimizer_step)
+from graphkd.autodiff import Tensor
 from graphkd.distill import (DistillConfig, StudentParams, combined_loss,
-                             compute_soft_labels, init_student, kd_loss,
+                             compute_soft_labels, init_student, kd_loss, load_model,
                              load_predictor, load_student, save_student,
-                             student_forward, student_logits, teacher_soft_labels,
-                             train_student)
+                             student_forward, student_logits, train_student)
 from graphkd.errors import ConfigError, DataError, ShapeError
-from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
+from graphkd.graphs import CONTENT_KINDS, Node, Subgraph
 from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, save_teacher,
                              teacher_logits, train_teacher)
 from graphkd.verification import student_loss_error
+from reference import (soft_label_row, student_row, teacher_row, train_student_reference)
 
 
 def _subgraphs(count, dim=8, classes=3, seed=0, split="train"):
@@ -52,12 +51,18 @@ def _np_softmax(row):
     return e / e.sum()
 
 
+def teacher_soft_labels(teachers, sg, temperature=1.0):
+    """Soft-label row of one sample."""
+    [(_, row)] = compute_soft_labels(teachers, [sg], temperature)
+    return row
+
+
 class TestSoftLabels:
     def test_single_teacher_is_softmax(self):
         sg = _subgraphs(1)[0]
         teacher = _teacher()
         got = teacher_soft_labels([teacher], sg)
-        want = _np_softmax(teacher_logits(teacher, sg))
+        want = _np_softmax(teacher_logits(teacher, [sg])[0])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_opposed_teachers_average_to_half(self):
@@ -71,7 +76,7 @@ class TestSoftLabels:
         sg = _subgraphs(1)[0]
         teachers = [_teacher(seed=s) for s in (3, 4, 5)]
         got = teacher_soft_labels(teachers, sg)
-        rows = [_np_softmax(teacher_logits(t, sg)) for t in teachers]
+        rows = [_np_softmax(teacher_logits(t, [sg])[0]) for t in teachers]
         want = (rows[0] + rows[1] + rows[2]) / 3.0
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -222,24 +227,25 @@ class TestTrainStudent:
         train = _subgraphs(12)
         config = self._config(kd_weight=0.0)
         got, _, _ = train_student(train, [], config, [])
+        # The plain supervised per-sample, per-tensor loop of tests/reference.py.
+        want = train_student_reference(train, config, [])
+        assert len(got.tensors) == len(want)
+        for a, b in zip(got.tensors, want):
+            assert a.tobytes() == b.tobytes()
 
-        # Independent plain supervised trainer with the same seeding scheme.
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-        params = init_student(config, rng)
-        master = [Tensor(a) for a in params.tensors]
-        state = OptimizerState(kind="adam", learning_rate=0.001)
-        content = [sg.content_features() for sg in train]
-        for _ in range(config.epochs):
-            for idx in rng.permutation(len(train)):
-                tape = Tape()
-                tracked = [tape.watch(p) for p in master]
-                logits = student_forward("mlp", tracked, Tensor(content[idx]))
-                loss = cross_entropy(logits, train[idx].label)
-                table = backward(tape, loss)
-                master = optimizer_step(state, master,
-                                        [table[t.node] for t in tracked])
-        for a, b in zip(got.tensors, master):
-            assert (a == b.data).all()
+    @pytest.mark.parametrize("student,kd_weight,optimizer", [
+        ("mlp", 1.0, "adam"), ("transformer", 1.0, "adam"), ("transformer", 0.0, "adam"),
+        ("mlp", 0.5, "sgd")])
+    def test_training_matches_per_sample_reference(self, student, kd_weight, optimizer):
+        train = _subgraphs(12)
+        teachers = [_teacher(seed=2), _teacher(seed=5)]
+        config = self._config(student=student, kd_weight=kd_weight, optimizer=optimizer,
+                              temperature=2.0 if kd_weight else 1.0)
+        got, _, _ = train_student(train, _subgraphs(3, seed=4), config, teachers)
+        want = train_student_reference(train, config, teachers)
+        assert len(got.tensors) == len(want)
+        for a, b in zip(got.tensors, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_same_seed_bitwise(self, tmp_path):
         train = _subgraphs(10)
@@ -327,16 +333,115 @@ class TestStudentCheckpoint:
         save_student(s_path, params, smeta)
         predict, meta = load_predictor(s_path)
         assert meta["model"] == "student-mlp"
-        np.testing.assert_array_equal(predict(sg), student_logits(params, sg))
+        np.testing.assert_array_equal(predict(sg), student_logits(params, [sg])[0])
+
+    def test_model_logits_match_per_sample_predictor(self, tmp_path):
+        graphs = _subgraphs(6)
+        path = tmp_path / "t.ckpt"
+        save_teacher(path, _teacher(), {"model": "gcn-teacher", "config": {}})
+        logits, _ = load_model(path)
+        predict, _ = load_predictor(path)
+        got = logits(graphs)
+        assert got.shape == (6, 3)
+        for row, sg in zip(got, graphs):
+            assert row.tobytes() == predict(sg).tobytes()
 
 
 class TestSoftLabelCache:
     def test_cached_rows_match_direct_computation(self):
-        graphs = _subgraphs(4)
+        self._check_against_reference(temperature=1.0, classes=5)
+
+    def test_rows_match_reference_at_a_temperature_with_nine_classes(self):
+        self._check_against_reference(temperature=3.0, classes=9)
+
+    def _check_against_reference(self, temperature, classes):
+        graphs = _mixed_sizes(9, classes=classes)
+        teachers = [_teacher(classes=classes, seed=s) for s in (2, 3, 4)]
+        entries = compute_soft_labels(teachers, graphs, temperature)
+        assert [sample_id for sample_id, _ in entries] == [sg.sample_id for sg in graphs]
+        for sg, (_, row) in zip(graphs, entries):
+            assert row.tobytes() == soft_label_row(teachers, sg, temperature).tobytes()
+
+    def test_no_samples(self):
+        assert compute_soft_labels([_teacher()], []) == []
+
+
+def _mixed_sizes(count, dim=8, classes=3, seed=0):
+    """Subgraphs with 4, 5, 6 or 7 nodes in an interleaved order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        nodes = [Node(kind, kind, rng.normal(0, 1, dim)) for kind in CONTENT_KINDS]
+        nodes += [Node("commonsense", f"t{j}", rng.normal(0, 1, dim)) for j in range(i % 4)]
+        n = len(nodes)
+        upper = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+        out.append(Subgraph(sample_id=f"m{i}", split="test", group="g0",
+                            label=int(rng.integers(classes)), nodes=nodes,
+                            adjacency=upper + upper.T))
+    return out
+
+
+class TestStackedLogits:
+    """The stacked untracked forward against one 2-D forward per sample."""
+
+    def test_teacher_logits_match_per_sample_forward(self):
+        graphs = _mixed_sizes(11, classes=4)
+        teacher = _teacher(classes=4)
+        got = teacher_logits(teacher, graphs)
+        assert got.shape == (11, 4)
+        for row, sg in zip(got, graphs):
+            assert row.tobytes() == teacher_row(teacher, sg).tobytes()
+
+    @pytest.mark.parametrize("kind", ["mlp", "transformer"])
+    def test_student_logits_match_per_sample_forward(self, kind):
+        graphs = _mixed_sizes(11)
+        config = DistillConfig(student=kind, dim=8, num_classes=3, hidden=5)
+        params = init_student(config, np.random.default_rng(6))
+        # Non-zero kind embeddings and biases, as after training.
+        params.tensors = [a + np.random.default_rng(i).normal(0, 0.1, a.shape)
+                          for i, a in enumerate(params.tensors)]
+        got = student_logits(params, graphs)
+        assert got.shape == (11, 3)
+        for row, sg in zip(got, graphs):
+            assert row.tobytes() == student_row(params, sg).tobytes()
+
+    def test_every_model_kind_on_a_built_graphs_file(self, tmp_path):
+        from graphkd.datagen import SynthConfig, generate_synthetic, ingest_manifest
+        from graphkd.embeddings import TripletStore, read_store, read_triplets_tsv
+        from graphkd.graphs import build_dataset_graphs, read_graphs, write_graphs
+
+        paths = generate_synthetic(SynthConfig(samples=60, classes=3, dim=8,
+                                               triplets_per_class=3, seed=11), tmp_path)
+        dataset = ingest_manifest(paths["manifest"], read_store(paths["visual_embeddings"]))
+        store = TripletStore(read_triplets_tsv(paths["triplets"]),
+                             read_store(paths["triplet_embeddings"]))
+        write_graphs(tmp_path / "g.jsonl", build_dataset_graphs(dataset, store, seed=11, k=2),
+                     dataset.label_vocab, {})
+        graphs, _ = read_graphs(tmp_path / "g.jsonl")
+        assert len({sg.size for sg in graphs}) >= 3
+
+        teacher, _, _ = train_teacher(graphs[:20], [], TeacherConfig(
+            dim=8, num_classes=3, hidden=5, head_hidden=4, epochs=1, seed=0))
+        for row, sg in zip(teacher_logits(teacher, graphs), graphs):
+            assert row.tobytes() == teacher_row(teacher, sg).tobytes()
+        for kind in ("mlp", "transformer"):
+            student, _, _ = train_student(graphs[:20], [], DistillConfig(
+                student=kind, dim=8, num_classes=3, hidden=5, epochs=1, seed=0),
+                [teacher])
+            for row, sg in zip(student_logits(student, graphs), graphs):
+                assert row.tobytes() == student_row(student, sg).tobytes()
+
+    def test_a_stack_of_one(self):
+        sg = _mixed_sizes(1)[0]
         teacher = _teacher()
-        entries = compute_soft_labels([teacher], graphs)
-        for sg, (sample_id, row) in zip(graphs, entries):
-            assert sample_id == sg.sample_id
-            direct = teacher_soft_labels([teacher], sg,
-                                         a_hat=normalize_adjacency(sg.adjacency))
-            assert (row == direct).all()
+        assert teacher_logits(teacher, [sg])[0].tobytes() == teacher_row(teacher, sg).tobytes()
+        params = init_student(DistillConfig(student="transformer", dim=8, num_classes=3),
+                              np.random.default_rng(1))
+        assert (student_logits(params, [sg])[0].tobytes()
+                == student_row(params, sg).tobytes())
+
+    def test_no_samples(self):
+        assert teacher_logits(_teacher(), []).shape == (0, 3)
+        params = init_student(DistillConfig(student="mlp", dim=8, num_classes=3),
+                              np.random.default_rng(1))
+        assert student_logits(params, []).shape == (0, 3)

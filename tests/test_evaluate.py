@@ -113,12 +113,12 @@ def _graphs():
     return out
 
 
-def _predict(sg):
+def _predict(subgraphs):
     # Deterministic pseudo-model keyed on the sample index.
-    i = int(sg.sample_id[1:])
-    row = np.zeros(3)
-    row[(i * 2) % 3] = 1.0
-    return row
+    rows = np.zeros((len(subgraphs), 3))
+    for row, sg in zip(rows, subgraphs):
+        row[(int(sg.sample_id[1:]) * 2) % 3] = 1.0
+    return rows
 
 
 class TestEvaluateModel:
@@ -143,11 +143,11 @@ class TestEvaluateModel:
     def test_model_wider_than_vocab_rejected(self):
         # Even when every prediction would land inside the vocabulary.
         with pytest.raises(DataError, match="4 classes"):
-            evaluate_model(lambda sg: np.array([1.0, 0, 0, 0]), _graphs(), "all",
-                           ["a", "b", "c"])
+            evaluate_model(lambda sgs: np.tile([1.0, 0, 0, 0], (len(sgs), 1)), _graphs(),
+                           "all", ["a", "b", "c"])
 
     def test_argmax_tie_takes_lowest_class(self):
-        report = evaluate_model(lambda sg: np.zeros(3), _graphs(), "all",
+        report = evaluate_model(lambda sgs: np.zeros((len(sgs), 3)), _graphs(), "all",
                                 ["a", "b", "c"])
         # All-zero logits predict class 0 everywhere.
         assert sum(report.confusion[i][0] for i in range(3)) == report.num_samples

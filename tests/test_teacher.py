@@ -12,6 +12,7 @@ from graphkd.teacher import (TeacherConfig, TeacherParams, average_pool, gcn_lay
                              init_teacher, load_teacher, mlp_head, save_teacher,
                              teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import teacher_loss_error
+from reference import teacher_row, train_teacher_reference
 
 
 class TestGcnLayer:
@@ -140,6 +141,17 @@ class TestTrainTeacher:
         with pytest.raises(DataError):
             train_teacher(graphs, [], self._config())
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_training_matches_per_sample_reference(self, optimizer):
+        # Graphs of 4 to 7 nodes: the parameters must equal, bit for bit, those
+        # of the per-sample, per-tensor loop in tests/reference.py.
+        train = [sg for c in range(4) for sg in _random_subgraphs(3, commonsense=c, seed=c)]
+        config = self._config(optimizer=optimizer)
+        got, _, _ = train_teacher(train, _random_subgraphs(4, seed=8), config)
+        want = train_teacher_reference(train, config)
+        for a, b in zip(got.as_list(), want):
+            assert a.tobytes() == b.tobytes()
+
     def test_val_metrics_reported(self):
         params, _, metrics = train_teacher(
             _random_subgraphs(12), _random_subgraphs(6, seed=5), self._config())
@@ -251,7 +263,8 @@ class TestCheckpoint:
         sg = _random_subgraphs(1)[0]
         config = TeacherConfig(dim=8, num_classes=3, hidden=4, head_hidden=4, seed=0)
         params = init_teacher(config, np.random.Generator(np.random.PCG64(0)))
-        a = teacher_logits(params, sg)
-        b = teacher_logits(params, sg)
+        a = teacher_logits(params, [sg])
+        b = teacher_logits(params, [sg])
         assert (a == b).all()
-        assert a.shape == (3,)
+        assert a.shape == (1, 3)
+        assert a[0].tobytes() == teacher_row(params, sg).tobytes()

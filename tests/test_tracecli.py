@@ -55,3 +55,41 @@ def test_traced_build_records_every_build_layer(tmp_path, monkeypatch):
     assert calls["embeddings.embed"] == 2 * config.samples
     assert calls["embeddings.retrieve"] == 4 * config.samples
     assert calls["graphs.edges"] == config.samples
+
+
+def test_traced_training_records_every_training_span(monkeypatch):
+    """perfbench's per-layer training metrics read these spans; a renamed or
+    bypassed function would leave one empty."""
+    tracecli = _tracecli()
+    for module, attr, _ in tracecli.WRAPPED:
+        module = importlib.import_module(f"graphkd.{module}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracecli.Tracer()
+    tracer.install(graphkd)
+    from graphkd import distill, teacher
+    from graphkd.verification import fixture_subgraph
+
+    samples = [fixture_subgraph(seed=s, commonsense=s % 3) for s in range(6)]
+    train, val = samples[:4], samples[4:]
+    t_config = teacher.TeacherConfig(dim=6, num_classes=3, hidden=4, head_hidden=4,
+                                     epochs=2, seed=0)
+    params, _, _ = teacher.train_teacher(train, val, t_config)
+    s_config = distill.DistillConfig(student="mlp", dim=6, num_classes=3, hidden=4,
+                                     kd_weight=1.0, epochs=2, seed=0)
+    distill.train_student(train, val, s_config, [params])
+
+    names = set()
+    for key in tracer.spans:
+        name, parent = key.split("|")
+        names |= {name, f"{name}@{parent}"}
+    wanted = {"autodiff.backward", "autodiff.optimizer", "teacher.forward",
+              "teacher.logits", "distill.forward", "distill.kd_loss",
+              "distill.soft_labels", "distill.logits@distill.train"}
+    assert wanted - names == set()
+    # One backward per sample-step, with 11 tape records for the teacher and
+    # 13 for the KD MLP student.
+    steps = 2 * len(train)
+    assert tracer.tape_steps == 2 * steps
+    assert tracer.tape_records == steps * (11 + 13)
+    assert tracer.spans["autodiff.backward|teacher.train"][1] == steps
+    assert tracer.spans["autodiff.optimizer|distill.train"][1] == steps
