@@ -19,5 +19,4 @@ from .evaluate import EvalReport, comparison_report, evaluate_model, micro_f1
 from .graphs import (CooccurrenceStats, Node, Subgraph, attach_commonsense,
                      build_content_nodes, build_edges, normalize_adjacency,
                      pmi_weight)
-from .teacher import (TeacherConfig, TeacherParams, average_pool, gcn_layer,
-                      mlp_head, train_teacher)
+from .teacher import TeacherConfig, TeacherParams, train_teacher

@@ -7,6 +7,15 @@ accumulate additively when a node feeds several consumers. There is no
 broadcasting beyond row-vector bias addition and no dtype other than
 float64, which keeps the finite-difference checker meaningful.
 
+The operations are the ones the models record, and no others: ``matmul``,
+``transpose``, ``add``, ``affine``, ``relu``, ``mean_rows``, ``row_softmax``
+and ``cross_entropy``; ``reshape``, which the MLP student applies to its
+untracked input; and ``kl_to_target``, the distillation term. Given a 1 x C
+logit row z, a fixed target distribution p, a temperature T and the
+caller's entropy sum_j p_j log p_j, ``kl_to_target`` records one tape entry
+for T^2 * KL(p || softmax(z / T)), and its backward rule passes
+T * (softmax(z / T) - p) times the upstream gradient to z.
+
 An untracked tensor may carry one leading stack axis (S x rows x cols).
 Every operation then acts on the last two axes of each slice, so a forward
 pass written for one sample runs unchanged over a stack of same-shape
@@ -238,13 +247,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(_common_tape(a, b), "add", (a.node, b.node), out, (broadcast,))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shape mismatch: {_shape(a.data)} * {_shape(b.data)}")
-    out = a.data * b.data
-    return _result(_common_tape(a, b), "mul", (a.node, b.node), out, (a.data, b.data))
-
-
 def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """scale * a + shift, elementwise with python scalars."""
     out = a.data * scale + shift
@@ -271,25 +273,12 @@ def mean_rows(a: Tensor) -> Tensor:
     return _result(a.tape, "mean_rows", (a.node,), out, (a.rows,))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of every entry of a matrix: N x d -> 1 x 1."""
-    out = a.data.sum(axis=(-2, -1), keepdims=True)
-    return _result(a.tape, "sum_all", (a.node,), out, (a.data.shape,))
-
-
 def row_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction; each row sums to 1."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
     return _result(a.tape, "row_softmax", (a.node,), out, (out,))
-
-
-def row_log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    return _result(a.tape, "row_log_softmax", (a.node,), out, (np.exp(out),))
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -304,6 +293,26 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     out = np.array([[lse - x[label]]])
     p = np.exp(x - lse)
     return _result(logits.tape, "cross_entropy", (logits.node,), out, (p, label))
+
+
+def kl_to_target(logits: Tensor, p: Array, temperature: float, entropy: float) -> Tensor:
+    """T^2 * (entropy - sum_j p_j log softmax(logits / T)_j) for a 1 x C
+    logit row and a fixed target row ``p`` whose sum_j p_j log p_j is
+    ``entropy``: T^2 * KL(p || softmax(logits / T)). ``p`` is not
+    differentiated."""
+    if logits.data.ndim != 2 or logits.rows != 1:
+        raise ShapeError(f"kl_to_target expects a 1xC logit row, got {_shape(logits.data)}")
+    p = np.asarray(p, dtype=np.float64).reshape(1, -1)
+    if p.shape != logits.data.shape:
+        raise ShapeError(f"target has {p.size} classes, logits are {_shape(logits.data)}")
+    inv_t = 1.0 / temperature
+    t_sq = temperature * temperature
+    scaled = logits.data * inv_t
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
+    log_q = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = (log_q * p).sum(axis=(-2, -1), keepdims=True) * -t_sq + t_sq * entropy
+    return _result(logits.tape, "kl_to_target", (logits.node,), out,
+                   (p, np.exp(log_q), inv_t, t_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +340,6 @@ def _bw_add(rec: Record, g: Array, out: list):
         out.append((rec.inputs[1], g.sum(axis=0, keepdims=True) if broadcast else g))
 
 
-def _bw_mul(rec: Record, g: Array, out: list):
-    a, b = rec.saved
-    if rec.inputs[0] is not None:
-        out.append((rec.inputs[0], g * b))
-    if rec.inputs[1] is not None:
-        out.append((rec.inputs[1], g * a))
-
-
 def _bw_affine(rec: Record, g: Array, out: list):
     (scale,) = rec.saved
     out.append((rec.inputs[0], g * scale))
@@ -359,19 +360,9 @@ def _bw_mean_rows(rec: Record, g: Array, out: list):
     out.append((rec.inputs[0], np.repeat(g / n, n, axis=0)))
 
 
-def _bw_sum_all(rec: Record, g: Array, out: list):
-    (shape,) = rec.saved
-    out.append((rec.inputs[0], np.full(shape, g[0, 0])))
-
-
 def _bw_row_softmax(rec: Record, g: Array, out: list):
     (y,) = rec.saved
     out.append((rec.inputs[0], y * (g - (g * y).sum(axis=1, keepdims=True))))
-
-
-def _bw_row_log_softmax(rec: Record, g: Array, out: list):
-    (softmax,) = rec.saved
-    out.append((rec.inputs[0], g - softmax * g.sum(axis=1, keepdims=True)))
 
 
 def _bw_cross_entropy(rec: Record, g: Array, out: list):
@@ -381,19 +372,24 @@ def _bw_cross_entropy(rec: Record, g: Array, out: list):
     out.append((rec.inputs[0], g[0, 0] * grad.reshape(1, -1)))
 
 
+def _bw_kl_to_target(rec: Record, g: Array, out: list):
+    p, softmax, inv_t, t_sq = rec.saved
+    weighted = p * (g[0, 0] * -t_sq)
+    out.append((rec.inputs[0],
+                (weighted - softmax * weighted.sum(axis=1, keepdims=True)) * inv_t))
+
+
 _BACKWARD: dict[str, Callable[[Record, Array, list], None]] = {
     "matmul": _bw_matmul,
     "transpose": _bw_transpose,
     "add": _bw_add,
-    "mul": _bw_mul,
     "affine": _bw_affine,
     "relu": _bw_relu,
     "reshape": _bw_reshape,
     "mean_rows": _bw_mean_rows,
-    "sum_all": _bw_sum_all,
     "row_softmax": _bw_row_softmax,
-    "row_log_softmax": _bw_row_log_softmax,
     "cross_entropy": _bw_cross_entropy,
+    "kl_to_target": _bw_kl_to_target,
 }
 
 

@@ -79,6 +79,13 @@ def _load_graphs(path):
     return subgraphs, header, label_vocab, dim
 
 
+def _log_epochs(metrics: list[dict]) -> None:
+    for entry in metrics:
+        val_part = (f" val_micro_f1={entry['val_micro_f1']:.4f}"
+                    if "val_micro_f1" in entry else "")
+        _log(f"epoch {entry['epoch']:3d} train_loss={entry['train_loss']:.4f}{val_part}")
+
+
 def _splits(subgraphs):
     train = [sg for sg in subgraphs if sg.split == "train"]
     val = [sg for sg in subgraphs if sg.split == "val"]
@@ -94,10 +101,7 @@ def cmd_train_teacher(args) -> int:
         optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
     params, metadata, metrics = teacher.train_teacher(
         train, val, config, graph_config=header.get("config"))
-    for entry in metrics:
-        val_part = (f" val_micro_f1={entry['val_micro_f1']:.4f}"
-                    if "val_micro_f1" in entry else "")
-        _log(f"epoch {entry['epoch']:3d} train_loss={entry['train_loss']:.4f}{val_part}")
+    _log_epochs(metrics)
     metadata["label_vocab"] = label_vocab
     teacher.save_teacher(args.out, params, metadata)
     print(str(args.out))
@@ -130,10 +134,7 @@ def cmd_distill(args) -> int:
         optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
     params, metadata, metrics = distill.train_student(
         train, val, config, teachers, teacher_names=teacher_paths)
-    for entry in metrics:
-        val_part = (f" val_micro_f1={entry['val_micro_f1']:.4f}"
-                    if "val_micro_f1" in entry else "")
-        _log(f"epoch {entry['epoch']:3d} train_loss={entry['train_loss']:.4f}{val_part}")
+    _log_epochs(metrics)
     metadata["label_vocab"] = label_vocab
     metadata["graph_config"] = header.get("config")
     distill.save_student(args.out, params, metadata)

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
-                       backward, cross_entropy, glorot_uniform, matmul, mean_rows, mul,
-                       optimizer_step, relu, reshape, row_log_softmax, row_softmax,
-                       sum_all, transpose)
+                       backward, cross_entropy, glorot_uniform, kl_to_target, matmul,
+                       mean_rows, optimizer_step, relu, reshape, row_softmax, transpose)
 from .errors import ConfigError, DataError, ShapeError
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
-from .teacher import (TEACHER_MODEL_KIND, TeacherParams, check_dataset,
-                      load_teacher, resolved_learning_rate, teacher_logits)
+from .teacher import (TEACHER_MODEL_KIND, TeacherParams, check_dataset, checkpoint_arrays,
+                      resolved_learning_rate, teacher_from_checkpoint, teacher_logits)
 
 STUDENT_KINDS = ("mlp", "transformer")
 MLP_PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -156,7 +155,10 @@ def student_logits(params: StudentParams, subgraphs: list[Subgraph]) -> np.ndarr
 def kd_loss(p_teacher: np.ndarray, student_logits_t: Tensor,
             temperature: float = 1.0) -> Tensor:
     """KL(teacher distribution || student softmax at the same temperature),
-    scaled by temperature^2 (a no-op at the default temperature 1)."""
+    scaled by temperature^2 (a no-op at the default temperature 1), the
+    soft-target loss of Hinton et al. 2015. The teacher row must have one
+    entry per student logit and sum to 1; classes it gives no mass add
+    nothing to its entropy. One ``kl_to_target`` record on the tape."""
     p = np.asarray(p_teacher, dtype=np.float64).reshape(-1)
     if student_logits_t.rows != 1 or p.size != student_logits_t.cols:
         raise ShapeError(
@@ -166,11 +168,7 @@ def kd_loss(p_teacher: np.ndarray, student_logits_t: Tensor,
         raise DataError(f"teacher distribution sums to {p.sum()!r}, not 1")
     positive = p[p > 0]
     entropy_term = float(np.sum(positive * np.log(positive)))
-    scaled = affine(student_logits_t, 1.0 / temperature)
-    log_student = row_log_softmax(scaled)
-    cross = sum_all(mul(log_student, Tensor(p.reshape(1, -1))))
-    t_sq = temperature * temperature
-    return affine(cross, -t_sq, t_sq * entropy_term)
+    return kl_to_target(student_logits_t, p, temperature, entropy_term)
 
 
 def combined_loss(l_sce: Tensor, l_kd: Tensor | None, kd_weight: float) -> Tensor:
@@ -281,8 +279,8 @@ def save_student(path, params: StudentParams, metadata: dict) -> None:
     write_checkpoint(path, metadata, list(zip(params.names, params.tensors)))
 
 
-def load_student(path) -> tuple[StudentParams, dict]:
-    metadata, tensors = read_checkpoint(path)
+def student_from_checkpoint(path, metadata: dict, tensors: dict) -> StudentParams:
+    """The student in a checkpoint already read from ``path``."""
     model = metadata.get("model", "")
     if not model.startswith("student-"):
         raise ConfigError(f"{path} holds a '{model}' model, expected a student")
@@ -290,24 +288,26 @@ def load_student(path) -> tuple[StudentParams, dict]:
     if kind not in STUDENT_KINDS:
         raise ConfigError(f"unknown student kind '{kind}' in {path}")
     params = StudentParams(kind, [])
-    missing = [n for n in params.names if n not in tensors]
-    if missing:
-        raise ConfigError(f"student checkpoint lacks tensors: {missing}")
-    params.tensors = [tensors[n] for n in params.names]
-    return params, metadata
+    params.tensors = checkpoint_arrays(tensors, params.names, "student")
+    return params
+
+
+def load_student(path) -> tuple[StudentParams, dict]:
+    metadata, tensors = read_checkpoint(path)
+    return student_from_checkpoint(path, metadata, tensors), metadata
 
 
 def load_model(path):
-    """Open any checkpoint and return (logits(subgraphs) -> n x C array,
-    metadata). Teachers consume the full subgraphs, students only the
-    content embeddings."""
-    metadata, _ = read_checkpoint(path)
+    """Open any checkpoint, reading it once, and return (logits(subgraphs)
+    -> n x C array, metadata). Teachers consume the full subgraphs,
+    students only the content embeddings."""
+    metadata, tensors = read_checkpoint(path)
     model = metadata.get("model")
     if model == TEACHER_MODEL_KIND:
-        params, metadata = load_teacher(path)
+        params = teacher_from_checkpoint(path, metadata, tensors)
         return (lambda subgraphs: teacher_logits(params, subgraphs)), metadata
     if isinstance(model, str) and model.startswith("student-"):
-        sparams, metadata = load_student(path)
+        sparams = student_from_checkpoint(path, metadata, tensors)
         return (lambda subgraphs: student_logits(sparams, subgraphs)), metadata
     raise ConfigError(f"{path} holds an unknown model kind '{model}'")
 

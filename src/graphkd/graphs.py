@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, ManifestRecord
+from .datagen import SPLITS, Dataset, ManifestRecord
 from .embeddings import (EmbeddingStore, TokenRows, TripletStore, pairwise_cosine,
                          token_rows, top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
@@ -573,11 +573,16 @@ def _check_strings(subgraphs: list[Subgraph], path) -> None:
 
 def read_graphs(path) -> tuple[list[Subgraph], dict]:
     """Subgraphs and header of a graphs file, from its companion when that
-    matches the file's bytes, else by parsing the JSON lines."""
+    matches the file's bytes, else by parsing the JSON lines. Every record
+    is in the train, val or test split."""
     companion = companion_path(path)
     cached = _read_companion(path, companion) if companion.is_file() else None
     subgraphs, header = cached or _parse_graphs(path)
     _check_strings(subgraphs, path)
+    for number, sg in enumerate(subgraphs, start=1):
+        if sg.split not in SPLITS:
+            raise FormatError(f"graphs file {path}, record {number}: unknown split "
+                              f"{sg.split!r}, expected one of {', '.join(SPLITS)}")
     return subgraphs, header
 
 

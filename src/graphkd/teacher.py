@@ -93,38 +93,21 @@ def init_teacher(config: TeacherConfig, rng: np.random.Generator) -> TeacherPara
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward pass
 # ---------------------------------------------------------------------------
-
-def gcn_layer(a_hat: Tensor, h: Tensor, w: Tensor, activation: str) -> Tensor:
-    """One propagation step: activation(a_hat @ h @ w)."""
-    out = matmul(matmul(a_hat, h), w)
-    if activation == "relu":
-        return relu(out)
-    if activation == "identity":
-        return out
-    raise ConfigError(f"unknown activation '{activation}'")
-
-
-def average_pool(h: Tensor) -> Tensor:
-    return mean_rows(h)
-
-
-def mlp_head(pooled: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    hidden = relu(add(matmul(pooled, w1), b1))
-    return add(matmul(hidden, w2), b2)
-
 
 def teacher_forward(params: list[Tensor], a_hat: Tensor,
                     features: Tensor) -> tuple[Tensor, Tensor]:
-    """Full forward pass; returns (pooled embedding, logits). Untracked
-    inputs may be stacks of same-size graphs, giving stacked outputs."""
+    """(pooled embedding, logits) of one graph: h1 = relu(a_hat @ features @
+    w0), h2 = a_hat @ h1 @ w1, pooled = the mean of h2's rows, logits =
+    relu(pooled @ head_w1 + head_b1) @ head_w2 + head_b2. Untracked inputs
+    may be stacks of same-size graphs, giving stacked outputs."""
     w0, w1, head_w1, head_b1, head_w2, head_b2 = params
-    h1 = gcn_layer(a_hat, features, w0, "relu")
-    h2 = gcn_layer(a_hat, h1, w1, "identity")
-    pooled = average_pool(h2)
-    logits = mlp_head(pooled, head_w1, head_b1, head_w2, head_b2)
-    return pooled, logits
+    h1 = relu(matmul(matmul(a_hat, features), w0))
+    h2 = matmul(matmul(a_hat, h1), w1)
+    pooled = mean_rows(h2)
+    hidden = relu(add(matmul(pooled, head_w1), head_b1))
+    return pooled, add(matmul(hidden, head_w2), head_b2)
 
 
 def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
@@ -221,12 +204,23 @@ def save_teacher(path, params: TeacherParams, metadata: dict) -> None:
     write_checkpoint(path, metadata, list(zip(PARAM_NAMES, params.as_list())))
 
 
-def load_teacher(path) -> tuple[TeacherParams, dict]:
-    metadata, tensors = read_checkpoint(path)
+def checkpoint_arrays(tensors: dict, names, what: str) -> list[np.ndarray]:
+    """The checkpoint tensors ``names``, in that order; a missing one is a
+    ``ConfigError`` naming the ``what`` checkpoint."""
+    missing = [n for n in names if n not in tensors]
+    if missing:
+        raise ConfigError(f"{what} checkpoint lacks tensors: {missing}")
+    return [tensors[n] for n in names]
+
+
+def teacher_from_checkpoint(path, metadata: dict, tensors: dict) -> TeacherParams:
+    """The teacher in a checkpoint already read from ``path``."""
     if metadata.get("model") != TEACHER_MODEL_KIND:
         raise ConfigError(
             f"{path} holds a '{metadata.get('model')}' model, expected teacher")
-    missing = [n for n in PARAM_NAMES if n not in tensors]
-    if missing:
-        raise ConfigError(f"teacher checkpoint lacks tensors: {missing}")
-    return TeacherParams.from_list([tensors[n] for n in PARAM_NAMES]), metadata
+    return TeacherParams.from_list(checkpoint_arrays(tensors, PARAM_NAMES, "teacher"))
+
+
+def load_teacher(path) -> tuple[TeacherParams, dict]:
+    metadata, tensors = read_checkpoint(path)
+    return teacher_from_checkpoint(path, metadata, tensors), metadata

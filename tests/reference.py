@@ -3,7 +3,9 @@
 These are the training and prediction loops as they were written before
 parameters moved into one flat vector and untracked passes were stacked:
 one 2-D forward per sample, one optimizer update per parameter matrix.
-The package must reproduce them bit for bit.
+``kd_chain_reference`` is the distillation term as it was computed before
+it became one tape op: a chain of six elementwise and reduction steps. The
+package must reproduce them bit for bit.
 """
 
 import numpy as np
@@ -50,6 +52,32 @@ class PerTensorOptimizer:
             work *= lr / c1
             updated.append(p - work)
         return updated
+
+
+def kd_chain_reference(p_teacher, logits, temperature, upstream):
+    """(loss, logit gradient) of T^2 * KL(p || softmax(z / T)) for a 1 x C
+    logit row, in numpy, with the ufunc sequence of the old tape: scale by
+    1/T, row log-softmax, multiply by the teacher row, sum, then scale by
+    -T^2 and shift by T^2 * entropy. The gradient runs those five backward
+    rules in reverse from a 1x1 upstream gradient ``upstream``."""
+    p = np.asarray(p_teacher, dtype=np.float64).reshape(1, -1)
+    positive = p[p > 0]
+    entropy = float(np.sum(positive * np.log(positive)))
+    inv_t = 1.0 / temperature
+    t_sq = temperature * temperature
+
+    scaled = np.asarray(logits, dtype=np.float64) * inv_t + 0.0
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
+    log_student = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    cross = (log_student * p).sum(axis=(-2, -1), keepdims=True)
+    loss = cross * -t_sq + t_sq * entropy
+
+    g = upstream * -t_sq                                  # affine(-T^2, T^2 * entropy)
+    g = np.full(p.shape, g[0, 0])                         # sum
+    g = g * p                                             # multiply by the teacher row
+    g = g - np.exp(log_student) * g.sum(axis=1, keepdims=True)  # log-softmax
+    g = g * inv_t                                         # affine(1/T)
+    return loss, g
 
 
 def teacher_row(params, sg):

@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from graphkd import autodiff
 from graphkd.autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
-                              backward, cross_entropy, gradcheck, matmul, mean_rows, mul,
-                              optimizer_step, relu, reshape, row_log_softmax,
-                              row_softmax, split_flat, sum_all, transpose)
+                              backward, cross_entropy, gradcheck, kl_to_target, matmul,
+                              mean_rows, optimizer_step, relu, reshape, row_softmax,
+                              split_flat, transpose)
 from graphkd.errors import (DataError, DeterminismError, NumericError, ShapeError)
-from reference import PerTensorOptimizer
+from reference import PerTensorOptimizer, kd_chain_reference
+
+
+def total(t):
+    """Sum of every entry of a matrix as a 1x1 tensor: untracked ones on
+    both sides, so the gradient of each entry is 1."""
+    return matmul(matmul(Tensor(np.ones((1, t.rows))), t), Tensor(np.ones((t.cols, 1))))
 
 
 class TestMatmul:
@@ -82,14 +89,14 @@ class TestBackward:
     def test_sum_loss_gives_ones(self):
         tape = Tape()
         w = tape.parameter(np.arange(4.0).reshape(2, 2))
-        grads = backward(tape, sum_all(w))
+        grads = backward(tape, total(w))
         np.testing.assert_array_equal(grads, np.ones(4))
 
     def test_untouched_parameter_gets_zeros(self):
         tape = Tape()
         w = tape.parameter(np.ones((2, 2)))
         unused = tape.parameter(np.ones((3, 1)))
-        grads = backward(tape, sum_all(w))
+        grads = backward(tape, total(w))
         np.testing.assert_array_equal(grads, [1.0] * 4 + [0.0] * 3)
 
     def test_loss_must_be_scalar(self):
@@ -105,7 +112,7 @@ class TestBackward:
     def test_gradient_accumulates_over_consumers(self):
         tape = Tape()
         w = tape.parameter([[2.0]])
-        loss = add(mul(w, w), affine(w, 3.0))  # w^2 + 3w -> d/dw = 2w + 3
+        loss = add(matmul(w, w), affine(w, 3.0))  # w^2 + 3w -> d/dw = 2w + 3
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads, [7.0])
 
@@ -113,7 +120,7 @@ class TestBackward:
         tape = Tape()
         w = tape.parameter(np.ones((2, 2)))
         x = relu(matmul(w, Tensor(np.ones((2, 2)))))
-        sum_all(mul(x, x))
+        total(matmul(x, x))
         seen = set(tape.parameters)
         for rec in tape.records:
             for node in rec.inputs:
@@ -129,8 +136,8 @@ class TestBackward:
         def loss(params):
             w, b = params
             h = relu(add(matmul(matmul(a_hat, feats), w), b))
-            sm = row_log_softmax(mean_rows(h))
-            return affine(sum_all(mul(sm, sm)), 0.5)
+            sm = row_softmax(mean_rows(h))
+            return affine(matmul(sm, transpose(sm)), 0.5)
 
         params = [Tensor(rng.normal(0, 0.5, (4, 3))), Tensor(rng.normal(0, 0.5, (1, 3)))]
         assert gradcheck(loss, params, eps=1e-5) <= 1e-4
@@ -139,13 +146,13 @@ class TestBackward:
 class TestGradcheck:
     def test_quadratic_is_nearly_exact(self):
         def f(params):
-            return mul(params[0], params[0])
+            return matmul(params[0], params[0])
 
         assert gradcheck(f, [Tensor([[3.0]])], eps=1e-5) <= 1e-8
 
     def test_constant_function_has_zero_error(self):
         def f(params):
-            return affine(sum_all(params[0]), 0.0, 5.0)
+            return affine(total(params[0]), 0.0, 5.0)
 
         assert gradcheck(f, [Tensor([[1.0, 2.0]])], eps=1e-5) == 0.0
 
@@ -154,14 +161,14 @@ class TestGradcheck:
 
         def f(params):
             state["n"] += 1
-            return affine(sum_all(params[0]), 1.0, float(state["n"]))
+            return affine(total(params[0]), 1.0, float(state["n"]))
 
         with pytest.raises(DeterminismError):
             gradcheck(f, [Tensor([[1.0]])], eps=1e-5)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(DataError):
-            gradcheck(lambda p: sum_all(p[0]), [Tensor([[1.0]])], eps=0.0)
+            gradcheck(lambda p: total(p[0]), [Tensor([[1.0]])], eps=0.0)
 
 
 class TestOps:
@@ -176,7 +183,7 @@ class TestOps:
     def test_bias_gradient_sums_over_rows(self):
         tape = Tape()
         b = tape.parameter([[1.0, 1.0]])
-        grads = backward(tape, sum_all(add(Tensor(np.zeros((4, 2))), b)))
+        grads = backward(tape, total(add(Tensor(np.zeros((4, 2))), b)))
         np.testing.assert_array_equal(grads, [4.0, 4.0])
 
     def test_transpose_and_reshape(self):
@@ -189,12 +196,6 @@ class TestOps:
     def test_mean_rows(self):
         np.testing.assert_array_equal(
             mean_rows(Tensor([[0.0, 2.0], [2.0, 0.0]])).data, [[1.0, 1.0]])
-
-    def test_row_log_softmax_matches_log_of_softmax(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(0, 3, (3, 5))
-        np.testing.assert_allclose(row_log_softmax(Tensor(x)).data,
-                                   np.log(row_softmax(Tensor(x)).data), atol=1e-12)
 
     def test_cross_entropy_uniform(self):
         loss = cross_entropy(Tensor([[0.0, 0.0, 0.0, 0.0]]), 2)
@@ -377,8 +378,7 @@ class TestStacks:
         self._slices((stack_a, Tensor(row)), add, mats_a, [Tensor(row)] * 5)
         self._slices((stack_a, Tensor(same)), add, mats_a, [Tensor(same)] * 5)
         self._slices((stack_a, stack_a), add, mats_a, mats_a)
-        self._slices((stack_a, stack_a), mul, mats_a, mats_a)
-        for op in (transpose, relu, mean_rows, sum_all, row_softmax, row_log_softmax,
+        for op in (transpose, relu, mean_rows, row_softmax,
                    lambda t: affine(t, 0.3, -1.5), lambda t: reshape(t, 1, 12)):
             self._slices((stack_a,), op, mats_a)
 
@@ -428,3 +428,103 @@ class TestStacks:
     def test_cross_entropy_refuses_a_stack(self):
         with pytest.raises(ShapeError):
             cross_entropy(Tensor(np.zeros((2, 1, 3))), 0)
+
+
+class TestKlToTarget:
+    @staticmethod
+    def _target(rng, classes):
+        # One class gets no teacher mass.
+        p = rng.dirichlet(np.ones(classes))
+        p[int(rng.integers(classes))] = 0.0
+        return p / p.sum()
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("classes", [2, 4, 9])
+    @pytest.mark.parametrize("weight", [1.0, 0.7])
+    def test_loss_and_gradient_bitwise_equal_the_six_op_chain(self, temperature, classes,
+                                                              weight):
+        rng = np.random.default_rng(classes * 100 + int(temperature * 10))
+        for _ in range(5):
+            p = self._target(rng, classes)
+            z = rng.normal(0, 3, (1, classes))
+            positive = p[p > 0]
+            entropy = float(np.sum(positive * np.log(positive)))
+            tape = Tape()
+            kd = kl_to_target(tape.parameter(z), p, temperature, entropy)
+            grad = backward(tape, affine(kd, weight))
+            want_loss, want_grad = kd_chain_reference(p, z, temperature,
+                                                      np.ones((1, 1)) * weight)
+            assert kd.data.tobytes() == want_loss.tobytes()
+            assert grad.tobytes() == want_grad.reshape(-1).tobytes()
+
+    def test_gradient_is_temperature_times_softmax_minus_target(self):
+        z = np.array([[1.0, -0.5, 2.0]])
+        p = np.array([0.2, 0.0, 0.8])
+        tape = Tape()
+        grad = backward(tape, kl_to_target(tape.parameter(z), p, 2.0, 0.0))
+        q = row_softmax(Tensor(z / 2.0)).data[0]
+        np.testing.assert_allclose(grad, 2.0 * (q - p), atol=1e-12)
+
+    def test_non_finite_target_raises(self):
+        for p in ([float("nan"), 1.0], [float("inf"), -float("inf")]):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+                kl_to_target(Tensor([[0.0, 1.0]]), np.array(p), 1.0, 0.0)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ShapeError):
+            kl_to_target(Tensor(np.zeros((2, 3))), np.ones(3) / 3, 1.0, 0.0)
+        with pytest.raises(ShapeError):
+            kl_to_target(Tensor(np.zeros((1, 3))), np.ones(2) / 2, 1.0, 0.0)
+        with pytest.raises(ShapeError):
+            kl_to_target(Tensor(np.zeros((2, 1, 3))), np.ones(3) / 3, 1.0, 0.0)
+
+
+def _weighted(t, seed=0):
+    """A 1x1 tensor u @ t @ v with fixed untracked u, v, so that no two
+    entries of ``t`` share a gradient."""
+    rng = np.random.default_rng(seed)
+    return matmul(matmul(Tensor(rng.uniform(0.5, 1.5, (1, t.rows))), t),
+                  Tensor(rng.uniform(0.5, 1.5, (t.cols, 1))))
+
+
+def _away_from_zero(rng, shape):
+    return rng.uniform(0.2, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+def _kl_case(temperature):
+    p = np.array([0.3, 0.0, 0.5, 0.2])
+    positive = p[p > 0]
+    entropy = float(np.sum(positive * np.log(positive)))
+    return (lambda q: kl_to_target(q[0], p, temperature, entropy), [(1, 4)])
+
+
+# One or more (loss of the parameters, parameter shapes) per recorded op.
+# Every op with a backward rule needs an entry.
+GRADCHECK_CASES = {
+    "matmul": [(lambda q: _weighted(matmul(q[0], q[1])), [(3, 4), (4, 2)])],
+    "transpose": [(lambda q: _weighted(transpose(q[0])), [(3, 4)])],
+    "add": [(lambda q: _weighted(add(q[0], q[1])), [(3, 4), (3, 4)]),
+            (lambda q: _weighted(add(q[0], q[1])), [(3, 4), (1, 4)])],
+    "affine": [(lambda q: _weighted(affine(q[0], 0.3, -1.5)), [(3, 4)])],
+    "relu": [(lambda q: _weighted(relu(q[0])), [(3, 4)])],
+    "reshape": [(lambda q: _weighted(reshape(q[0], 2, 6)), [(3, 4)])],
+    "mean_rows": [(lambda q: _weighted(mean_rows(q[0])), [(3, 4)])],
+    "row_softmax": [(lambda q: _weighted(row_softmax(q[0])), [(3, 4)])],
+    "cross_entropy": [(lambda q: cross_entropy(q[0], 2), [(1, 5)])],
+    "kl_to_target": [_kl_case(t) for t in (0.5, 1.0, 2.5)],
+}
+
+
+class TestGradcheckTable:
+    def test_every_op_with_a_backward_rule_has_a_case(self):
+        assert sorted(GRADCHECK_CASES) == sorted(autodiff._BACKWARD)
+
+    @pytest.mark.parametrize("op", sorted(autodiff._BACKWARD))
+    def test_op_matches_finite_differences(self, op):
+        rng = np.random.default_rng(13)
+        for loss, shapes in GRADCHECK_CASES[op]:
+            params = [Tensor(_away_from_zero(rng, s)) for s in shapes]
+            tape = Tape()
+            loss([tape.parameter(p.data) for p in params])
+            assert op in {rec.op for rec in tape.records}
+            assert gradcheck(loss, params, eps=1e-5) <= 1e-8

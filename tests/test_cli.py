@@ -129,13 +129,16 @@ def _mutate_graphs(path, mutation):
         node["id"] += "\udfff"
     elif mutation == "number-split":
         record["split"] = 7
+    elif mutation == "unknown-split":
+        record["split"] = "tst"
     lines[0], lines[2] = json.dumps(header), json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _spoil_companion_label(path, field="label"):
+def _spoil_companion(path, field):
     """Append an unpaired surrogate escape to the first label of the
-    companion's header, or to the group of its second sample. The graphs
+    companion's header ("label") or to the group of its second sample
+    ("group"), or give that sample the split "tst" ("split"). The graphs
     file is untouched, so the companion still matches it and is the copy
     that gets read."""
     blob = path.read_bytes()
@@ -143,8 +146,10 @@ def _spoil_companion_label(path, field="label"):
     meta = json.loads(blob[16:16 + meta_len])
     if field == "label":
         meta["header"]["label_vocab"][0] += "\ud800"
-    else:
+    elif field == "group":
         meta["samples"][1]["group"] += "\ud800"
+    else:
+        meta["samples"][1]["split"] = "tst"
     raw = json.dumps(meta).encode("ascii")
     path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + meta_len:])
 
@@ -198,7 +203,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("mutation", [
         "truncate", "short-embedding", "nested-embedding", "nan-embedding",
         "nan-adjacency", "no-nodes", "no-label-vocab", "surrogate-label",
-        "surrogate-group", "surrogate-node-id", "number-split"])
+        "surrogate-group", "surrogate-node-id", "number-split", "unknown-split"])
     def test_malformed_graphs_exit_two_with_one_line(self, trained, tmp_path, capsys,
                                                      command, mutation):
         source, teacher = trained
@@ -218,18 +223,26 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     def test_surrogate_label_in_companion_exits_two(self, trained, tmp_path, capsys, command):
-        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "label")
+        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "label",
+                                          "surrogate")
 
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     def test_surrogate_group_in_companion_exits_two(self, trained, tmp_path, capsys, command):
-        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "group")
+        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "group",
+                                          "surrogate")
 
-    def _spoiled_companion_exits_two(self, trained, tmp_path, capsys, command, field):
+    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
+    def test_unknown_split_in_companion_exits_two(self, trained, tmp_path, capsys, command):
+        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "split",
+                                          "unknown split 'tst'")
+
+    def _spoiled_companion_exits_two(self, trained, tmp_path, capsys, command, field,
+                                     message):
         source, teacher = trained
         graphs = tmp_path / "d.graphs"
         shutil.copy(source, graphs)
         shutil.copy(companion_path(source), companion_path(graphs))
-        _spoil_companion_label(companion_path(graphs), field)
+        _spoil_companion(companion_path(graphs), field)
         out = tmp_path / "out"
         argv = (["train-teacher", "--graphs", str(graphs), "--epochs", "1", "--out", str(out)]
                 if command == "train-teacher" else
@@ -238,7 +251,7 @@ class TestMalformedInputs:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "surrogate" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("store", ["embeddings", "triplet-embeddings"])

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from graphkd.autodiff import Tensor
-from graphkd.distill import (DistillConfig, StudentParams, combined_loss,
+from graphkd import autodiff
+from graphkd.autodiff import Tape, Tensor, cross_entropy
+from graphkd.distill import (STUDENT_KINDS, DistillConfig, StudentParams, combined_loss,
                              compute_soft_labels, init_student, kd_loss, load_model,
                              load_predictor, load_student, save_student,
                              student_forward, student_logits, train_student)
-from graphkd.errors import ConfigError, DataError, ShapeError
-from graphkd.graphs import CONTENT_KINDS, Node, Subgraph
+from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
+from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
 from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, save_teacher,
-                             teacher_logits, train_teacher)
+                             teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import student_loss_error
 from reference import (soft_label_row, student_row, teacher_row, train_student_reference)
 
@@ -146,6 +147,18 @@ class TestKdLoss:
         with pytest.raises(ShapeError):
             kd_loss(np.array([0.5, 0.5]), Tensor([[0.0, 0.0, 0.0]]))
 
+    def test_non_finite_teacher_row_raises(self):
+        # A NaN entry passes the sum check (NaN compares false) but not the op.
+        with pytest.raises(NumericError):
+            kd_loss(np.array([float("nan"), 1.0]), Tensor([[0.0, 1.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            kd_loss(np.array([float("inf"), -float("inf"), 1.0]), Tensor([[0.0, 1.0, 2.0]]))
+
+    def test_one_tape_record(self):
+        tape = Tape()
+        kd_loss(np.array([0.25, 0.75]), tape.parameter([[0.5, -0.5]]), temperature=2.0)
+        assert [rec.op for rec in tape.records] == ["kl_to_target"]
+
 
 class TestCombinedLoss:
     def test_weighted_sum(self):
@@ -210,6 +223,28 @@ class TestStudentForward:
     def test_gradcheck_both_kinds(self):
         assert student_loss_error("mlp", seed=0, eps=1e-5) <= 1e-4
         assert student_loss_error("transformer", seed=0, eps=1e-5) <= 1e-4
+
+    def test_training_steps_record_every_op_with_a_backward_rule(self):
+        """The kernel keeps only the ops the models record. ``reshape`` is
+        the exception: the MLP student applies it to untracked input."""
+        sg = _subgraphs(1)[0]
+        recorded = set()
+        tape = Tape()
+        tracked = [tape.watch(Tensor(a)) for a in _teacher().as_list()]
+        _, logits = teacher_forward(tracked, Tensor(normalize_adjacency(sg.adjacency)),
+                                    Tensor(sg.features()))
+        cross_entropy(logits, sg.label)
+        recorded |= {rec.op for rec in tape.records}
+        for kind in STUDENT_KINDS:
+            config = DistillConfig(student=kind, dim=8, num_classes=3, hidden=4)
+            tape = Tape()
+            tracked = [tape.watch(Tensor(a)) for a in
+                       init_student(config, np.random.default_rng(0)).tensors]
+            logits = student_forward(kind, tracked, Tensor(sg.content_features()))
+            combined_loss(cross_entropy(logits, sg.label),
+                          kd_loss(np.array([0.2, 0.3, 0.5]), logits), 0.5)
+            recorded |= {rec.op for rec in tape.records}
+        assert recorded == set(autodiff._BACKWARD) - {"reshape"}
 
 
 class TestTrainStudent:
@@ -334,6 +369,30 @@ class TestStudentCheckpoint:
         predict, meta = load_predictor(s_path)
         assert meta["model"] == "student-mlp"
         np.testing.assert_array_equal(predict(sg), student_logits(params, [sg])[0])
+
+    def test_load_model_reads_each_checkpoint_once(self, tmp_path, monkeypatch):
+        from graphkd import distill, serialization, teacher
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return serialization.read_checkpoint(path)
+
+        for module in (distill, teacher):
+            monkeypatch.setattr(module, "read_checkpoint", counted)
+        t_path = tmp_path / "t.ckpt"
+        save_teacher(t_path, _teacher(), {"model": "gcn-teacher", "config": {}})
+        params, smeta, _ = train_student(
+            _subgraphs(5), [], DistillConfig(student="transformer", dim=8, num_classes=3,
+                                             hidden=4, kd_weight=0.0, epochs=1,
+                                             seed=0), [])
+        s_path = tmp_path / "s.ckpt"
+        save_student(s_path, params, smeta)
+        for path, model in ((t_path, "gcn-teacher"), (s_path, "student-transformer")):
+            reads.clear()
+            logits, meta = load_model(path)
+            assert reads == [path] and meta["model"] == model
+            assert logits(_subgraphs(2)).shape == (2, 3)
 
     def test_model_logits_match_per_sample_predictor(self, tmp_path):
         graphs = _subgraphs(6)

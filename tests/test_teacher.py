@@ -8,72 +8,79 @@ import pytest
 from graphkd.autodiff import Tensor
 from graphkd.errors import ConfigError, DataError
 from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
-from graphkd.teacher import (TeacherConfig, TeacherParams, average_pool, gcn_layer,
-                             init_teacher, load_teacher, mlp_head, save_teacher,
-                             teacher_forward, teacher_logits, train_teacher)
+from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, load_teacher,
+                             save_teacher, teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import teacher_loss_error
 from reference import teacher_row, train_teacher_reference
+
+
+def _forward(features, a_hat=None, w0=None, w1=None, head=None):
+    """teacher_forward with identity propagation weights and an identity
+    head unless given; ``a_hat`` defaults to the identity."""
+    features = np.asarray(features, dtype=np.float64)
+    n, d = features.shape
+    eye = np.eye(d)
+    if head is None:
+        head = (eye, np.zeros((1, d)), eye, np.zeros((1, d)))
+    params = [eye if w0 is None else w0, eye if w1 is None else w1, *head]
+    a_hat = np.eye(n) if a_hat is None else a_hat
+    return teacher_forward([Tensor(p) for p in params], Tensor(a_hat), Tensor(features))
 
 
 class TestGcnLayer:
     def test_identity_propagation(self):
         h = np.abs(np.random.default_rng(0).normal(1, 0.5, (3, 4)))
-        out = gcn_layer(Tensor(np.eye(3)), Tensor(h), Tensor(np.eye(4)), "relu")
-        np.testing.assert_allclose(out.data, h, atol=1e-12)
+        pooled, _ = _forward(h)
+        np.testing.assert_allclose(pooled.data, h.mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_hand_mixing(self):
-        a_hat = Tensor([[0.5, 0.5], [0.5, 0.5]])
-        h = Tensor([[2.0, 0.0], [0.0, 2.0]])
-        out = gcn_layer(a_hat, h, Tensor(np.eye(2)), "identity")
-        np.testing.assert_allclose(out.data, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
+        # relu(a_hat @ F) = [[1, 1], [0, 2]]; a_hat @ that = [[0.5, 1.5], [0, 2]].
+        a_hat = np.array([[0.5, 0.5], [0.0, 1.0]])
+        pooled, _ = _forward([[2.0, 0.0], [0.0, 2.0]], a_hat=a_hat)
+        np.testing.assert_allclose(pooled.data, [[0.25, 1.75]], atol=1e-12)
 
     def test_relu_clamps_negative_preactivations(self):
-        h = Tensor([[-1.0, -2.0], [-3.0, -4.0]])
-        out = gcn_layer(Tensor(np.eye(2)), h, Tensor(np.eye(2)), "relu")
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
-
-    def test_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            gcn_layer(Tensor(np.eye(2)), Tensor(np.eye(2)), Tensor(np.eye(2)), "gelu")
+        pooled, _ = _forward([[-1.0, -2.0], [-3.0, -4.0]])
+        np.testing.assert_array_equal(pooled.data, np.zeros((1, 2)))
+        # The second propagation step has no activation.
+        pooled, _ = _forward([[1.0, 2.0], [3.0, 4.0]], w1=-np.eye(2))
+        np.testing.assert_array_equal(pooled.data, [[-2.0, -3.0]])
 
 
 class TestPoolAndHead:
     def test_pool_equal_rows(self):
         row = np.array([1.0, -2.0, 3.0])
-        out = average_pool(Tensor(np.tile(row, (5, 1))))
-        np.testing.assert_allclose(out.data, row.reshape(1, -1), atol=1e-12)
+        pooled, _ = _forward(np.tile(np.abs(row), (5, 1)), w1=np.diag(np.sign(row)))
+        np.testing.assert_allclose(pooled.data, row.reshape(1, -1), atol=1e-12)
 
     def test_pool_hand_mean(self):
-        out = average_pool(Tensor([[0.0, 2.0], [2.0, 0.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 1.0]])
+        pooled, _ = _forward([[0.0, 2.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(pooled.data, [[1.0, 1.0]])
 
     def test_pool_single_row(self):
-        out = average_pool(Tensor([[4.0, 5.0]]))
-        np.testing.assert_array_equal(out.data, [[4.0, 5.0]])
+        pooled, _ = _forward([[4.0, 5.0]])
+        np.testing.assert_array_equal(pooled.data, [[4.0, 5.0]])
 
     def test_head_zero_weights_zero_logits(self):
-        out = mlp_head(Tensor([[1.0, 2.0]]), Tensor(np.zeros((2, 3))),
-                       Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 2))),
-                       Tensor(np.zeros((1, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
+        head = (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((3, 2)), np.zeros((1, 2)))
+        _, logits = _forward([[1.0, 2.0]], head=head)
+        np.testing.assert_array_equal(logits.data, np.zeros((1, 2)))
 
     def test_head_hand_fixture(self):
         # pooled [1, 2] -> identity W1 + bias [0.5, -3] -> relu [1.5, 0]
         # -> W2 [[1, -1], [2, 0.5]] + bias [0.25, 0] -> [1.75, -1.5]
-        out = mlp_head(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)),
-                       Tensor([[0.5, -3.0]]), Tensor([[1.0, -1.0], [2.0, 0.5]]),
-                       Tensor([[0.25, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1.75, -1.5]], atol=1e-12)
+        head = (np.eye(2), np.array([[0.5, -3.0]]), np.array([[1.0, -1.0], [2.0, 0.5]]),
+                np.array([[0.25, 0.0]]))
+        _, logits = _forward([[1.0, 2.0]], head=head)
+        np.testing.assert_allclose(logits.data, [[1.75, -1.5]], atol=1e-12)
 
     def test_head_output_width(self):
         rng = np.random.default_rng(1)
         for classes in (2, 5):
-            out = mlp_head(Tensor(rng.normal(0, 1, (1, 4))),
-                           Tensor(rng.normal(0, 1, (4, 3))),
-                           Tensor(np.zeros((1, 3))),
-                           Tensor(rng.normal(0, 1, (3, classes))),
-                           Tensor(np.zeros((1, classes))))
-            assert out.cols == classes
+            head = (rng.normal(0, 1, (4, 3)), np.zeros((1, 3)),
+                    rng.normal(0, 1, (3, classes)), np.zeros((1, classes)))
+            _, logits = _forward(rng.normal(0, 1, (1, 4)), head=head)
+            assert logits.cols == classes
 
 
 def _random_subgraphs(count, dim=8, classes=3, commonsense=2, seed=0):
