@@ -12,7 +12,7 @@ from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, backward, 
                        optimizer_step)
 from .datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
 from .distill import (DistillConfig, StudentParams, combined_loss, compute_soft_labels,
-                      kd_loss, train_student)
+                      kd_loss, soft_target, train_student)
 from .embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
                          top_k_triplets, toy_embed)
 from .evaluate import EvalReport, comparison_report, evaluate_model, micro_f1

@@ -86,6 +86,15 @@ def _log_epochs(metrics: list[dict]) -> None:
         _log(f"epoch {entry['epoch']:3d} train_loss={entry['train_loss']:.4f}{val_part}")
 
 
+def _checkpoint_config(path, metadata: dict) -> dict:
+    """The ``config`` object of a checkpoint's metadata, {} when it has none."""
+    config = metadata.get("config", {})
+    if not isinstance(config, dict):
+        raise ConfigError(f"checkpoint {path}: metadata config must be an object, "
+                          f"got {type(config).__name__}")
+    return config
+
+
 def _splits(subgraphs):
     train = [sg for sg in subgraphs if sg.split == "train"]
     val = [sg for sg in subgraphs if sg.split == "val"]
@@ -117,7 +126,7 @@ def cmd_distill(args) -> int:
     teachers = []
     for path in teacher_paths:
         params, metadata = teacher.load_teacher(path)
-        t_config = metadata.get("config", {})
+        t_config = _checkpoint_config(path, metadata)
         if t_config.get("num_classes") != len(label_vocab):
             raise ConfigError(
                 f"teacher {path} has {t_config.get('num_classes')} classes, "
@@ -145,7 +154,7 @@ def cmd_distill(args) -> int:
 def cmd_eval(args) -> int:
     subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
     predict, metadata = distill.load_model(args.model)
-    model_config = metadata.get("config", {})
+    model_config = _checkpoint_config(args.model, metadata)
     if model_config.get("dim") not in (None, dim):
         raise ConfigError(
             f"model dim {model_config.get('dim')} does not match graphs dim {dim}")

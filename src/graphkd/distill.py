@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
                        backward, cross_entropy, glorot_uniform, kl_to_target, matmul,
                        mean_rows, optimizer_step, relu, reshape, row_softmax, transpose)
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
@@ -152,23 +152,37 @@ def student_logits(params: StudentParams, subgraphs: list[Subgraph]) -> np.ndarr
 # Distillation losses
 # ---------------------------------------------------------------------------
 
-def kd_loss(p_teacher: np.ndarray, student_logits_t: Tensor,
-            temperature: float = 1.0) -> Tensor:
-    """KL(teacher distribution || student softmax at the same temperature),
-    scaled by temperature^2 (a no-op at the default temperature 1), the
-    soft-target loss of Hinton et al. 2015. The teacher row must have one
-    entry per student logit and sum to 1; classes it gives no mass add
-    nothing to its entropy. One ``kl_to_target`` record on the tape."""
+@dataclass(frozen=True)
+class SoftTarget:
+    """One sample's fixed teacher distribution, checked once: ``probs`` sums
+    to 1, and ``entropy`` is sum_j p_j log p_j over its positive entries
+    (classes given no mass add nothing)."""
+
+    probs: np.ndarray
+    entropy: float
+
+
+def soft_target(p_teacher: np.ndarray) -> SoftTarget:
+    """Check a teacher row and compute its entropy term once, for every
+    ``kd_loss`` step that distils towards it. A row that does not sum to 1
+    is a ``DataError``; one with a non-finite entry is a ``NumericError``."""
     p = np.asarray(p_teacher, dtype=np.float64).reshape(-1)
-    if student_logits_t.rows != 1 or p.size != student_logits_t.cols:
-        raise ShapeError(
-            f"teacher row has {p.size} classes, student logits are "
-            f"{student_logits_t.rows}x{student_logits_t.cols}")
+    if not np.isfinite(p).all():
+        raise NumericError("teacher distribution holds a non-finite value")
     if abs(p.sum() - 1.0) > 1e-6:
         raise DataError(f"teacher distribution sums to {p.sum()!r}, not 1")
     positive = p[p > 0]
-    entropy_term = float(np.sum(positive * np.log(positive)))
-    return kl_to_target(student_logits_t, p, temperature, entropy_term)
+    return SoftTarget(p, float(np.sum(positive * np.log(positive))))
+
+
+def kd_loss(target: SoftTarget, student_logits_t: Tensor,
+            temperature: float = 1.0) -> Tensor:
+    """KL(teacher distribution || student softmax at the same temperature),
+    scaled by temperature^2 (a no-op at the default temperature 1), the
+    soft-target loss of Hinton et al. 2015. ``target`` comes from
+    ``soft_target`` and must have one entry per student logit. One
+    ``kl_to_target`` record on the tape."""
+    return kl_to_target(student_logits_t, target.probs, temperature, target.entropy)
 
 
 def combined_loss(l_sce: Tensor, l_kd: Tensor | None, kd_weight: float) -> Tensor:
@@ -218,15 +232,15 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
     check_dataset(train + val, config)
 
     use_kd = config.kd_weight > 0
-    soft_rows: list[np.ndarray] = []
+    targets: list[SoftTarget] = []
     if use_kd:
         if not teachers:
             raise ConfigError("kd_weight > 0 requires at least one teacher")
-        soft_rows = [row for _, row in
-                     compute_soft_labels(teachers, train, config.temperature)]
-        if soft_rows[0].size != config.num_classes:
+        targets = [soft_target(row) for _, row in
+                   compute_soft_labels(teachers, train, config.temperature)]
+        if targets[0].probs.size != config.num_classes:
             raise ConfigError(
-                f"teacher produces {soft_rows[0].size} classes, student expects "
+                f"teacher produces {targets[0].probs.size} classes, student expects "
                 f"{config.num_classes}")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -248,7 +262,7 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
             logits = student_forward(config.student, tracked, content[idx])
             sce = cross_entropy(logits, labels[idx])
             if use_kd:
-                kd = kd_loss(soft_rows[idx], logits, config.temperature)
+                kd = kd_loss(targets[idx], logits, config.temperature)
                 loss = combined_loss(sce, kd, config.kd_weight)
             else:
                 loss = sce
@@ -282,7 +296,7 @@ def save_student(path, params: StudentParams, metadata: dict) -> None:
 def student_from_checkpoint(path, metadata: dict, tensors: dict) -> StudentParams:
     """The student in a checkpoint already read from ``path``."""
     model = metadata.get("model", "")
-    if not model.startswith("student-"):
+    if not isinstance(model, str) or not model.startswith("student-"):
         raise ConfigError(f"{path} holds a '{model}' model, expected a student")
     kind = model.removeprefix("student-")
     if kind not in STUDENT_KINDS:

@@ -6,9 +6,10 @@ A token's row is derived as: the blake2b digest of ``"{seed}:{token}"`` read
 as a 64-bit integer, then numpy's ``SeedSequence`` words for that integer,
 then a ``PCG64`` seeded with those words, then ``standard_normal(dim)``.
 ``token_rows`` derives the rows of all distinct tokens of a set of texts in
-one pass, with the ``SeedSequence`` words computed as arrays. A graph build
-makes one such table for all the texts it embeds, so each distinct token's
-row is computed once per build.
+one pass, with the ``SeedSequence`` words computed as arrays, one chunk of
+``TOKEN_ROW_CHUNK`` tokens at a time. A graph build makes one such table
+for all the texts it embeds, so each distinct token's row is computed once
+per build.
 
 The on-disk embedding format (``GEMB``) stores vectors as f32 little-endian;
 in memory everything is float64. Stores quantize to f32 on insertion so that
@@ -21,7 +22,7 @@ import re
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .serialization import _Reader, utf8_lines
 
 EMBEDDING_MAGIC = b"GEMB"
 EMBEDDING_VERSION = 1
+# Tokens whose digests and SeedSequence words are derived together: enough
+# to amortise the array passes, few enough that the uint32 intermediates
+# stay small beside the table itself.
+TOKEN_ROW_CHUNK = 4096
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -128,22 +133,26 @@ def token_rows(texts, dim: int, seed: int) -> TokenRows:
 
     A token's row is ``Generator(PCG64(s)).standard_normal(dim)``, where
     ``s`` is the little-endian 64-bit blake2b digest of ``"{seed}:{token}"``.
-    The PCG64 is seeded with ``SeedSequence(s)``'s words, derived for all
-    tokens at once by ``seed_sequence_words``."""
+    The PCG64 is seeded with ``SeedSequence(s)``'s words, derived by
+    ``seed_sequence_words`` for ``TOKEN_ROW_CHUNK`` tokens at a time, and
+    the table is filled one such chunk at a time, so the intermediates
+    scale with the chunk rather than with the table."""
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
     index: dict[str, int] = {}
     for text in texts:
         for token in tokenize(text):
             index.setdefault(token, len(index))
-    digests = b"".join(blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
-                       for token in index)
-    words = seed_sequence_words(np.frombuffer(digests, dtype="<u8"))
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
     rows = np.empty((len(index), dim))
-    for row_words, row in zip(words, rows):
-        np.random.Generator(np.random.PCG64(_SeedWords(row_words))).standard_normal(
-            dim, out=row)
+    tokens = iter(index)
+    for start in range(0, len(index), TOKEN_ROW_CHUNK):
+        digests = b"".join(blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+                           for token in islice(tokens, TOKEN_ROW_CHUNK))
+        words = seed_sequence_words(np.frombuffer(digests, dtype="<u8"))
+        for row_words, row in zip(words, rows[start:start + TOKEN_ROW_CHUNK]):
+            np.random.Generator(np.random.PCG64(_SeedWords(row_words))).standard_normal(
+                dim, out=row)
     rows.flags.writeable = False
     return TokenRows(dim, seed, index, rows)
 
@@ -249,16 +258,26 @@ class EmbeddingStore:
         self._matrix = None
 
     def vector(self, key: str) -> np.ndarray:
+        """A fresh, writable copy of the vector stored under ``key``."""
         if key not in self._index:
             raise DataError(f"missing embedding id '{key}'")
         return self._vectors[self._index[key]].copy()
 
+    def row(self, key: str) -> np.ndarray:
+        """The vector stored under ``key`` as a read-only view of
+        ``matrix()``: every caller shares the one row instead of a copy."""
+        if key not in self._index:
+            raise DataError(f"missing embedding id '{key}'")
+        return self.matrix()[self._index[key]]
+
     def matrix(self) -> np.ndarray:
+        """Every vector as one read-only row, in insertion order."""
         if self._matrix is None:
             if not self._vectors:
                 self._matrix = np.zeros((0, self.dim))
             else:
                 self._matrix = np.vstack(self._vectors)
+            self._matrix.flags.writeable = False
         return self._matrix
 
 
@@ -327,7 +346,7 @@ class TripletStore:
                 raise DataError(f"companion store lacks embedding id '{triplet_id(i)}'")
         self.triplets = list(triplets)
         self.embeddings = embeddings
-        self._scoring: tuple[np.ndarray, np.ndarray] | None = None
+        self._scoring: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_texts(cls, triplets: list[Triplet], dim: int, seed: int) -> "TripletStore":
@@ -346,15 +365,21 @@ class TripletStore:
         return self.embeddings.dim
 
     def scoring_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """The embedding matrix and its row norms, computed and checked for
-        zero norms once per matrix rather than once per query."""
+        """The embeddings of t0, t1, ... as rows in that order, and their
+        norms, computed and checked for zero norms once per embedding matrix
+        rather than once per query. A store that lists the ids in that order
+        is scored in place; one that does not (a GEMB file may order its ids
+        freely) is gathered by id."""
         mat = self.embeddings.matrix()
         if self._scoring is None or self._scoring[0] is not mat:
-            norms = np.linalg.norm(mat, axis=1)
+            ids = [triplet_id(i) for i in range(len(self))]
+            ordered = (mat if self.embeddings.ids() == ids
+                       else np.stack([self.embeddings.row(tid) for tid in ids]))
+            norms = np.linalg.norm(ordered, axis=1)
             if (norms == 0.0).any():
                 raise DataError("triplet store contains a zero-norm embedding")
-            self._scoring = (mat, norms)
-        return self._scoring
+            self._scoring = (mat, ordered, norms)
+        return self._scoring[1], self._scoring[2]
 
 
 def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple[str, float]]:

@@ -11,6 +11,11 @@ every pair co-retrieved on the training split is computed once, into an
 ``NpmiTable`` indexed by triplet, and each sample's commonsense block is
 read from it.
 
+A dataset is built in three passes (see ``build_dataset_graphs``): embed
+every sample's content nodes, release the token-row table, retrieve, then
+add edges. A commonsense node's embedding is a shared, read-only row of the
+triplet store's matrix, not a copy per sample.
+
 Graphs file: JSON lines, one header line (format, label vocabulary, config
 echo) and then one record per sample (nodes with kind, id and embedding,
 and the row-major adjacency). It is the interchange format and the one a
@@ -203,7 +208,10 @@ def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
 def attach_commonsense(content_nodes: list[Node], store: TripletStore,
                        k: int = 3) -> tuple[list[Node], list[RetrievalHit]]:
     """Retrieve top-k triplets for each content node; returns the merged,
-    index-ordered commonsense nodes plus the full retrieval log."""
+    index-ordered commonsense nodes plus the full retrieval log. A
+    commonsense node's embedding is its triplet's read-only row of the
+    store's matrix, looked up by id and shared by every sample that
+    retrieves it."""
     log: list[RetrievalHit] = []
     retrieved: set[str] = set()
     for node in content_nodes:
@@ -211,7 +219,7 @@ def attach_commonsense(content_nodes: list[Node], store: TripletStore,
             log.append(RetrievalHit(node.kind, tid, sim))
             retrieved.add(tid)
     nodes = [
-        Node(COMMONSENSE_KIND, tid, store.embeddings.vector(tid))
+        Node(COMMONSENSE_KIND, tid, store.embeddings.row(tid))
         for tid in sorted(retrieved, key=_triplet_index)
     ]
     return nodes, log
@@ -304,10 +312,19 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: int,
                          k: int = 3, mode: str = "hybrid",
                          tau: float = 0.0) -> list[Subgraph]:
-    """Two-pass construction over a validated dataset: retrieval first
-    (accumulating training-split co-occurrence statistics), then edges.
-    Node embeddings use the triplet store's dimension. Each distinct token
-    of the dataset's texts gets its row once, in one ``token_rows`` table."""
+    """Three passes over a validated dataset: embed, retrieve, then edges.
+    Node embeddings use the triplet store's dimension.
+
+    1. Every record's content nodes are embedded from one ``token_rows``
+       table, so each distinct token of the dataset's texts gets its row
+       once. The table is then released: it is the build's largest object
+       (one float64 row per distinct token), and nothing after this pass
+       embeds, so retrieval and edges never hold it.
+    2. Retrieval, in record order, accumulating the training split's
+       co-occurrence statistics. A sample's retrieval depends only on its
+       own content nodes, so it does not matter that all samples were
+       embedded first.
+    3. Edges, which need the complete statistics."""
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
 
@@ -316,20 +333,20 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     rows = token_rows([text for r in dataset.records
                        for text in (r.question, r.language_context, r.visual_text or "")],
                       dim, seed)
-    built: list[tuple[ManifestRecord, list[Node], list[RetrievalHit]]] = []
+    contents = [build_content_nodes(record, dim, seed, dataset.visual_store, rows)
+                for record in dataset.records]
+    del rows
+
+    built: list[tuple[list[Node], list[RetrievalHit]]] = []
     stats = CooccurrenceStats()
-    for record in dataset.records:
-        content = build_content_nodes(record, dim, seed, dataset.visual_store, rows)
+    for record, content in zip(dataset.records, contents):
         commonsense, log = attach_commonsense(content, triplet_store, k)
-        built.append((record, content + commonsense, log))
+        built.append((content + commonsense, log))
         if record.split == "train":
             stats.observe({hit.triplet_id for hit in log})
 
-    # The edge pass embeds nothing; releasing the token rows here lets its
-    # allocations reuse their memory instead of raising the peak.
-    del rows
     subgraphs: list[Subgraph] = []
-    for record, nodes, log in built:
+    for record, (nodes, log) in zip(dataset.records, built):
         adjacency = build_edges(nodes, log, stats, mode=mode, tau=tau)
         subgraphs.append(Subgraph(
             sample_id=record.sample_id,

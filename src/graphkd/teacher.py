@@ -113,18 +113,24 @@ def teacher_forward(params: list[Tensor], a_hat: Tensor,
 def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
                    a_hats: list[np.ndarray] | None = None) -> np.ndarray:
     """Untracked forward passes for prediction; returns the n x C logits in
-    sample order. Graphs of one size go through the network as one stack."""
-    if a_hats is None:
-        a_hats = [normalize_adjacency(sg.adjacency) for sg in subgraphs]
-    features = [sg.features() for sg in subgraphs]
+    sample order. Graphs of one node count go through the network as one
+    stack. A group's stacked Â (normalized here unless ``a_hats`` are given)
+    and features are built only when that group runs, so at most one
+    group's stacks are alive at a time."""
     groups: dict[tuple, list[int]] = {}
-    for i, (a_hat, feats) in enumerate(zip(a_hats, features)):
-        groups.setdefault((a_hat.shape, feats.shape), []).append(i)
+    for i, sg in enumerate(subgraphs):
+        shape = np.shape(sg.adjacency if a_hats is None else a_hats[i])
+        groups.setdefault((shape, sg.size), []).append(i)
     tensors = [Tensor(a) for a in params.as_list()]
     out = np.empty((len(subgraphs), params.head_b2.shape[1]))
     for members in groups.values():
-        _, logits = teacher_forward(tensors, Tensor(np.stack([a_hats[i] for i in members])),
-                                    Tensor(np.stack([features[i] for i in members])))
+        if a_hats is None:
+            stacked = np.stack([normalize_adjacency(subgraphs[i].adjacency) for i in members])
+        else:
+            stacked = np.stack([a_hats[i] for i in members])
+        features = np.array([[node.embedding for node in subgraphs[i].nodes]
+                             for i in members], dtype=np.float64)
+        _, logits = teacher_forward(tensors, Tensor(stacked), Tensor(features))
         out[members] = logits.data[:, 0, :]
     return out
 

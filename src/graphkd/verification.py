@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, cross_entropy, gradcheck
-from .distill import DistillConfig, combined_loss, init_student, kd_loss, student_forward
+from .distill import (DistillConfig, combined_loss, init_student, kd_loss, soft_target,
+                      student_forward)
 from .errors import ConfigError
 from .graphs import Node, Subgraph, normalize_adjacency
 from .teacher import TeacherConfig, init_teacher, teacher_forward
@@ -73,7 +74,7 @@ def student_loss_error(kind: str, seed: int = 0, eps: float = 1e-5) -> float:
     rng = np.random.Generator(np.random.PCG64(seed + 2))
     params = init_student(config, rng)
     content = Tensor(sg.content_features())
-    soft = rng.dirichlet(np.ones(FIXTURE_CLASSES))
+    soft = soft_target(rng.dirichlet(np.ones(FIXTURE_CLASSES)))
 
     def loss(tracked):
         logits = student_forward(kind, tracked, content)

@@ -4,15 +4,22 @@ These are the training and prediction loops as they were written before
 parameters moved into one flat vector and untracked passes were stacked:
 one 2-D forward per sample, one optimizer update per parameter matrix.
 ``kd_chain_reference`` is the distillation term as it was computed before
-it became one tape op: a chain of six elementwise and reduction steps. The
-package must reproduce them bit for bit.
+it became one tape op: a chain of six elementwise and reduction steps.
+``kd_step_reference`` is the term as each training step computed it before
+teacher rows were checked once per run: the row checked and its entropy
+taken again at every step. ``build_graphs_reference`` is the graph build as
+it was before it ran in three passes: embed and retrieve one record at a
+time with the token-row table alive throughout, each commonsense node a
+copy of its store vector. The package must reproduce them bit for bit.
 """
 
 import numpy as np
 
-from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, split_flat
-from graphkd.distill import combined_loss, init_student, kd_loss, student_forward
-from graphkd.graphs import normalize_adjacency
+from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, kl_to_target, split_flat
+from graphkd.distill import combined_loss, init_student, student_forward
+from graphkd.embeddings import token_rows, top_k_triplets
+from graphkd.graphs import (COMMONSENSE_KIND, CooccurrenceStats, Node, RetrievalHit, Subgraph,
+                            build_content_nodes, build_edges, normalize_adjacency)
 from graphkd.teacher import init_teacher, resolved_learning_rate, teacher_forward
 
 
@@ -80,6 +87,15 @@ def kd_chain_reference(p_teacher, logits, temperature, upstream):
     return loss, g
 
 
+def kd_step_reference(p_teacher, logits, temperature):
+    """The KD term of one step, with the teacher row's sum checked and its
+    entropy computed at that step."""
+    p = np.asarray(p_teacher, dtype=np.float64).reshape(-1)
+    assert abs(p.sum() - 1.0) <= 1e-6
+    positive = p[p > 0]
+    return kl_to_target(logits, p, temperature, float(np.sum(positive * np.log(positive))))
+
+
 def teacher_row(params, sg):
     """One sample's 1-D teacher logit row from a 2-D forward pass."""
     tensors = [Tensor(a) for a in params.as_list()]
@@ -144,8 +160,33 @@ def train_student_reference(train, config, teachers):
         sce = cross_entropy(logits, train[idx].label)
         if config.kd_weight == 0:
             return sce
-        return combined_loss(sce, kd_loss(soft[idx], logits, config.temperature),
+        return combined_loss(sce, kd_step_reference(soft[idx], logits, config.temperature),
                              config.kd_weight)
 
     return _train(arrays, len(train), config.epochs, rng, config.optimizer,
                   resolved_learning_rate(config), loss_of)
+
+
+def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau=0.0):
+    """Subgraphs of the interleaved build loop."""
+    dim = triplet_store.dim
+    rows = token_rows([text for r in dataset.records
+                       for text in (r.question, r.language_context, r.visual_text or "")],
+                      dim, seed)
+    built = []
+    stats = CooccurrenceStats()
+    for record in dataset.records:
+        content = build_content_nodes(record, dim, seed, dataset.visual_store, rows)
+        log = [RetrievalHit(node.kind, tid, sim) for node in content
+               for tid, sim in top_k_triplets(node.embedding, triplet_store, k)]
+        ids = sorted({hit.triplet_id for hit in log}, key=lambda tid: int(tid[1:]))
+        commonsense = [Node(COMMONSENSE_KIND, tid, triplet_store.embeddings.vector(tid))
+                       for tid in ids]
+        built.append((record, content + commonsense, log))
+        if record.split == "train":
+            stats.observe(set(ids))
+    label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
+    return [Subgraph(sample_id=record.sample_id, split=record.split, group=record.group,
+                     label=label_index[record.label], nodes=nodes,
+                     adjacency=build_edges(nodes, log, stats, mode=mode, tau=tau))
+            for record, nodes, log in built]

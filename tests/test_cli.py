@@ -333,6 +333,33 @@ class TestMalformedInputs:
         assert str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    @pytest.mark.parametrize("mutation", ["config-list", "config-string", "config-null",
+                                          "model-number"])
+    def test_malformed_checkpoint_metadata_exits_two_with_one_line(
+            self, trained, tmp_path, capsys, command, mutation):
+        graphs, teacher = trained
+        meta, tensors = read_checkpoint(teacher)
+        meta.pop("tensors")
+        if mutation == "model-number":
+            meta["model"] = 7
+        else:
+            meta["config"] = {"config-list": [1, 2], "config-string": "dim=8",
+                              "config-null": None}[mutation]
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, meta, list(tensors.items()))
+        out = tmp_path / "out"
+        argv = (["eval", "--model", str(bad), "--graphs", str(graphs), "--report", str(out)]
+                if command == "eval" else
+                ["distill", "--graphs", str(graphs), "--teacher", str(bad), "--student", "mlp",
+                 "--epochs", "1", "--out", str(out)])
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+        assert not out.exists()
+
     def test_non_finite_checkpoint_exits_two(self, trained, tmp_path, capsys):
         graphs, teacher = trained
         meta, tensors = read_checkpoint(teacher)

@@ -9,14 +9,15 @@ from graphkd import autodiff
 from graphkd.autodiff import Tape, Tensor, cross_entropy
 from graphkd.distill import (STUDENT_KINDS, DistillConfig, StudentParams, combined_loss,
                              compute_soft_labels, init_student, kd_loss, load_model,
-                             load_predictor, load_student, save_student,
+                             load_predictor, load_student, save_student, soft_target,
                              student_forward, student_logits, train_student)
 from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
 from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
 from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, save_teacher,
                              teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import student_loss_error
-from reference import (soft_label_row, student_row, teacher_row, train_student_reference)
+from reference import (kd_chain_reference, soft_label_row, student_row, teacher_row,
+                       train_student_reference)
 
 
 def _subgraphs(count, dim=8, classes=3, seed=0, split="train"):
@@ -108,11 +109,11 @@ class TestKdLoss:
     def test_zero_when_distributions_match(self):
         logits = np.array([[0.4, -1.2, 2.0]])
         p = _np_softmax(logits[0])
-        loss = kd_loss(p, Tensor(logits))
+        loss = kd_loss(soft_target(p), Tensor(logits))
         assert 0.0 <= loss.item() <= 1e-12
 
     def test_hand_value_ln2(self):
-        loss = kd_loss(np.array([1.0, 0.0]), Tensor([[0.0, 0.0]]))
+        loss = kd_loss(soft_target(np.array([1.0, 0.0])), Tensor([[0.0, 0.0]]))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_nonnegative_on_random_pairs(self):
@@ -120,12 +121,12 @@ class TestKdLoss:
         for _ in range(500):
             c = int(rng.integers(2, 6))
             p = rng.dirichlet(np.ones(c))
-            loss = kd_loss(p, Tensor(rng.normal(0, 3, (1, c))))
+            loss = kd_loss(soft_target(p), Tensor(rng.normal(0, 3, (1, c))))
             assert loss.item() >= 0.0
 
     def test_zero_teacher_mass_contributes_nothing(self):
         p = np.array([0.5, 0.5, 0.0])
-        loss = kd_loss(p, Tensor([[1.0, 1.0, -40.0]]))
+        loss = kd_loss(soft_target(p), Tensor([[1.0, 1.0, -40.0]]))
         assert math.isfinite(loss.item())
 
     def test_temperature_scaling_matches_reference(self):
@@ -136,28 +137,71 @@ class TestKdLoss:
         student = _np_softmax(logits[0] / tau)
         mask = p > 0
         want = tau * tau * float(np.sum(p[mask] * (np.log(p[mask]) - np.log(student[mask]))))
-        got = kd_loss(p, Tensor(logits), temperature=tau)
+        got = kd_loss(soft_target(p), Tensor(logits), temperature=tau)
         assert got.item() == pytest.approx(want, abs=1e-9)
 
     def test_rejects_unnormalized_teacher_row(self):
         with pytest.raises(DataError):
-            kd_loss(np.array([0.7, 0.7]), Tensor([[0.0, 0.0]]))
+            soft_target(np.array([0.7, 0.7]))
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ShapeError):
-            kd_loss(np.array([0.5, 0.5]), Tensor([[0.0, 0.0, 0.0]]))
+            kd_loss(soft_target(np.array([0.5, 0.5])), Tensor([[0.0, 0.0, 0.0]]))
 
     def test_non_finite_teacher_row_raises(self):
-        # A NaN entry passes the sum check (NaN compares false) but not the op.
+        # A NaN entry would pass the sum check (NaN compares false).
         with pytest.raises(NumericError):
-            kd_loss(np.array([float("nan"), 1.0]), Tensor([[0.0, 1.0]]))
+            soft_target(np.array([float("nan"), 1.0]))
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            kd_loss(np.array([float("inf"), -float("inf"), 1.0]), Tensor([[0.0, 1.0, 2.0]]))
+            soft_target(np.array([float("inf"), -float("inf"), 1.0]))
 
     def test_one_tape_record(self):
         tape = Tape()
-        kd_loss(np.array([0.25, 0.75]), tape.parameter([[0.5, -0.5]]), temperature=2.0)
+        kd_loss(soft_target(np.array([0.25, 0.75])), tape.parameter([[0.5, -0.5]]),
+                temperature=2.0)
         assert [rec.op for rec in tape.records] == ["kl_to_target"]
+
+    def test_entropy_term_matches_the_per_step_computation(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(5)) * (rng.random(5) < 0.8)
+            p = p / p.sum() if p.sum() > 0 else np.eye(5)[0]
+            logits = rng.normal(0, 2, (1, 5))
+            want, _ = kd_chain_reference(p, logits, 1.5, np.ones((1, 1)))
+            got = kd_loss(soft_target(p), Tensor(logits), temperature=1.5)
+            assert got.data.tobytes() == want.tobytes()
+
+
+class TestSoftTargetsOncePerRun:
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count ``soft_target``, ``kd_loss`` and optimizer steps in ``distill``."""
+        from graphkd import distill
+        calls = {"soft_target": 0, "kd_loss": 0, "optimizer_step": 0}
+        for name in calls:
+            real = getattr(distill, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(distill, name, counted)
+        return distill, calls
+
+    CONFIG = DistillConfig(student="mlp", dim=8, num_classes=3, hidden=4, epochs=3)
+
+    def test_each_row_checked_once_and_one_kd_loss_per_step(self, monkeypatch):
+        distill, calls = self._counted(monkeypatch)
+        distill.train_student(_subgraphs(5), [], self.CONFIG, [_teacher()])
+        assert calls == {"soft_target": 5, "kd_loss": 15, "optimizer_step": 15}
+
+    def test_bad_row_rejected_before_the_first_step(self, monkeypatch):
+        distill, calls = self._counted(monkeypatch)
+        rows = [(f"s{i}", np.array([0.2, 0.3, 0.5])) for i in range(5)]
+        rows[3] = ("s3", np.array([0.2, 0.3, 0.6]))
+        monkeypatch.setattr(distill, "compute_soft_labels", lambda *args: rows)
+        with pytest.raises(DataError, match="sums to"):
+            distill.train_student(_subgraphs(5), [], self.CONFIG, [_teacher()])
+        assert calls["optimizer_step"] == 0 and calls["kd_loss"] == 0
 
 
 class TestCombinedLoss:
@@ -242,7 +286,7 @@ class TestStudentForward:
                        init_student(config, np.random.default_rng(0)).tensors]
             logits = student_forward(kind, tracked, Tensor(sg.content_features()))
             combined_loss(cross_entropy(logits, sg.label),
-                          kd_loss(np.array([0.2, 0.3, 0.5]), logits), 0.5)
+                          kd_loss(soft_target(np.array([0.2, 0.3, 0.5])), logits), 0.5)
             recorded |= {rec.op for rec in tape.records}
         assert recorded == set(autodiff._BACKWARD) - {"reshape"}
 
@@ -352,6 +396,15 @@ class TestStudentCheckpoint:
         with pytest.raises(ConfigError):
             load_student(path)
 
+    @pytest.mark.parametrize("model", [7, None, ["student-mlp"]])
+    def test_load_rejects_non_string_model_kind(self, tmp_path, model):
+        params = init_student(DistillConfig(student="mlp", dim=8, num_classes=3),
+                              np.random.default_rng(1))
+        path = tmp_path / "s.ckpt"
+        save_student(path, params, {"model": model, "config": {}})
+        with pytest.raises(ConfigError, match="expected a student"):
+            load_student(path)
+
     def test_predictor_dispatch(self, tmp_path):
         sg = _subgraphs(1)[0]
         t_path = tmp_path / "t.ckpt"
@@ -450,6 +503,43 @@ class TestStackedLogits:
         assert got.shape == (11, 4)
         for row, sg in zip(got, graphs):
             assert row.tobytes() == teacher_row(teacher, sg).tobytes()
+
+    @pytest.mark.parametrize("given_a_hats", [False, True])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_teachers_and_soft_labels_match_per_sample_on_mixed_sizes(self, given_a_hats,
+                                                                      count):
+        graphs = _mixed_sizes(13, classes=4, seed=5)
+        teachers = [_teacher(classes=4, seed=s) for s in range(2, 2 + count)]
+        a_hats = [normalize_adjacency(sg.adjacency) for sg in graphs] if given_a_hats else None
+        for params in teachers:
+            got = teacher_logits(params, graphs, a_hats)
+            for row, sg in zip(got, graphs):
+                assert row.tobytes() == teacher_row(params, sg).tobytes()
+        entries = compute_soft_labels(teachers, graphs, temperature=2.0)
+        for (sample_id, row), sg in zip(entries, graphs):
+            assert sample_id == sg.sample_id
+            assert row.tobytes() == soft_label_row(teachers, sg, 2.0).tobytes()
+
+    def test_group_inputs_are_built_when_the_group_runs(self, monkeypatch):
+        from graphkd import teacher as teacher_module
+        normalized, forwards = [], []
+        real_normalize = teacher_module.normalize_adjacency
+        real_forward = teacher_module.teacher_forward
+
+        def normalize(adjacency):
+            normalized.append(adjacency.shape[0])
+            return real_normalize(adjacency)
+
+        def forward(params, a_hat, features):
+            forwards.append((len(normalized), a_hat.data.shape[0]))
+            return real_forward(params, a_hat, features)
+
+        monkeypatch.setattr(teacher_module, "normalize_adjacency", normalize)
+        monkeypatch.setattr(teacher_module, "teacher_forward", forward)
+        teacher_logits(_teacher(), _mixed_sizes(12))
+        # Each group's adjacencies are normalized just before its forward pass.
+        assert len(forwards) == 4
+        assert [done for done, _ in forwards] == list(np.cumsum([n for _, n in forwards]))
 
     @pytest.mark.parametrize("kind", ["mlp", "transformer"])
     def test_student_logits_match_per_sample_forward(self, kind):

@@ -5,6 +5,7 @@ from hashlib import blake2b
 import numpy as np
 import pytest
 
+from graphkd import embeddings
 from graphkd.datagen import SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
                                 read_store, read_triplets_tsv, seed_sequence_words, tokenize,
@@ -109,6 +110,19 @@ class TestTokenRows:
             want = _reference_embed(text, 16, 2).tobytes()
             assert toy_embed(text, 16, 2, rows).tobytes() == want, text
             assert toy_embed(text, 16, 2).tobytes() == want, text
+
+    # 2422 distinct tokens: 346 full chunks of 7, or a partial last chunk of 9.
+    @pytest.mark.parametrize("chunk", [7, 9])
+    def test_rows_equal_integer_seeded_generator_across_chunks(self, texts, monkeypatch,
+                                                               chunk):
+        whole = token_rows(texts, 16, 2)
+        monkeypatch.setattr(embeddings, "TOKEN_ROW_CHUNK", chunk)
+        rows = token_rows(texts, 16, 2)
+        assert len(rows.index) == 2422
+        assert rows.index == whole.index
+        assert rows.rows.tobytes() == whole.rows.tobytes()
+        for token, i in rows.index.items():
+            assert rows.rows[i].tobytes() == _reference_row(token, 16, 2).tobytes(), token
 
     def test_no_texts_give_an_empty_table(self):
         rows = token_rows(["", "!!"], 8, 0)
@@ -236,6 +250,18 @@ class TestTopK:
             want = [(f"t{i}", float(scores[i])) for i in order]
             assert top_k_triplets(query, store, k) == want
 
+    def test_store_listing_ids_out_of_order_retrieves_by_id(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(0, 1, (9, 6))
+        in_order = _store_from_rows(rows)
+        store = EmbeddingStore(6)
+        for i in (4, 0, 8, 2, 7, 1, 5, 3, 6):
+            store.add(f"t{i}", rows[i])
+        shuffled = TripletStore(in_order.triplets, store)
+        for query in rng.normal(0, 1, (20, 6)):
+            assert top_k_triplets(query, shuffled, 3) == top_k_triplets(query, in_order, 3)
+        assert top_k_triplets(rows[0], shuffled, 1)[0][0] == "t0"
+
     def test_non_finite_query_rejected(self):
         store = _store_from_rows([[1.0, 0.0], [0.0, 1.0]])
         for bad in (np.nan, np.inf):
@@ -280,6 +306,20 @@ class TestEmbeddingStore:
         store = EmbeddingStore(2)
         with pytest.raises(DataError, match="missing embedding id 'nope'"):
             store.vector("nope")
+
+    def test_row_is_a_shared_read_only_view(self):
+        store = EmbeddingStore(2)
+        store.add("a", np.array([1.0, 2.0]))
+        store.add("b", np.array([3.0, 4.0]))
+        row = store.row("b")
+        assert row.tobytes() == store.vector("b").tobytes()
+        assert np.shares_memory(row, store.row("b"))
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+        store.vector("b")[0] = 0.0
+        assert row[0] == 3.0
+        with pytest.raises(DataError, match="missing embedding id 'c'"):
+            store.row("c")
 
     def test_vectors_quantized_to_f32(self):
         store = EmbeddingStore(2)

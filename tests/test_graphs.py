@@ -1,17 +1,21 @@
 """Subgraph construction: content nodes, retrieval attachment, PMI edges,
 adjacency normalization, and the graphs file."""
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from graphkd import graphs
 from graphkd.datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
-                                read_store, read_triplets_tsv, toy_embed)
+                                read_store, read_triplets_tsv, write_store)
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
 from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, CooccurrenceStats,
                             Node, RetrievalHit, Subgraph, attach_commonsense,
@@ -19,6 +23,7 @@ from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, Cooccu
                             companion_path, normalize_adjacency, pmi_weight, read_graphs,
                             write_graphs)
 from graphkd.serialization import read_checkpoint
+from reference import build_graphs_reference
 
 
 def _record(**overrides):
@@ -675,3 +680,83 @@ class TestNpmiTableEdges:
         stats.observe({"t0", "t5"})
         assert stats.npmi_table() is not table
         assert stats.npmi_table().block(["t0", "t1"])[0, 1] < 1.0
+
+
+@pytest.fixture(scope="module")
+def synth(tmp_path_factory):
+    """A toy dataset whose odd records carry visual text instead of a store
+    reference, and its triplet store."""
+    config = SynthConfig(samples=60, classes=3, dim=8, triplets_per_class=4, seed=5)
+    paths = generate_synthetic(config, tmp_path_factory.mktemp("build") / "d")
+    dataset = ingest_manifest(paths["manifest"], read_store(paths["visual_embeddings"]))
+    dataset.records = [
+        dataclasses.replace(r, visual_ref=None, visual_text=f"picture of {r.question}")
+        if i % 2 else r for i, r in enumerate(dataset.records)]
+    store = TripletStore(read_triplets_tsv(paths["triplets"]),
+                         read_store(paths["triplet_embeddings"]))
+    return dataset, store
+
+
+class TestBuildPassOrder:
+    """Embedding every record before any retrieval gives the subgraphs of the
+    interleaved loop, and the token-row table is gone before retrieval."""
+
+    @pytest.mark.parametrize("mode", ["cosine", "pmi", "hybrid"])
+    def test_equals_the_interleaved_build(self, synth, mode):
+        dataset, store = synth
+        got = build_dataset_graphs(dataset, store, seed=5, k=2, mode=mode, tau=0.1)
+        want = build_graphs_reference(dataset, store, seed=5, k=2, mode=mode, tau=0.1)
+        assert_same_graphs((got, {}), (want, {}))
+        assert any(sg.adjacency[4:, 4:].any() for sg in got) == (mode != "cosine")
+
+    def test_token_rows_are_released_before_retrieval(self, synth, monkeypatch):
+        dataset, store = synth
+        tables = []
+        alive_at_retrieval = []
+        real_rows, real_top_k = graphs.token_rows, graphs.top_k_triplets
+
+        def rows(*args, **kwargs):
+            table = real_rows(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def top_k(*args, **kwargs):
+            if not alive_at_retrieval:
+                gc.collect()
+                alive_at_retrieval.append(tables[0]() is not None)
+            return real_top_k(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "token_rows", rows)
+        monkeypatch.setattr(graphs, "top_k_triplets", top_k)
+        build_dataset_graphs(dataset, store, seed=5, k=2)
+        assert len(tables) == 1
+        assert alive_at_retrieval == [False]
+
+    def test_commonsense_rows_are_shared_and_read_only(self, synth):
+        dataset, store = synth
+        rows = {}
+        for sg in build_dataset_graphs(dataset, store, seed=5, k=2):
+            for node in sg.nodes[4:]:
+                assert node.embedding.tobytes() == store.embeddings.vector(node.id).tobytes()
+                rows.setdefault(node.id, []).append(node.embedding)
+        first, *others = max(rows.values(), key=len)
+        assert others and all(np.shares_memory(first, other) for other in others)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+
+    def test_store_listing_ids_out_of_order_builds_the_same_graphs(self, synth, tmp_path):
+        """A triplet GEMB may list its ids in any order; retrieval and node
+        rows go by id, not by position."""
+        dataset, store = synth
+        shuffled = EmbeddingStore(store.dim)
+        ids = store.embeddings.ids()
+        for tid in ids[1::2] + ids[::2][::-1]:
+            shuffled.add(tid, store.embeddings.vector(tid))
+        write_store(tmp_path / "t.gemb", shuffled)
+        reread = TripletStore(store.triplets, read_store(tmp_path / "t.gemb"))
+        assert reread.embeddings.ids() != ids
+        got = build_dataset_graphs(dataset, reread, seed=5, k=2)
+        assert_same_graphs((got, {}), (build_dataset_graphs(dataset, store, seed=5, k=2), {}))
+        for sg in got:
+            for node in sg.nodes[4:]:
+                assert not node.embedding.flags.writeable
