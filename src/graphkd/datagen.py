@@ -38,7 +38,7 @@ import numpy as np
 from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, write_store,
                          write_triplets_tsv)
 from .errors import ConfigError, DataError
-from .serialization import canonical_json, utf8_lines
+from .serialization import canonical_json, check_text, utf8_lines
 
 SPLITS = ("train", "val", "test")
 NUM_GROUPS = 3
@@ -300,19 +300,6 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
 _REQUIRED_FIELDS = ("sample_id", "question", "language_context", "label", "group", "split")
 
 
-def _check_text(doc: dict, fieldname: str, lineno: int) -> None:
-    """A string that UTF-8 can encode: JSON's \\u escapes can spell an
-    unpaired surrogate, which no output file could then hold."""
-    value = doc[fieldname]
-    if not isinstance(value, str):
-        raise DataError(f"line {lineno}: field '{fieldname}' must be a string")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise DataError(f"line {lineno}: field '{fieldname}' holds an unpaired "
-                        f"surrogate escape") from exc
-
-
 def parse_manifest_line(line: str, lineno: int) -> ManifestRecord:
     try:
         doc = json.loads(line)
@@ -323,13 +310,14 @@ def parse_manifest_line(line: str, lineno: int) -> ManifestRecord:
     for fieldname in _REQUIRED_FIELDS:
         if fieldname not in doc:
             raise DataError(f"line {lineno}: missing field '{fieldname}'")
-        _check_text(doc, fieldname, lineno)
+        check_text(doc[fieldname], f"line {lineno}: field '{fieldname}'", DataError)
     has_text = "visual_text" in doc
     has_ref = "visual_ref" in doc
     if has_text == has_ref:
         raise DataError(
             f"line {lineno}: exactly one of visual_text / visual_ref is required")
-    _check_text(doc, "visual_text" if has_text else "visual_ref", lineno)
+    visual = "visual_text" if has_text else "visual_ref"
+    check_text(doc[visual], f"line {lineno}: field '{visual}'", DataError)
     if doc["split"] not in SPLITS:
         raise DataError(f"line {lineno}: unknown split token '{doc['split']}'")
     if not doc["question"]:

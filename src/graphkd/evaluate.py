@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, NumericError
 from .graphs import Subgraph
-from .serialization import utf8_lines
+from .serialization import check_text, utf8_lines
 
 
 def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -168,11 +168,7 @@ def read_report(path) -> EvalReport:
             raise FormatError(f"report {path}: per_group must be an object, "
                               f"got {type(per_group).__name__}")
         for group, entry in per_group.items():
-            try:
-                group.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise FormatError(f"report {path}: per_group name {group!r} holds an "
-                                  f"unpaired surrogate escape") from exc
+            check_text(group, f"report {path}: per_group name")
             if not isinstance(entry, dict):
                 raise FormatError(f"report {path}: per_group entry {group!r} must be an "
                                   f"object, got {type(entry).__name__}")

@@ -42,6 +42,17 @@ graphs file as it is on disk; otherwise, or when there is no companion, it
 parses the JSON. A companion that exists but cannot be read is a format
 error. Subgraphs read from a companion equal the parsed ones bitwise;
 their commonsense embeddings are shared, read-only rows of one table.
+
+Record rule: a graphs file holds one or more records. In each, the sample
+id, group and node ids are strings that UTF-8 can encode; the split is one
+of ``SPLITS``; the label is an int, not a bool, below the length of the
+header's label vocabulary; the nodes are the four ``CONTENT_KINDS`` in
+order, then only commonsense nodes, with one id and one embedding each;
+and the adjacency has n x n entries. ``_checked_subgraphs`` applies it, in
+``write_graphs`` before anything is written and in both readers after
+decoding. A decoder checks only what its encoding can get wrong: JSON
+syntax and ragged or non-finite values; the container, its staleness and
+its ``triplet_rows``.
 """
 
 from __future__ import annotations
@@ -61,11 +72,12 @@ from .datagen import SPLITS, Dataset, ManifestRecord
 from .embeddings import (EmbeddingStore, TokenRows, TripletStore, pairwise_cosine,
                          token_rows, top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .serialization import canonical_json, read_checkpoint, utf8_lines, write_checkpoint
+from .serialization import (canonical_json, check_text, read_checkpoint, utf8_lines,
+                            write_checkpoint)
 
 CONTENT_KINDS = ("question", "language_context", "visual_context", "vl")
 COMMONSENSE_KIND = "commonsense"
-EDGE_MODES = ("cosine", "pmi", "hybrid")
+EDGE_MODES = ("cosine", "hybrid")
 GRAPHS_FORMAT = "graphkd-graphs"
 GRAPHS_VERSION = 1
 COMPANION_SUFFIX = ".gkdc"
@@ -253,8 +265,8 @@ def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceS
     Content-content edges: cosine similarity when above ``tau`` (negative
     similarities never become edges, keeping weights in [0, 1]).
     Content-commonsense edges: the retrieval similarity, clamped to [0, 1].
-    Commonsense-commonsense edges: normalized PMI, in modes pmi / hybrid,
-    read from ``stats.npmi_table()``.
+    Commonsense-commonsense edges: normalized PMI, in mode hybrid, read
+    from ``stats.npmi_table()``.
     """
     if mode not in EDGE_MODES:
         raise ConfigError(f"unknown edge mode '{mode}'")
@@ -279,7 +291,7 @@ def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceS
         b = index[hit.triplet_id]
         adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
 
-    if mode in ("pmi", "hybrid"):
+    if mode == "hybrid":
         # Triplets never retrieved on the training split have no statistics
         # and therefore no PMI edges.
         commonsense = [i for i, node in enumerate(nodes) if node.kind == COMMONSENSE_KIND]
@@ -368,63 +380,6 @@ def companion_path(path) -> Path:
     return Path(str(path) + COMPANION_SUFFIX)
 
 
-class _CompanionWriter:
-    """Collects the companion's metadata and tensor pieces before the JSON
-    lines are written. Pieces are views of the subgraphs' own arrays, so
-    nothing large is copied or concatenated."""
-
-    def __init__(self):
-        self.digest = hashlib.sha256()
-        self.samples: list[dict] = []
-        self.triplet_rows: dict[tuple[str, bytes], int] = {}
-        self.triplets: list[np.ndarray] = []
-        self.rows: list[np.ndarray] = []
-        self.adjacency: list[np.ndarray] = []
-        self.dim: int | None = None
-
-    def add(self, sg: Subgraph) -> None:
-        """Take one subgraph; every node embedding must be 1-D of the first
-        one's width, and the adjacency n x n."""
-        kinds, ids, triplet_rows = [], [], []
-        for node in sg.nodes:
-            emb = np.asarray(node.embedding, dtype=np.float64)
-            if self.dim is None:
-                self.dim = emb.size
-            if emb.shape != (self.dim,):
-                raise DataError(f"sample '{sg.sample_id}' node '{node.id}' has an embedding "
-                                f"of shape {emb.shape}, expected ({self.dim},)")
-            kinds.append(node.kind)
-            ids.append(node.id)
-            if node.kind == COMMONSENSE_KIND:
-                key = (node.id, emb.tobytes())
-                if key not in self.triplet_rows:
-                    self.triplet_rows[key] = len(self.triplets)
-                    self.triplets.append(emb.reshape(1, -1))
-                triplet_rows.append(self.triplet_rows[key])
-            else:
-                self.rows.append(emb.reshape(1, -1))
-        n = len(sg.nodes)
-        if np.shape(sg.adjacency) != (n, n):
-            raise DataError(f"sample '{sg.sample_id}' has an adjacency of shape "
-                            f"{np.shape(sg.adjacency)} for {n} nodes")
-        self.adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
-        self.samples.append({"sample_id": sg.sample_id, "split": sg.split,
-                             "group": sg.group, "label": sg.label, "kinds": kinds,
-                             "ids": ids, "triplet_rows": triplet_rows})
-
-    def write(self, path, header: dict) -> None:
-        """Write the companion. A temporary name keeps a half-written
-        companion from ever sitting beside the graphs file."""
-        target = companion_path(path)
-        metadata = {"format": COMPANION_FORMAT, "version": COMPANION_VERSION,
-                    "graphs_sha256": self.digest.hexdigest(), "header": header,
-                    "samples": self.samples}
-        partial = Path(str(target) + ".partial")
-        write_checkpoint(partial, metadata, [("triplets", self.triplets), ("rows", self.rows),
-                                             ("adjacency", self.adjacency)])
-        os.replace(partial, target)
-
-
 def _node_json(kind: str, node_id: str, embedding: np.ndarray) -> str:
     """``canonical_json`` of one node object, keys in its sorted order."""
     return (f'{{"embedding":{canonical_json(embedding.tolist())},'
@@ -436,41 +391,82 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
     """One header line (format, vocabulary, config echo), then one record
     per sample with nodes (kind, id, embedding) and the row-major adjacency,
     each line ``canonical_json`` of its object. Then the binary companion
-    (see the module docstring). Subgraphs whose embeddings are not all 1-D
-    of one width, or whose adjacency is not n x n, are a ``DataError``
-    before anything is written."""
+    (see the module docstring). A header or record that breaks the record
+    rule, node embeddings not all 1-D of one width, or an adjacency that is
+    not n x n, is a ``DataError`` before anything is written."""
     header = {
         "format": GRAPHS_FORMAT,
         "version": GRAPHS_VERSION,
         "label_vocab": list(label_vocab),
         "config": config,
     }
-    companion = _CompanionWriter()
+    _check_header(header, path, DataError)
+    _checked_subgraphs(((sg.sample_id, sg.split, sg.group, sg.label,
+                         [node.kind for node in sg.nodes], [node.id for node in sg.nodes],
+                         [node.embedding for node in sg.nodes], sg.adjacency)
+                        for sg in subgraphs), header["label_vocab"], f"graphs for {path}",
+                       DataError)
+    # The companion's metadata and tensor pieces. Pieces are views of the
+    # subgraphs' own arrays, so nothing large is copied or concatenated.
+    samples: list[dict] = []
+    triplet_rows: dict[tuple[str, bytes], int] = {}
+    triplets, rows, adjacency = [], [], []
+    dim = None
     for sg in subgraphs:
-        companion.add(sg)
+        refs = []
+        for node in sg.nodes:
+            emb = np.asarray(node.embedding, dtype=np.float64)
+            dim = emb.size if dim is None else dim
+            if emb.shape != (dim,):
+                raise DataError(f"sample '{sg.sample_id}' node '{node.id}' has an embedding "
+                                f"of shape {emb.shape}, expected ({dim},)")
+            if node.kind == COMMONSENSE_KIND:
+                key = (node.id, emb.tobytes())
+                if key not in triplet_rows:
+                    triplet_rows[key] = len(triplets)
+                    triplets.append(emb.reshape(1, -1))
+                refs.append(triplet_rows[key])
+            else:
+                rows.append(emb.reshape(1, -1))
+        n = len(sg.nodes)
+        if np.shape(sg.adjacency) != (n, n):
+            raise DataError(f"sample '{sg.sample_id}' has an adjacency of shape "
+                            f"{np.shape(sg.adjacency)} for {n} nodes")
+        adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
+        samples.append({"sample_id": sg.sample_id, "split": sg.split, "group": sg.group,
+                        "label": sg.label, "kinds": [node.kind for node in sg.nodes],
+                        "ids": [node.id for node in sg.nodes], "triplet_rows": refs})
     # A commonsense node's JSON is formatted once per row of the triplet
     # table, that is once per distinct id and embedding.
     fragments = [_node_json(COMMONSENSE_KIND, tid, row[0])
-                 for (tid, _), row in zip(companion.triplet_rows, companion.triplets)]
+                 for (tid, _), row in zip(triplet_rows, triplets)]
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def emit(text: str) -> None:
             line = (text + "\n").encode("utf-8")
-            companion.digest.update(line)
+            digest.update(line)
             fh.write(line)
 
         emit(canonical_json(header))
-        for sg, doc in zip(subgraphs, companion.samples):
+        for sg, doc in zip(subgraphs, samples):
             refs = iter(doc["triplet_rows"])
             nodes = ",".join(
                 fragments[next(refs)] if node.kind == COMMONSENSE_KIND
                 else _node_json(node.kind, node.id, np.asarray(node.embedding, dtype=np.float64))
                 for node in sg.nodes)
-            adjacency = np.asarray(sg.adjacency, dtype=np.float64).reshape(-1).tolist()
-            emit(f'{{"adjacency":{canonical_json(adjacency)},'
+            flat = np.asarray(sg.adjacency, dtype=np.float64).reshape(-1).tolist()
+            emit(f'{{"adjacency":{canonical_json(flat)},'
                  f'"group":{canonical_json(sg.group)},"label":{canonical_json(sg.label)},'
                  f'"nodes":[{nodes}],"sample_id":{canonical_json(sg.sample_id)},'
                  f'"split":{canonical_json(sg.split)}}}')
-    companion.write(path, header)
+    # A temporary name keeps a half-written companion from ever sitting
+    # beside the graphs file.
+    partial = Path(str(companion_path(path)) + ".partial")
+    write_checkpoint(partial, {"format": COMPANION_FORMAT, "version": COMPANION_VERSION,
+                               "graphs_sha256": digest.hexdigest(), "header": header,
+                               "samples": samples},
+                     [("triplets", triplets), ("rows", rows), ("adjacency", adjacency)])
+    os.replace(partial, companion_path(path))
 
 
 def _file_sha256(path) -> str:
@@ -481,24 +477,62 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _check_header(header, path) -> None:
+def _check_header(header, path, error: type[Exception] = FormatError) -> None:
     """The header's format and version, and a label vocabulary of one or
-    more strings that UTF-8 can encode: JSON's \\u escapes can spell an
-    unpaired surrogate, which no checkpoint or report could then hold."""
+    more strings that UTF-8 can encode."""
     if not isinstance(header, dict) or header.get("format") != GRAPHS_FORMAT:
-        raise FormatError(f"{path} is not a graphs file")
+        raise error(f"{path} is not a graphs file")
     if header.get("version") != GRAPHS_VERSION:
-        raise FormatError(f"unsupported graphs version {header.get('version')}")
+        raise error(f"unsupported graphs version {header.get('version')}")
     vocab = header.get("label_vocab")
-    if not isinstance(vocab, list) or not vocab or not all(isinstance(v, str) for v in vocab):
-        raise FormatError(f"graphs file {path}: label_vocab must be a non-empty list "
-                          f"of strings, got {vocab!r}")
+    if not isinstance(vocab, list) or not vocab:
+        raise error(f"graphs file {path}: label_vocab must be a non-empty list of strings, "
+                    f"got {vocab!r}")
     for label in vocab:
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise FormatError(f"graphs file {path}: label_vocab entry {label!r} holds an "
-                              f"unpaired surrogate escape") from exc
+        check_text(label, f"graphs file {path}: label_vocab entry", error)
+
+
+def _checked_subgraphs(records, label_vocab: list[str], source: str,
+                       error: type[Exception]) -> list[Subgraph]:
+    """The subgraphs of ``records`` (sample id, split, group, label, node
+    kinds, ids and embeddings, adjacency in any shape) under the record
+    rule; a record that breaks it raises ``error`` naming ``source``."""
+    subgraphs: list[Subgraph] = []
+    texts: list = []
+    for number, (sample_id, split, group, label, kinds, ids, embeddings,
+                 adjacency) in enumerate(records, start=1):
+        where = f"{source}, record {number}"
+        if split not in SPLITS:
+            raise error(f"{where}: unknown split {split!r}, expected one of {', '.join(SPLITS)}")
+        # bool is an int subclass; JSON true is not a label.
+        if type(label) is not int or not 0 <= label < len(label_vocab):
+            raise error(f"{where}: label {label!r} is not an index into the "
+                        f"{len(label_vocab)}-entry label vocabulary")
+        n = len(kinds)
+        if tuple(kinds) != CONTENT_KINDS + (COMMONSENSE_KIND,) * (n - 4):
+            raise error(f"{where}: node kinds must be {', '.join(CONTENT_KINDS)}, then only "
+                        f"{COMMONSENSE_KIND}; got {list(kinds)!r}")
+        if len(ids) != n or len(embeddings) != n:
+            raise error(f"{where}: {n} kinds, {len(ids)} ids and {len(embeddings)} embeddings")
+        if np.size(adjacency) != n * n:
+            raise error(f"{where}: {np.size(adjacency)} adjacency entries for {n} nodes")
+        texts += (sample_id, group, *ids)
+        subgraphs.append(Subgraph(sample_id, split, group, label,
+                                  [Node(*node) for node in zip(kinds, ids, embeddings)],
+                                  np.reshape(adjacency, (n, n))))
+    if not subgraphs:
+        raise error(f"{source} contains no records")
+    try:
+        # One screen for the whole file; the loop below only names the culprit.
+        "".join(texts).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        for number, sg in enumerate(subgraphs, start=1):
+            where = f"{source}, record {number}"
+            check_text(sg.sample_id, f"{where}: sample_id", error)
+            check_text(sg.group, f"{where}: group", error)
+            for i, node in enumerate(sg.nodes):
+                check_text(node.id, f"{where}: node {i} id", error)
+    return subgraphs
 
 
 def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None:
@@ -518,89 +552,45 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
         return None
     header = meta.get("header")
     _check_header(header, path)
-    try:
+
+    def records():
         triplets, rows = tensors["triplets"], tensors["rows"]
         adjacency = tensors["adjacency"].reshape(-1)
         triplets.flags.writeable = False
-        subgraphs: list[Subgraph] = []
         next_row = next_adj = 0
         for doc in meta["samples"]:
-            kinds, ids, triplet_rows = doc["kinds"], doc["ids"], doc["triplet_rows"]
-            if len(kinds) != len(ids) or kinds.count(COMMONSENSE_KIND) != len(triplet_rows):
-                raise ValueError(f"node lists of sample {doc['sample_id']!r} disagree")
-            nodes = []
-            refs = iter(triplet_rows)
-            for kind, node_id in zip(kinds, ids):
-                if kind == COMMONSENSE_KIND:
-                    ref = next(refs)
-                    if type(ref) is not int or not 0 <= ref < len(triplets):
-                        raise ValueError(f"bad triplet row {ref!r}")
-                    embedding = triplets[ref]
-                else:
-                    embedding = rows[next_row]
-                    next_row += 1
-                nodes.append(Node(kind, node_id, embedding))
-            n = len(nodes)
-            subgraphs.append(Subgraph(
-                sample_id=doc["sample_id"],
-                split=doc["split"],
-                group=doc["group"],
-                label=int(doc["label"]),
-                nodes=nodes,
-                adjacency=adjacency[next_adj:next_adj + n * n].reshape(n, n),
-            ))
+            kinds, refs = doc["kinds"], doc["triplet_rows"]
+            if kinds.count(COMMONSENSE_KIND) != len(refs):
+                raise ValueError(f"{len(refs)} triplet rows for {kinds!r}")
+            for ref in refs:
+                if type(ref) is not int or not 0 <= ref < len(triplets):
+                    raise ValueError(f"bad triplet row {ref!r}")
+            n, content = len(kinds), len(kinds) - len(refs)
+            # Content rows come first and commonsense rows after; the record
+            # rule rejects any other order of kinds.
+            yield (doc["sample_id"], doc["split"], doc["group"], doc["label"], kinds,
+                   doc["ids"], [*rows[next_row:next_row + content],
+                                *(triplets[ref] for ref in refs)],
+                   adjacency[next_adj:next_adj + n * n])
+            next_row += content
             next_adj += n * n
         if next_row != len(rows) or next_adj != adjacency.size:
             raise ValueError("tensor sizes do not match the samples")
+
+    try:
+        subgraphs = _checked_subgraphs(records(), header["label_vocab"],
+                                       f"graphs companion {companion}", FormatError)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise broken(f"malformed metadata: {exc}") from exc
-    if not subgraphs:
-        raise FormatError(f"graphs file {path} contains no records")
     return subgraphs, header
-
-
-def _check_strings(subgraphs: list[Subgraph], path) -> None:
-    """Every record string (sample id, split, group, node kinds and ids) is a
-    str that UTF-8 can encode. JSON's \\u escapes can spell an unpaired
-    surrogate, which a report or checkpoint could then not hold."""
-    parts: list = []
-    for sg in subgraphs:
-        parts += (sg.sample_id, sg.split, sg.group)
-        parts += [node.kind for node in sg.nodes]
-        parts += [node.id for node in sg.nodes]
-    try:
-        "".join(parts).encode("utf-8")
-        return
-    except (TypeError, UnicodeEncodeError):
-        pass
-    for number, sg in enumerate(subgraphs, start=1):
-        fields = [("sample_id", sg.sample_id), ("split", sg.split), ("group", sg.group)]
-        fields += [(f"node {i} {what}", value) for i, node in enumerate(sg.nodes)
-                   for what, value in (("kind", node.kind), ("id", node.id))]
-        for what, value in fields:
-            where = f"graphs file {path}, record {number}: {what}"
-            if not isinstance(value, str):
-                raise FormatError(f"{where} must be a string, got {type(value).__name__}")
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise FormatError(f"{where} {value!r} holds an unpaired surrogate "
-                                  f"escape") from exc
 
 
 def read_graphs(path) -> tuple[list[Subgraph], dict]:
     """Subgraphs and header of a graphs file, from its companion when that
-    matches the file's bytes, else by parsing the JSON lines. Every record
-    is in the train, val or test split."""
+    matches the file's bytes, else by parsing the JSON lines."""
     companion = companion_path(path)
     cached = _read_companion(path, companion) if companion.is_file() else None
-    subgraphs, header = cached or _parse_graphs(path)
-    _check_strings(subgraphs, path)
-    for number, sg in enumerate(subgraphs, start=1):
-        if sg.split not in SPLITS:
-            raise FormatError(f"graphs file {path}, record {number}: unknown split "
-                              f"{sg.split!r}, expected one of {', '.join(SPLITS)}")
-    return subgraphs, header
+    return cached or _parse_graphs(path)
 
 
 def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
@@ -616,45 +606,36 @@ def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
         raise FormatError(f"line 1: invalid graphs header: {exc}") from exc
     _check_header(header, path)
 
-    subgraphs: list[Subgraph] = []
-    dim = None
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
-        try:
-            nodes = [
-                Node(n["kind"], n["id"], np.asarray(n["embedding"], dtype=np.float64))
-                for n in doc["nodes"]
-            ]
-            n = len(nodes)
-            adjacency = np.asarray(doc["adjacency"], dtype=np.float64).reshape(n, n)
-            subgraphs.append(Subgraph(
-                sample_id=doc["sample_id"],
-                split=doc["split"],
-                group=doc["group"],
-                label=int(doc["label"]),
-                nodes=nodes,
-                adjacency=adjacency,
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
-        if not nodes:
-            raise FormatError(f"line {lineno}: graph record has no nodes")
-        if dim is None:
-            dim = nodes[0].embedding.size
-        for node in nodes:
-            if node.embedding.shape != (dim,):
-                raise FormatError(f"line {lineno}: node '{node.id}' has an embedding of "
-                                  f"shape {node.embedding.shape}, expected ({dim},)")
-            if not np.isfinite(node.embedding).all():
-                raise FormatError(f"line {lineno}: node '{node.id}' has a non-finite "
-                                  f"embedding value")
-        if not np.isfinite(adjacency).all():
-            raise FormatError(f"line {lineno}: non-finite adjacency weight")
-    if not subgraphs:
-        raise FormatError(f"graphs file {path} contains no records")
-    return subgraphs, header
+    def records():
+        dim = None
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
+            try:
+                nodes = doc["nodes"]
+                ids = [node["id"] for node in nodes]
+                embeddings = [np.asarray(node["embedding"], dtype=np.float64) for node in nodes]
+                adjacency = np.asarray(doc["adjacency"], dtype=np.float64)
+                record = (doc["sample_id"], doc["split"], doc["group"], doc["label"],
+                          [node["kind"] for node in nodes], ids, embeddings, adjacency)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
+            for node_id, embedding in zip(ids, embeddings):
+                if dim is None:
+                    dim = embedding.size
+                if embedding.shape != (dim,):
+                    raise FormatError(f"line {lineno}: node {node_id!r} has an embedding of "
+                                      f"shape {embedding.shape}, expected ({dim},)")
+                if not np.isfinite(embedding).all():
+                    raise FormatError(f"line {lineno}: node {node_id!r} has a non-finite "
+                                      f"embedding value")
+            if not np.isfinite(adjacency).all():
+                raise FormatError(f"line {lineno}: non-finite adjacency weight")
+            yield record
+
+    return _checked_subgraphs(records(), header["label_vocab"], f"graphs file {path}",
+                              FormatError), header

@@ -12,7 +12,8 @@ embedding store format of ``embeddings``.
 
 Writers are canonical: the same logical content always produces the same
 bytes, so write -> read -> write is byte-identical. ``utf8_lines`` is how
-the text readers read their files.
+the text readers read their files, and ``check_text`` how they check a
+string they read.
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_asci
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, raw UTF-8."""
     return _CANONICAL.encode(obj)
+
+
+def check_text(value, what: str, error: type[Exception] = FormatError) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is a str that UTF-8
+    can encode: JSON's \\u escapes can spell an unpaired surrogate, which no
+    output file could then hold."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(f"{what} {value!r} holds an unpaired surrogate escape") from exc
 
 
 def utf8_lines(path):

@@ -13,9 +13,11 @@ from graphkd.datagen import SynthConfig
 from graphkd.distill import DistillConfig
 from graphkd.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION, read_store
 from graphkd.evaluate import read_report
-from graphkd.graphs import companion_path, read_graphs
-from graphkd.serialization import read_checkpoint, write_checkpoint
+from graphkd.graphs import COMPANION_SUFFIX, companion_path, read_graphs
+from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, read_checkpoint,
+                                   write_checkpoint)
 from graphkd.teacher import TeacherConfig
+from record_mutations import RECORD_MUTATIONS
 
 GEN = ["gen-synth", "--samples", "160", "--classes", "4", "--dim", "16",
        "--triplets-per-class", "4", "--seed", "3"]
@@ -117,41 +119,54 @@ def _mutate_graphs(path, mutation):
         node["embedding"][0] = float("nan")
     elif mutation == "nan-adjacency":
         record["adjacency"][1] = float("nan")
-    elif mutation == "no-nodes":
-        record["nodes"], record["adjacency"] = [], []
     elif mutation == "no-label-vocab":
         del header["label_vocab"]
     elif mutation == "surrogate-label":
         header["label_vocab"][0] += "\ud800"
-    elif mutation == "surrogate-group":
-        record["group"] += "\ud800"
-    elif mutation == "surrogate-node-id":
-        node["id"] += "\udfff"
-    elif mutation == "number-split":
-        record["split"] = 7
-    elif mutation == "unknown-split":
-        record["split"] = "tst"
+    else:
+        edit, _ = RECORD_MUTATIONS[mutation]
+        edit(record, record["nodes"])
+        if not record["nodes"]:
+            record["adjacency"] = []
     lines[0], lines[2] = json.dumps(header), json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _spoil_companion(path, field):
-    """Append an unpaired surrogate escape to the first label of the
-    companion's header ("label") or to the group of its second sample
-    ("group"), or give that sample the split "tst" ("split"). The graphs
-    file is untouched, so the companion still matches it and is the copy
-    that gets read."""
-    blob = path.read_bytes()
-    (meta_len,) = struct.unpack_from("<Q", blob, 8)
-    meta = json.loads(blob[16:16 + meta_len])
-    if field == "label":
-        meta["header"]["label_vocab"][0] += "\ud800"
-    elif field == "group":
-        meta["samples"][1]["group"] += "\ud800"
-    else:
-        meta["samples"][1]["split"] = "tst"
+def _edit_companion(path, edit):
+    """Rewrite the companion at ``path`` after ``edit(meta, tensors)``. The
+    metadata is written with ASCII escapes, so it may hold unpaired
+    surrogates. The graphs file is untouched, so the companion still matches
+    it and is the copy that gets read."""
+    meta, tensors = read_checkpoint(path)
+    edit(meta, tensors)
+    meta["tensors"] = [{"name": name, "rows": t.shape[0], "cols": t.shape[1]}
+                       for name, t in tensors.items()]
     raw = json.dumps(meta).encode("ascii")
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + meta_len:])
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(raw)) + raw
+                     + b"".join(t.astype("<f8").tobytes() for t in tensors.values()))
+
+
+def _mutate_companion(graphs, mutation):
+    """Apply a record mutation to the second sample of the companion of
+    ``graphs``. A sample left without nodes loses its content rows and
+    adjacency block too, so the tensors still fit the samples."""
+    def edit(meta, tensors):
+        first, record = meta["samples"][:2]
+        refs = iter(record["triplet_rows"])
+        nodes = [{"kind": kind, "id": node_id,
+                  "row": next(refs) if kind == "commonsense" else None}
+                 for kind, node_id in zip(record["kinds"], record["ids"])]
+        RECORD_MUTATIONS[mutation][0](record, nodes)
+        if not nodes:
+            start, n = len(first["kinds"]) ** 2, len(record["kinds"])
+            tensors["rows"] = np.delete(tensors["rows"], slice(4, 8), axis=0)
+            tensors["adjacency"] = np.delete(tensors["adjacency"],
+                                             slice(start, start + n * n), axis=0)
+        record["kinds"] = [node["kind"] for node in nodes]
+        record["ids"] = [node["id"] for node in nodes]
+        record["triplet_rows"] = [node["row"] for node in nodes if node["row"] is not None]
+
+    _edit_companion(companion_path(graphs), edit)
 
 
 def _gemb(dim, entries, count=None, magic=EMBEDDING_MAGIC, version=EMBEDDING_VERSION):
@@ -202,47 +217,42 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     @pytest.mark.parametrize("mutation", [
         "truncate", "short-embedding", "nested-embedding", "nan-embedding",
-        "nan-adjacency", "no-nodes", "no-label-vocab", "surrogate-label",
-        "surrogate-group", "surrogate-node-id", "number-split", "unknown-split"])
+        "nan-adjacency", "no-label-vocab", "surrogate-label"])
     def test_malformed_graphs_exit_two_with_one_line(self, trained, tmp_path, capsys,
                                                      command, mutation):
-        source, teacher = trained
-        graphs = tmp_path / "d.graphs"
-        shutil.copy(source, graphs)
-        shutil.copy(companion_path(source), companion_path(graphs))
-        _mutate_graphs(graphs, mutation)
-        out = tmp_path / "out"
-        argv = (["train-teacher", "--graphs", str(graphs), "--epochs", "1", "--out", str(out)]
-                if command == "train-teacher" else
-                ["eval", "--model", str(teacher), "--graphs", str(graphs), "--report", str(out)])
-        capsys.readouterr()
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
+        self._read_spoiled(trained, tmp_path, capsys, command, _mutate_graphs, mutation)
+
+    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
+    @pytest.mark.parametrize("source", ["json", "companion"])
+    @pytest.mark.parametrize("mutation", sorted(RECORD_MUTATIONS))
+    def test_record_rule_holds_for_either_copy(self, trained, tmp_path, capsys, command,
+                                               source, mutation):
+        """An edited JSON line leaves the companion stale, so the JSON is
+        parsed; an edited companion still matches the JSON, so it is read."""
+        spoil = _mutate_graphs if source == "json" else _mutate_companion
+        err = self._read_spoiled(trained, tmp_path, capsys, command, spoil, mutation)
+        assert RECORD_MUTATIONS[mutation][1] in err
+        copy = f"{tmp_path / 'd.graphs'}{COMPANION_SUFFIX}"
+        assert (copy in err) == (source == "companion")
 
     @pytest.mark.parametrize("command", ["train-teacher", "eval"])
     def test_surrogate_label_in_companion_exits_two(self, trained, tmp_path, capsys, command):
-        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "label",
-                                          "surrogate")
+        def edit(meta, _):
+            meta["header"]["label_vocab"][0] += "\ud800"
 
-    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
-    def test_surrogate_group_in_companion_exits_two(self, trained, tmp_path, capsys, command):
-        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "group",
-                                          "surrogate")
+        err = self._read_spoiled(trained, tmp_path, capsys, command,
+                                 lambda graphs: _edit_companion(companion_path(graphs), edit))
+        assert "surrogate" in err
 
-    @pytest.mark.parametrize("command", ["train-teacher", "eval"])
-    def test_unknown_split_in_companion_exits_two(self, trained, tmp_path, capsys, command):
-        self._spoiled_companion_exits_two(trained, tmp_path, capsys, command, "split",
-                                          "unknown split 'tst'")
-
-    def _spoiled_companion_exits_two(self, trained, tmp_path, capsys, command, field,
-                                     message):
+    def _read_spoiled(self, trained, tmp_path, capsys, command, spoil, *args):
+        """Run ``command`` on a copy of the graphs file and its companion
+        after ``spoil(copy, *args)``; it must exit 2 with one ``error:``
+        line, no traceback, and write nothing. Returns stderr."""
         source, teacher = trained
         graphs = tmp_path / "d.graphs"
         shutil.copy(source, graphs)
         shutil.copy(companion_path(source), companion_path(graphs))
-        _spoil_companion(companion_path(graphs), field)
+        spoil(graphs, *args)
         out = tmp_path / "out"
         argv = (["train-teacher", "--graphs", str(graphs), "--epochs", "1", "--out", str(out)]
                 if command == "train-teacher" else
@@ -251,8 +261,8 @@ class TestMalformedInputs:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
-        assert not out.exists()
+        assert "Traceback" not in err and not out.exists()
+        return err
 
     @pytest.mark.parametrize("store", ["embeddings", "triplet-embeddings"])
     @pytest.mark.parametrize("mutation", GEMB_MUTATIONS)

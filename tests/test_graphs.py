@@ -23,6 +23,7 @@ from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, Cooccu
                             companion_path, normalize_adjacency, pmi_weight, read_graphs,
                             write_graphs)
 from graphkd.serialization import read_checkpoint
+from record_mutations import RECORD_MUTATIONS
 from reference import build_graphs_reference
 
 
@@ -257,8 +258,8 @@ class TestBuildEdges:
         nodes, log, stats = self._fixture()
         adj = build_edges(nodes, log, stats, mode="cosine")
         assert adj[4, 5] == 0.0
-        pmi_adj = build_edges(nodes, log, stats, mode="pmi")
-        assert pmi_adj[4, 5] > 0.0
+        hybrid_adj = build_edges(nodes, log, stats, mode="hybrid")
+        assert hybrid_adj[4, 5] > 0.0
 
     def test_retrieval_similarity_clamped(self):
         nodes, log, stats = self._fixture()
@@ -272,8 +273,9 @@ class TestBuildEdges:
 
     def test_bad_mode(self):
         nodes, log, stats = self._fixture()
-        with pytest.raises(ConfigError):
-            build_edges(nodes, log, stats, mode="fancy")
+        for mode in ("fancy", "pmi"):
+            with pytest.raises(ConfigError):
+                build_edges(nodes, log, stats, mode=mode)
 
     def test_unseen_triplet_pairs_skip_pmi(self):
         nodes, log, stats = self._fixture()
@@ -508,6 +510,31 @@ class TestGraphsCompanion:
         assert companion_path(p1).read_bytes() == companion_path(p2).read_bytes()
         assert str(tmp_path).encode() not in companion_path(p1).read_bytes()
 
+    @pytest.mark.parametrize("mutation", sorted(RECORD_MUTATIONS))
+    def test_record_rule_is_checked_before_any_file_is_created(self, tmp_path, mutation):
+        subgraphs = self._subgraphs()
+        sg = subgraphs[1]
+        record = {"sample_id": sg.sample_id, "split": sg.split, "group": sg.group,
+                  "label": sg.label}
+        nodes = [{"kind": n.kind, "id": n.id, "embedding": n.embedding} for n in sg.nodes]
+        edit, message = RECORD_MUTATIONS[mutation]
+        edit(record, nodes)
+        n = len(nodes)
+        subgraphs[1] = Subgraph(**record, nodes=[Node(d["kind"], d["id"], d["embedding"])
+                                                 for d in nodes],
+                                adjacency=sg.adjacency if n == sg.size else np.zeros((n, n)))
+        path = tmp_path / "x.graphs"
+        with pytest.raises(DataError, match=message):
+            write_graphs(path, subgraphs, ["a", "b", "c"], {})
+        assert not path.exists() and not companion_path(path).exists()
+
+    @pytest.mark.parametrize("bad", [[], ["a", 7], ["a", "b\ud800"]])
+    def test_label_vocab_is_checked_before_any_file_is_created(self, tmp_path, bad):
+        path = tmp_path / "x.graphs"
+        with pytest.raises(DataError, match="label_vocab"):
+            write_graphs(path, self._subgraphs(), bad, {})
+        assert not path.exists() and not companion_path(path).exists()
+
     @pytest.mark.parametrize("misfit", ["wider-embedding", "2-d-embedding",
                                         "flat-adjacency"])
     def test_layout_misfit_is_rejected_before_writing(self, tmp_path, misfit):
@@ -610,7 +637,7 @@ def _reference_edges(nodes, log, stats, mode="hybrid", tau=0.0):
         if hit.triplet_id in index:
             a, b = kind_to_index[hit.content_kind], index[hit.triplet_id]
             adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
-    if mode in ("pmi", "hybrid"):
+    if mode == "hybrid":
         commonsense = [i for i, node in enumerate(nodes) if node.kind == "commonsense"]
         for a, b in itertools.combinations(commonsense, 2):
             if nodes[a].id not in stats.counts or nodes[b].id not in stats.counts:
@@ -653,7 +680,7 @@ class TestNpmiTableEdges:
         seen = {"unseen": 0, "independent": 0, "always": 0}
         for _ in range(150):
             nodes, log = self._sample(rng)
-            for mode, tau in (("hybrid", 0.0), ("pmi", 0.3), ("cosine", -0.2)):
+            for mode, tau in (("hybrid", 0.0), ("hybrid", 0.3), ("cosine", -0.2)):
                 want = _reference_edges(nodes, log, stats, mode, tau)
                 assert build_edges(nodes, log, stats, mode, tau).tobytes() == want.tobytes()
             ids = [node.id for node in nodes[4:]]
@@ -701,7 +728,7 @@ class TestBuildPassOrder:
     """Embedding every record before any retrieval gives the subgraphs of the
     interleaved loop, and the token-row table is gone before retrieval."""
 
-    @pytest.mark.parametrize("mode", ["cosine", "pmi", "hybrid"])
+    @pytest.mark.parametrize("mode", ["cosine", "hybrid"])
     def test_equals_the_interleaved_build(self, synth, mode):
         dataset, store = synth
         got = build_dataset_graphs(dataset, store, seed=5, k=2, mode=mode, tau=0.1)

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from graphkd.errors import FormatError, ShapeError
-from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, canonical_json,
+from graphkd.errors import DataError, FormatError, ShapeError
+from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, canonical_json, check_text,
                                    read_checkpoint, write_checkpoint)
 
 
@@ -78,3 +78,21 @@ class TestValues:
                         payload=np.array([1.0, value], dtype="<f8").tobytes())
         with pytest.raises(FormatError, match="'w' holds non-finite"):
             read_checkpoint(path)
+
+
+class TestCheckText:
+    def test_accepts_any_encodable_string(self):
+        for value in ("", "grüppe", "样本", "a\nb"):
+            check_text(value, "field")
+
+    @pytest.mark.parametrize("value, message", [
+        (7, "field 'x' must be a string, got int"),
+        (None, "field 'x' must be a string, got NoneType"),
+        ("g\ud800", "field 'x' 'g\\ud800' holds an unpaired surrogate escape"),
+    ])
+    def test_names_the_field_with_the_given_error(self, value, message):
+        with pytest.raises(FormatError) as info:
+            check_text(value, "field 'x'")
+        assert str(info.value) == message
+        with pytest.raises(DataError):
+            check_text(value, "field 'x'", DataError)
