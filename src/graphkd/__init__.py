@@ -16,7 +16,6 @@ from .distill import (DistillConfig, StudentParams, combined_loss, compute_soft_
 from .embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
                          top_k_triplets, toy_embed)
 from .evaluate import EvalReport, comparison_report, evaluate_model, micro_f1
-from .graphs import (CooccurrenceStats, Node, Subgraph, attach_commonsense,
-                     build_content_nodes, build_edges, normalize_adjacency,
-                     pmi_weight)
+from .graphs import (CooccurrenceStats, Subgraph, attach_commonsense, build_content_nodes,
+                     build_edges, normalize_adjacency, pmi_weight)
 from .teacher import TeacherConfig, TeacherParams, train_teacher

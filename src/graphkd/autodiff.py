@@ -444,8 +444,8 @@ def gradcheck(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],
     module so the tape can track it. Returns the maximum over all
     coordinates of ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
     """
-    if eps <= 0:
-        raise DataError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DataError(f"eps must be positive and finite, got {eps}")
 
     arrays = [np.array(p.data) for p in params]
 

@@ -74,9 +74,7 @@ def cmd_build_graphs(args) -> int:
 
 def _load_graphs(path):
     subgraphs, header = graphs.read_graphs(path)
-    label_vocab = header["label_vocab"]
-    dim = subgraphs[0].nodes[0].embedding.size
-    return subgraphs, header, label_vocab, dim
+    return subgraphs, header, header["label_vocab"], subgraphs[0].dim
 
 
 def _log_epochs(metrics: list[dict]) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, write_store,
                          write_triplets_tsv)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_finite
 from .serialization import canonical_json, check_text, utf8_lines
 
 SPLITS = ("train", "val", "test")
@@ -69,15 +69,20 @@ class SynthConfig:
             raise ConfigError(f"need at least {self.classes} samples, got {self.samples}")
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        check_finite(self, "noise")
         if self.noise < 0:
             raise ConfigError(f"noise scale must be >= 0, got {self.noise}")
+        # generate_synthetic draws each confuser count from [0, this] as an int64.
+        if round(2 * self.noise * SIGNATURE_TOKENS) >= np.iinfo(np.int64).max:
+            raise ConfigError(f"noise scale {self.noise} is too large: its confuser count "
+                              f"overflows int64")
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ConfigError(f"mask probability must be in [0, 1], got {self.mask_prob}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError(f"label noise must be in [0, 1), got {self.label_noise}")
         if self.triplets_per_class < 1:
             raise ConfigError("need at least one triplet per class")
-        if len(self.split_fractions) != 3 or abs(sum(self.split_fractions) - 1.0) > 1e-9:
+        if len(self.split_fractions) != 3 or not abs(sum(self.split_fractions) - 1.0) <= 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {self.split_fractions}")
 
     def to_dict(self) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
                        backward, cross_entropy, glorot_uniform, kl_to_target, matmul,
                        mean_rows, optimizer_step, relu, reshape, row_softmax, transpose)
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_finite
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
@@ -47,6 +47,7 @@ class DistillConfig:
     def validate(self) -> None:
         if self.student not in STUDENT_KINDS:
             raise ConfigError(f"unknown student kind '{self.student}'")
+        check_finite(self, "kd_weight", "temperature", "learning_rate")
         if self.kd_weight < 0:
             raise ConfigError(f"kd weight must be >= 0, got {self.kd_weight}")
         if self.temperature <= 0:

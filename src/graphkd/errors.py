@@ -5,6 +5,8 @@ exit 2, numeric invariant violations exit 3 (usage errors are handled by the
 argument parser itself and exit 1).
 """
 
+import math
+
 
 class GraphKDError(Exception):
     """Base class for all toolkit errors."""
@@ -38,3 +40,13 @@ class DataError(GraphKDError):
 
 class ConfigError(GraphKDError):
     """Inconsistent or invalid run configuration."""
+
+
+def check_finite(config, *names: str) -> None:
+    """Raise ``ConfigError`` unless each field ``names`` of ``config`` is
+    None or a finite number: NaN slips past checks such as ``value < 0``,
+    and an infinity fails only mid-run."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value}")

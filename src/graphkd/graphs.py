@@ -11,10 +11,18 @@ every pair co-retrieved on the training split is computed once, into an
 ``NpmiTable`` indexed by triplet, and each sample's commonsense block is
 read from it.
 
+In memory, the subgraphs of one build or one read share one read-only
+float64 node table. A ``Subgraph`` holds it, its node ids, ``rows`` (each
+node's row of the table) and its adjacency, but no per-node objects and no
+kinds: the record rule fixes the kinds by position. ``Subgraph.nodes`` is
+a (kind, id, embedding) view built on access, kept for
+``perfbench/checks.py``. A build's table is every sample's four content
+rows, then the triplet store's t0, t1, ... rows; a read's table is laid
+out as the companion (below). No row is copied per sample.
+
 A dataset is built in three passes (see ``build_dataset_graphs``): embed
 every sample's content nodes, release the token-row table, retrieve, then
-add edges. A commonsense node's embedding is a shared, read-only row of the
-triplet store's matrix, not a copy per sample.
+add edges.
 
 Graphs file: JSON lines, one header line (format, label vocabulary, config
 echo) and then one record per sample (nodes with kind, id and embedding,
@@ -40,14 +48,15 @@ graphs give the same companion bytes.
 ``read_graphs`` uses the companion only when the sha256 in it matches the
 graphs file as it is on disk; otherwise, or when there is no companion, it
 parses the JSON. A companion that exists but cannot be read is a format
-error. Subgraphs read from a companion equal the parsed ones bitwise;
-their commonsense embeddings are shared, read-only rows of one table.
+error. Either reader's table is the companion's ``rows``, then its
+``triplets``; the JSON reader lays its records out as the writer does, so
+both give bitwise-equal subgraphs.
 
 Record rule: a graphs file holds one or more records. In each, the sample
 id, group and node ids are strings that UTF-8 can encode; the split is one
 of ``SPLITS``; the label is an int, not a bool, below the length of the
 header's label vocabulary; the nodes are the four ``CONTENT_KINDS`` in
-order, then only commonsense nodes, with one id and one embedding each;
+order, then only commonsense nodes, with one id and one table row each;
 and the adjacency has n x n entries. ``_checked_subgraphs`` applies it, in
 ``write_graphs`` before anything is written and in both readers after
 decoding. A decoder checks only what its encoding can get wrong: JSON
@@ -61,7 +70,7 @@ import hashlib
 import json
 import math
 import os
-from collections import _count_elements
+from collections import _count_elements, namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -86,33 +95,48 @@ COMPANION_VERSION = 1
 HASH_CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Node:
-    kind: str
-    id: str
-    embedding: np.ndarray
+NodeView = namedtuple("NodeView", ["kind", "id", "embedding"])
 
 
 @dataclass
 class Subgraph:
+    """One sample's graph: node i has id ``ids[i]`` and embedding
+    ``table[rows[i]]`` of a table the samples of a build or read share."""
+
     sample_id: str
     split: str
     group: str
     label: int
-    nodes: list[Node]
+    table: np.ndarray
+    rows: np.ndarray
+    ids: list[str]
     adjacency: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
+
+    @property
+    def dim(self) -> int:
+        return self.table.shape[1]
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The four ``CONTENT_KINDS`` in order, then ``commonsense``."""
+        return (CONTENT_KINDS + (COMMONSENSE_KIND,) * (self.size - 4))[:self.size]
+
+    @property
+    def nodes(self) -> list[NodeView]:
+        """(kind, id, embedding) of each node, built on each access."""
+        return list(map(NodeView, self.kinds, self.ids, self.features()))
 
     def features(self) -> np.ndarray:
         """All node embeddings stacked N x dim, in node order."""
-        return np.vstack([n.embedding for n in self.nodes])
+        return self.table[self.rows]
 
     def content_features(self) -> np.ndarray:
         """The four content-node embeddings (the raw-feature student input)."""
-        return np.vstack([n.embedding for n in self.nodes[:4]])
+        return self.table[self.rows[:4]]
 
 
 @dataclass(frozen=True)
@@ -183,9 +207,9 @@ def _triplet_index(triplet_id: str) -> int:
 
 def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
                         embedding_store: EmbeddingStore | None = None,
-                        rows: TokenRows | None = None) -> list[Node]:
-    """Embed one sample's four content nodes in the fixed kind order, with
-    token rows from ``rows`` when given (see ``toy_embed``)."""
+                        rows: TokenRows | None = None) -> np.ndarray:
+    """Embed one sample's four content nodes, one row each in the fixed kind
+    order, with token rows from ``rows`` when given (see ``toy_embed``)."""
     question = toy_embed(record.question, dim, seed, rows)
     language = toy_embed(record.language_context, dim, seed, rows)
     if record.visual_ref is not None:
@@ -209,32 +233,20 @@ def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
     else:
         vl = np.zeros(dim)
         vl[0] = 1.0
-    return [
-        Node("question", "question", question),
-        Node("language_context", "language_context", language),
-        Node("visual_context", "visual_context", visual),
-        Node("vl", "vl", vl),
-    ]
+    return np.stack([question, language, visual, vl])
 
 
-def attach_commonsense(content_nodes: list[Node], store: TripletStore,
-                       k: int = 3) -> tuple[list[Node], list[RetrievalHit]]:
-    """Retrieve top-k triplets for each content node; returns the merged,
-    index-ordered commonsense nodes plus the full retrieval log. A
-    commonsense node's embedding is its triplet's read-only row of the
-    store's matrix, looked up by id and shared by every sample that
-    retrieves it."""
+def attach_commonsense(content: np.ndarray, store: TripletStore,
+                       k: int = 3) -> tuple[list[str], list[RetrievalHit]]:
+    """Retrieve top-k triplets for each of the four content rows; returns
+    the merged, index-ordered triplet ids plus the full retrieval log."""
     log: list[RetrievalHit] = []
     retrieved: set[str] = set()
-    for node in content_nodes:
-        for tid, sim in top_k_triplets(node.embedding, store, k):
-            log.append(RetrievalHit(node.kind, tid, sim))
+    for kind, row in zip(CONTENT_KINDS, content):
+        for tid, sim in top_k_triplets(row, store, k):
+            log.append(RetrievalHit(kind, tid, sim))
             retrieved.add(tid)
-    nodes = [
-        Node(COMMONSENSE_KIND, tid, store.embeddings.row(tid))
-        for tid in sorted(retrieved, key=_triplet_index)
-    ]
-    return nodes, log
+    return sorted(retrieved, key=_triplet_index), log
 
 
 def pmi_weight(stats: CooccurrenceStats, id1: str, id2: str) -> float | None:
@@ -258,9 +270,12 @@ def _npmi(c12: int, c1: int, c2: int, num_samples: int) -> float | None:
     return min(pmi / -math.log(c12 / num_samples), 1.0)
 
 
-def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceStats,
-                mode: str = "hybrid", tau: float = 0.0) -> np.ndarray:
-    """Weighted symmetric hollow adjacency over one sample's nodes.
+def build_edges(content: np.ndarray, ids: list[str], log: list[RetrievalHit],
+                stats: CooccurrenceStats, mode: str = "hybrid",
+                tau: float = 0.0) -> np.ndarray:
+    """Weighted symmetric hollow adjacency over one sample's nodes: the four
+    content rows ``content`` (nodes 0-3), then the commonsense nodes
+    ``ids``.
 
     Content-content edges: cosine similarity when above ``tau`` (negative
     similarities never become edges, keeping weights in [0, 1]).
@@ -273,30 +288,26 @@ def build_edges(nodes: list[Node], log: list[RetrievalHit], stats: CooccurrenceS
     if not -1.0 <= tau < 1.0:
         raise ConfigError(f"tau must lie in [-1, 1), got {tau}")
 
-    n = len(nodes)
-    index = {node.id: i for i, node in enumerate(nodes)}
+    n = 4 + len(ids)
+    index = {tid: 4 + j for j, tid in enumerate(ids)}
     adjacency = np.zeros((n, n))
 
-    content = [i for i, node in enumerate(nodes) if node.kind in CONTENT_KINDS]
-    kind_to_index = {nodes[i].kind: i for i in content}
-    sims = pairwise_cosine([nodes[i].embedding for i in content])
-    for (a, b), sim in zip(combinations(content, 2), sims):
+    sims = pairwise_cosine(content)
+    for (a, b), sim in zip(combinations(range(4), 2), sims):
         if sim > tau and sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
 
     for hit in log:
         if hit.triplet_id not in index:
             continue
-        a = kind_to_index[hit.content_kind]
+        a = CONTENT_KINDS.index(hit.content_kind)
         b = index[hit.triplet_id]
         adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
 
     if mode == "hybrid":
         # Triplets never retrieved on the training split have no statistics
         # and therefore no PMI edges.
-        commonsense = [i for i, node in enumerate(nodes) if node.kind == COMMONSENSE_KIND]
-        adjacency[np.ix_(commonsense, commonsense)] = stats.npmi_table().block(
-            [nodes[i].id for i in commonsense])
+        adjacency[4:, 4:] = stats.npmi_table().block(ids)
     return adjacency
 
 
@@ -339,36 +350,34 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     3. Edges, which need the complete statistics."""
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
+    base = 4 * len(dataset.records)
+    table = np.empty((base + len(triplet_store), dim))
 
     # A record with a visual_ref has no visual_text, so this is every text
     # build_content_nodes embeds.
     rows = token_rows([text for r in dataset.records
                        for text in (r.question, r.language_context, r.visual_text or "")],
                       dim, seed)
-    contents = [build_content_nodes(record, dim, seed, dataset.visual_store, rows)
-                for record in dataset.records]
+    for i, record in enumerate(dataset.records):
+        table[4 * i:4 * i + 4] = build_content_nodes(record, dim, seed,
+                                                     dataset.visual_store, rows)
     del rows
 
-    built: list[tuple[list[Node], list[RetrievalHit]]] = []
+    built: list[tuple[list[str], list[RetrievalHit]]] = []
     stats = CooccurrenceStats()
-    for record, content in zip(dataset.records, contents):
-        commonsense, log = attach_commonsense(content, triplet_store, k)
-        built.append((content + commonsense, log))
+    for i, record in enumerate(dataset.records):
+        built.append(attach_commonsense(table[4 * i:4 * i + 4], triplet_store, k))
         if record.split == "train":
-            stats.observe({hit.triplet_id for hit in log})
+            stats.observe({hit.triplet_id for hit in built[-1][1]})
+    table[base:] = triplet_store.scoring_matrix()[0]
+    table.flags.writeable = False
 
-    subgraphs: list[Subgraph] = []
-    for record, (nodes, log) in zip(dataset.records, built):
-        adjacency = build_edges(nodes, log, stats, mode=mode, tau=tau)
-        subgraphs.append(Subgraph(
-            sample_id=record.sample_id,
-            split=record.split,
-            group=record.group,
-            label=label_index[record.label],
-            nodes=nodes,
-            adjacency=adjacency,
-        ))
-    return subgraphs
+    return [Subgraph(record.sample_id, record.split, record.group, label_index[record.label],
+                     table, np.array([*range(4 * i, 4 * i + 4),
+                                      *(base + _triplet_index(tid) for tid in ids)]),
+                     [*CONTENT_KINDS, *ids],
+                     build_edges(table[4 * i:4 * i + 4], ids, log, stats, mode=mode, tau=tau))
+            for i, (record, (ids, log)) in enumerate(zip(dataset.records, built))]
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +401,8 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
     per sample with nodes (kind, id, embedding) and the row-major adjacency,
     each line ``canonical_json`` of its object. Then the binary companion
     (see the module docstring). A header or record that breaks the record
-    rule, node embeddings not all 1-D of one width, or an adjacency that is
-    not n x n, is a ``DataError`` before anything is written."""
+    rule or does not fit the layout (see ``_companion_parts``) is a
+    ``DataError`` before anything is written."""
     header = {
         "format": GRAPHS_FORMAT,
         "version": GRAPHS_VERSION,
@@ -401,41 +410,10 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
         "config": config,
     }
     _check_header(header, path, DataError)
-    _checked_subgraphs(((sg.sample_id, sg.split, sg.group, sg.label,
-                         [node.kind for node in sg.nodes], [node.id for node in sg.nodes],
-                         [node.embedding for node in sg.nodes], sg.adjacency)
-                        for sg in subgraphs), header["label_vocab"], f"graphs for {path}",
-                       DataError)
-    # The companion's metadata and tensor pieces. Pieces are views of the
-    # subgraphs' own arrays, so nothing large is copied or concatenated.
-    samples: list[dict] = []
-    triplet_rows: dict[tuple[str, bytes], int] = {}
-    triplets, rows, adjacency = [], [], []
-    dim = None
-    for sg in subgraphs:
-        refs = []
-        for node in sg.nodes:
-            emb = np.asarray(node.embedding, dtype=np.float64)
-            dim = emb.size if dim is None else dim
-            if emb.shape != (dim,):
-                raise DataError(f"sample '{sg.sample_id}' node '{node.id}' has an embedding "
-                                f"of shape {emb.shape}, expected ({dim},)")
-            if node.kind == COMMONSENSE_KIND:
-                key = (node.id, emb.tobytes())
-                if key not in triplet_rows:
-                    triplet_rows[key] = len(triplets)
-                    triplets.append(emb.reshape(1, -1))
-                refs.append(triplet_rows[key])
-            else:
-                rows.append(emb.reshape(1, -1))
-        n = len(sg.nodes)
-        if np.shape(sg.adjacency) != (n, n):
-            raise DataError(f"sample '{sg.sample_id}' has an adjacency of shape "
-                            f"{np.shape(sg.adjacency)} for {n} nodes")
-        adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
-        samples.append({"sample_id": sg.sample_id, "split": sg.split, "group": sg.group,
-                        "label": sg.label, "kinds": [node.kind for node in sg.nodes],
-                        "ids": [node.id for node in sg.nodes], "triplet_rows": refs})
+    _checked_subgraphs(((sg.sample_id, sg.split, sg.group, sg.label, sg.kinds, sg.ids,
+                         sg.table, sg.rows, sg.adjacency) for sg in subgraphs),
+                       header["label_vocab"], f"graphs for {path}", DataError)
+    samples, triplet_rows, triplets, contents, adjacency = _companion_parts(subgraphs)
     # A commonsense node's JSON is formatted once per row of the triplet
     # table, that is once per distinct id and embedding.
     fragments = [_node_json(COMMONSENSE_KIND, tid, row[0])
@@ -448,12 +426,9 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
             fh.write(line)
 
         emit(canonical_json(header))
-        for sg, doc in zip(subgraphs, samples):
-            refs = iter(doc["triplet_rows"])
-            nodes = ",".join(
-                fragments[next(refs)] if node.kind == COMMONSENSE_KIND
-                else _node_json(node.kind, node.id, np.asarray(node.embedding, dtype=np.float64))
-                for node in sg.nodes)
+        for sg, doc, content in zip(subgraphs, samples, contents):
+            nodes = ",".join([*map(_node_json, CONTENT_KINDS, sg.ids[:4], content),
+                              *(fragments[ref] for ref in doc["triplet_rows"])])
             flat = np.asarray(sg.adjacency, dtype=np.float64).reshape(-1).tolist()
             emit(f'{{"adjacency":{canonical_json(flat)},'
                  f'"group":{canonical_json(sg.group)},"label":{canonical_json(sg.label)},'
@@ -465,8 +440,38 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
     write_checkpoint(partial, {"format": COMPANION_FORMAT, "version": COMPANION_VERSION,
                                "graphs_sha256": digest.hexdigest(), "header": header,
                                "samples": samples},
-                     [("triplets", triplets), ("rows", rows), ("adjacency", adjacency)])
+                     [("triplets", triplets), ("rows", contents), ("adjacency", adjacency)])
     os.replace(partial, companion_path(path))
+
+
+def _companion_parts(subgraphs: list[Subgraph]):
+    """The companion's sample metadata, each ``triplets`` row's (id, bytes)
+    key, and its tensors as piece lists. A subgraph off this layout (tables
+    2-D of one width, rows inside them, n x n adjacency) is a ``DataError``."""
+    samples: list[dict] = []
+    triplet_rows: dict[tuple[str, bytes], int] = {}
+    triplets, rows, adjacency = [], [], []
+    dim = np.shape(subgraphs[0].table)[-1]
+    for sg in subgraphs:
+        table, index = np.asarray(sg.table, dtype=np.float64), np.asarray(sg.rows)
+        if (table.ndim != 2 or table.shape[1] != dim or np.shape(sg.adjacency) != (sg.size,) * 2
+                or not ((index >= 0) & (index < len(table))).all()):
+            raise DataError(f"sample '{sg.sample_id}' does not fit the layout: rows "
+                            f"{index.tolist()} of a {table.shape} node table ({dim} columns "
+                            f"expected), a {np.shape(sg.adjacency)} adjacency")
+        refs = []
+        for node_id, row in zip(sg.ids[4:], sg.rows[4:]):
+            key = (node_id, table[row].tobytes())
+            if key not in triplet_rows:
+                triplet_rows[key] = len(triplets)
+                triplets.append(table[row:row + 1])
+            refs.append(triplet_rows[key])
+        rows.append(table[sg.rows[:4]])
+        adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
+        samples.append({"sample_id": sg.sample_id, "split": sg.split, "group": sg.group,
+                        "label": sg.label, "kinds": list(sg.kinds), "ids": list(sg.ids),
+                        "triplet_rows": refs})
+    return samples, triplet_rows, triplets, rows, adjacency
 
 
 def _file_sha256(path) -> str:
@@ -495,11 +500,12 @@ def _check_header(header, path, error: type[Exception] = FormatError) -> None:
 def _checked_subgraphs(records, label_vocab: list[str], source: str,
                        error: type[Exception]) -> list[Subgraph]:
     """The subgraphs of ``records`` (sample id, split, group, label, node
-    kinds, ids and embeddings, adjacency in any shape) under the record
-    rule; a record that breaks it raises ``error`` naming ``source``."""
+    kinds and ids, the node table and each node's row of it, adjacency in
+    any shape) under the record rule; a record that breaks it raises
+    ``error`` naming ``source``."""
     subgraphs: list[Subgraph] = []
     texts: list = []
-    for number, (sample_id, split, group, label, kinds, ids, embeddings,
+    for number, (sample_id, split, group, label, kinds, ids, table, rows,
                  adjacency) in enumerate(records, start=1):
         where = f"{source}, record {number}"
         if split not in SPLITS:
@@ -512,13 +518,12 @@ def _checked_subgraphs(records, label_vocab: list[str], source: str,
         if tuple(kinds) != CONTENT_KINDS + (COMMONSENSE_KIND,) * (n - 4):
             raise error(f"{where}: node kinds must be {', '.join(CONTENT_KINDS)}, then only "
                         f"{COMMONSENSE_KIND}; got {list(kinds)!r}")
-        if len(ids) != n or len(embeddings) != n:
-            raise error(f"{where}: {n} kinds, {len(ids)} ids and {len(embeddings)} embeddings")
+        if len(ids) != n or np.shape(rows) != (n,):
+            raise error(f"{where}: {n} kinds, {len(ids)} ids and {np.size(rows)} rows")
         if np.size(adjacency) != n * n:
             raise error(f"{where}: {np.size(adjacency)} adjacency entries for {n} nodes")
         texts += (sample_id, group, *ids)
-        subgraphs.append(Subgraph(sample_id, split, group, label,
-                                  [Node(*node) for node in zip(kinds, ids, embeddings)],
+        subgraphs.append(Subgraph(sample_id, split, group, label, table, rows, ids,
                                   np.reshape(adjacency, (n, n))))
     if not subgraphs:
         raise error(f"{source} contains no records")
@@ -530,8 +535,8 @@ def _checked_subgraphs(records, label_vocab: list[str], source: str,
             where = f"{source}, record {number}"
             check_text(sg.sample_id, f"{where}: sample_id", error)
             check_text(sg.group, f"{where}: group", error)
-            for i, node in enumerate(sg.nodes):
-                check_text(node.id, f"{where}: node {i} id", error)
+            for i, node_id in enumerate(sg.ids):
+                check_text(node_id, f"{where}: node {i} id", error)
     return subgraphs
 
 
@@ -553,36 +558,42 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
     header = meta.get("header")
     _check_header(header, path)
 
-    def records():
-        triplets, rows = tensors["triplets"], tensors["rows"]
-        adjacency = tensors["adjacency"].reshape(-1)
-        triplets.flags.writeable = False
-        next_row = next_adj = 0
-        for doc in meta["samples"]:
-            kinds, refs = doc["kinds"], doc["triplet_rows"]
-            if kinds.count(COMMONSENSE_KIND) != len(refs):
-                raise ValueError(f"{len(refs)} triplet rows for {kinds!r}")
-            for ref in refs:
-                if type(ref) is not int or not 0 <= ref < len(triplets):
-                    raise ValueError(f"bad triplet row {ref!r}")
-            n, content = len(kinds), len(kinds) - len(refs)
-            # Content rows come first and commonsense rows after; the record
-            # rule rejects any other order of kinds.
-            yield (doc["sample_id"], doc["split"], doc["group"], doc["label"], kinds,
-                   doc["ids"], [*rows[next_row:next_row + content],
-                                *(triplets[ref] for ref in refs)],
-                   adjacency[next_adj:next_adj + n * n])
-            next_row += content
-            next_adj += n * n
-        if next_row != len(rows) or next_adj != adjacency.size:
-            raise ValueError("tensor sizes do not match the samples")
-
     try:
-        subgraphs = _checked_subgraphs(records(), header["label_vocab"],
-                                       f"graphs companion {companion}", FormatError)
+        rows = tensors["rows"]
+        table = np.concatenate((rows, tensors["triplets"].reshape(-1, rows.shape[1])))
+        subgraphs = _checked_subgraphs(
+            _table_records(meta["samples"], table, len(rows), tensors["adjacency"].reshape(-1)),
+            header["label_vocab"], f"graphs companion {companion}", FormatError)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise broken(f"malformed metadata: {exc}") from exc
     return subgraphs, header
+
+
+def _table_records(samples: list[dict], table: np.ndarray, content_rows: int,
+                   adjacency: np.ndarray):
+    """Records of the companion's ``samples`` over one table, made read-only:
+    ``content_rows`` content rows, then the rows ``triplet_rows`` index, and
+    each flattened matrix of ``adjacency`` in turn; a misfit is a ValueError."""
+    table.flags.writeable = False
+    next_row = next_adj = 0
+    for doc in samples:
+        kinds, refs = doc["kinds"], doc["triplet_rows"]
+        if kinds.count(COMMONSENSE_KIND) != len(refs):
+            raise ValueError(f"{len(refs)} triplet rows for {kinds!r}")
+        for ref in refs:
+            if type(ref) is not int or not 0 <= ref < len(table) - content_rows:
+                raise ValueError(f"bad triplet row {ref!r}")
+        n, content = len(kinds), len(kinds) - len(refs)
+        # Content rows come first and commonsense rows after; the record
+        # rule rejects any other order of kinds.
+        yield (doc["sample_id"], doc["split"], doc["group"], doc["label"], kinds, doc["ids"],
+               table, np.array([*range(next_row, next_row + content),
+                                *(content_rows + ref for ref in refs)], dtype=np.intp),
+               adjacency[next_adj:next_adj + n * n])
+        next_row += content
+        next_adj += n * n
+    if next_row != content_rows or next_adj != adjacency.size:
+        raise ValueError("tensor sizes do not match the samples")
 
 
 def read_graphs(path) -> tuple[list[Subgraph], dict]:
@@ -594,8 +605,8 @@ def read_graphs(path) -> tuple[list[Subgraph], dict]:
 
 
 def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
-    """Parse the JSON lines one at a time. Every node embedding must be 1-D
-    of the first one's width, and every value finite."""
+    """Parse the JSON lines one at a time, each embedding 1-D of the first's
+    width and every value finite, then lay them out as the companion."""
     lines = utf8_lines(path)
     first = next(lines, "")
     if not first:
@@ -617,25 +628,26 @@ def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
                 raise FormatError(f"line {lineno}: invalid graph record: {exc}") from exc
             try:
                 nodes = doc["nodes"]
-                ids = [node["id"] for node in nodes]
-                embeddings = [np.asarray(node["embedding"], dtype=np.float64) for node in nodes]
+                features = np.array([node["embedding"] for node in nodes], dtype=np.float64)
                 adjacency = np.asarray(doc["adjacency"], dtype=np.float64)
                 record = (doc["sample_id"], doc["split"], doc["group"], doc["label"],
-                          [node["kind"] for node in nodes], ids, embeddings, adjacency)
+                          [node["kind"] for node in nodes], [node["id"] for node in nodes],
+                          features, np.arange(len(nodes)), adjacency)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"line {lineno}: malformed graph record: {exc}") from exc
-            for node_id, embedding in zip(ids, embeddings):
-                if dim is None:
-                    dim = embedding.size
-                if embedding.shape != (dim,):
-                    raise FormatError(f"line {lineno}: node {node_id!r} has an embedding of "
-                                      f"shape {embedding.shape}, expected ({dim},)")
-                if not np.isfinite(embedding).all():
-                    raise FormatError(f"line {lineno}: node {node_id!r} has a non-finite "
-                                      f"embedding value")
-            if not np.isfinite(adjacency).all():
-                raise FormatError(f"line {lineno}: non-finite adjacency weight")
+            if nodes:
+                dim = features.shape[-1] if dim is None else dim
+                if features.shape != (len(nodes), dim):
+                    raise FormatError(f"line {lineno}: node embeddings of shape "
+                                      f"{features.shape}, expected ({len(nodes)}, {dim})")
+            if not (np.isfinite(features).all() and np.isfinite(adjacency).all()):
+                raise FormatError(f"line {lineno}: non-finite embedding or adjacency value")
             yield record
 
-    return _checked_subgraphs(records(), header["label_vocab"], f"graphs file {path}",
-                              FormatError), header
+    source = f"graphs file {path}"
+    samples, _, triplets, rows, adjacency = _companion_parts(
+        _checked_subgraphs(records(), header["label_vocab"], source, FormatError))
+    return _checked_subgraphs(
+        _table_records(samples, np.concatenate(rows + triplets), 4 * len(samples),
+                       np.concatenate(adjacency).reshape(-1)),
+        header["label_vocab"], source, FormatError), header

@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, backward,
                        cross_entropy, glorot_uniform, matmul, mean_rows, optimizer_step,
                        relu)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_finite
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
@@ -43,6 +43,7 @@ class TeacherConfig:
 
     def validate(self) -> None:
         """Sizes a training run needs; ``train_teacher`` checks them first."""
+        check_finite(self, "learning_rate")
         for name in ("hidden", "head_hidden", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -128,8 +129,7 @@ def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
             stacked = np.stack([normalize_adjacency(subgraphs[i].adjacency) for i in members])
         else:
             stacked = np.stack([a_hats[i] for i in members])
-        features = np.array([[node.embedding for node in subgraphs[i].nodes]
-                             for i in members], dtype=np.float64)
+        features = np.stack([subgraphs[i].features() for i in members])
         _, logits = teacher_forward(tensors, Tensor(stacked), Tensor(features))
         out[members] = logits.data[:, 0, :]
     return out
@@ -143,10 +143,8 @@ def check_dataset(subgraphs: list[Subgraph], config, what: str = "sample") -> No
     """Every sample has the config's dim and a label below its class count.
     Takes a ``TeacherConfig`` or a ``distill.DistillConfig``."""
     for sg in subgraphs:
-        if sg.nodes[0].embedding.size != config.dim:
-            raise ConfigError(
-                f"{what} '{sg.sample_id}' has dim {sg.nodes[0].embedding.size}, "
-                f"expected {config.dim}")
+        if sg.dim != config.dim:
+            raise ConfigError(f"{what} '{sg.sample_id}' has dim {sg.dim}, expected {config.dim}")
         if not 0 <= sg.label < config.num_classes:
             raise DataError(
                 f"{what} '{sg.sample_id}' has label {sg.label}, "

@@ -14,7 +14,7 @@ from .autodiff import Tensor, cross_entropy, gradcheck
 from .distill import (DistillConfig, combined_loss, init_student, kd_loss, soft_target,
                       student_forward)
 from .errors import ConfigError
-from .graphs import Node, Subgraph, normalize_adjacency
+from .graphs import CONTENT_KINDS, Subgraph, normalize_adjacency
 from .teacher import TeacherConfig, init_teacher, teacher_forward
 
 FIXTURE_DIM = 6
@@ -24,26 +24,20 @@ FIXTURE_CLASSES = 3
 def fixture_subgraph(seed: int = 0, dim: int = FIXTURE_DIM,
                      commonsense: int = 2) -> Subgraph:
     """A deterministic small subgraph: 4 content nodes plus a few
-    commonsense nodes with random unit embeddings and random sparse
-    symmetric edge weights in [0, 1]."""
+    commonsense nodes with random unit embeddings, one row each of its own
+    table, and random sparse symmetric edge weights in [0, 1]."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    kinds = ["question", "language_context", "visual_context", "vl"]
-    ids = list(kinds) + [f"t{i}" for i in range(commonsense)]
-    kinds += ["commonsense"] * commonsense
+    ids = [*CONTENT_KINDS, *(f"t{i}" for i in range(commonsense))]
+    n = len(ids)
+    table = np.array([vec / np.linalg.norm(vec) for vec in rng.standard_normal((n, dim))])
 
-    nodes = []
-    for kind, node_id in zip(kinds, ids):
-        vec = rng.standard_normal(dim)
-        nodes.append(Node(kind, node_id, vec / np.linalg.norm(vec)))
-
-    n = len(nodes)
     adjacency = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.7:
                 adjacency[i, j] = adjacency[j, i] = rng.uniform(0.05, 1.0)
-    return Subgraph(sample_id="fixture", split="train", group="g0", label=1,
-                    nodes=nodes, adjacency=adjacency)
+    return Subgraph(sample_id="fixture", split="train", group="g0", label=1, table=table,
+                    rows=np.arange(n), ids=ids, adjacency=adjacency)
 
 
 def teacher_loss_error(seed: int = 0, eps: float = 1e-5) -> float:

@@ -10,7 +10,9 @@ teacher rows were checked once per run: the row checked and its entropy
 taken again at every step. ``build_graphs_reference`` is the graph build as
 it was before it ran in three passes: embed and retrieve one record at a
 time with the token-row table alive throughout, each commonsense node a
-copy of its store vector. The package must reproduce them bit for bit.
+copy of its store vector in a table of the sample's own. The package must
+reproduce them bit for bit. ``make_subgraph`` is how the tests build a
+``Subgraph`` by hand.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, kl_to_target, split_flat
 from graphkd.distill import combined_loss, init_student, student_forward
 from graphkd.embeddings import token_rows, top_k_triplets
-from graphkd.graphs import (COMMONSENSE_KIND, CooccurrenceStats, Node, RetrievalHit, Subgraph,
+from graphkd.graphs import (CONTENT_KINDS, CooccurrenceStats, RetrievalHit, Subgraph,
                             build_content_nodes, build_edges, normalize_adjacency)
 from graphkd.teacher import init_teacher, resolved_learning_rate, teacher_forward
 
@@ -167,6 +169,15 @@ def train_student_reference(train, config, teachers):
                   resolved_learning_rate(config), loss_of)
 
 
+def make_subgraph(ids, features, adjacency, label=0, sample_id="s0", split="train",
+                  group="g0"):
+    """A subgraph whose node i has id ``ids[i]`` and, as its embedding, row
+    i of its own table: a float64 copy of the N x dim ``features``."""
+    return Subgraph(sample_id=sample_id, split=split, group=group, label=label,
+                    table=np.array(features, dtype=np.float64), rows=np.arange(len(ids)),
+                    ids=list(ids), adjacency=np.asarray(adjacency))
+
+
 def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau=0.0):
     """Subgraphs of the interleaved build loop."""
     dim = triplet_store.dim
@@ -177,16 +188,16 @@ def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau
     stats = CooccurrenceStats()
     for record in dataset.records:
         content = build_content_nodes(record, dim, seed, dataset.visual_store, rows)
-        log = [RetrievalHit(node.kind, tid, sim) for node in content
-               for tid, sim in top_k_triplets(node.embedding, triplet_store, k)]
+        log = [RetrievalHit(kind, tid, sim) for kind, row in zip(CONTENT_KINDS, content)
+               for tid, sim in top_k_triplets(row, triplet_store, k)]
         ids = sorted({hit.triplet_id for hit in log}, key=lambda tid: int(tid[1:]))
-        commonsense = [Node(COMMONSENSE_KIND, tid, triplet_store.embeddings.vector(tid))
-                       for tid in ids]
-        built.append((record, content + commonsense, log))
+        commonsense = [triplet_store.embeddings.vector(tid) for tid in ids]
+        built.append((record, content, ids, commonsense, log))
         if record.split == "train":
             stats.observe(set(ids))
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
-    return [Subgraph(sample_id=record.sample_id, split=record.split, group=record.group,
-                     label=label_index[record.label], nodes=nodes,
-                     adjacency=build_edges(nodes, log, stats, mode=mode, tau=tau))
-            for record, nodes, log in built]
+    return [make_subgraph([*CONTENT_KINDS, *ids], [*content, *commonsense],
+                          build_edges(content, ids, log, stats, mode=mode, tau=tau),
+                          label=label_index[record.label], sample_id=record.sample_id,
+                          split=record.split, group=record.group)
+            for record, content, ids, commonsense, log in built]

@@ -448,6 +448,41 @@ class TestDataErrors:
                     "--student", "mlp", "--out", str(tmp_path / "s.ckpt")]
                    + [x for kv in args.items() for x in kv]) == 2
 
+    @pytest.mark.parametrize("command, flag, field", [
+        ("gen-synth", "--noise", "noise"),
+        ("train-teacher", "--lr", "learning_rate"),
+        ("distill", "--kd-weight", "kd_weight"),
+        ("distill", "--temperature", "temperature"),
+        ("distill", "--lr", "learning_rate"),
+        ("gradcheck", "--eps", "eps"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_two_before_writing(self, trained, tmp_path, capsys,
+                                                       command, flag, field, value):
+        graphs, teacher = trained
+        out = tmp_path / "out"
+        argv = {
+            "gen-synth": ["gen-synth", "--samples", "60", "--out", str(out)],
+            "train-teacher": ["train-teacher", "--graphs", str(graphs), "--hidden", "8",
+                              "--epochs", "1", "--out", str(out)],
+            "distill": ["distill", "--graphs", str(graphs), "--teacher", str(teacher),
+                        "--student", "mlp", "--epochs", "1", "--out", str(out)],
+            "gradcheck": ["gradcheck"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_noise_whose_confuser_count_overflows_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["gen-synth", "--samples", "60", "--noise", "1e18", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "overflows" in err
+        assert not out.exists()
+
     def test_eval_with_truncated_label_vocab_exits_two(self, tmp_path, capsys):
         data = _gen(tmp_path / "d")
         graphs = tmp_path / "d.graphs"

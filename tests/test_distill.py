@@ -12,25 +12,23 @@ from graphkd.distill import (STUDENT_KINDS, DistillConfig, StudentParams, combin
                              load_predictor, load_student, save_student, soft_target,
                              student_forward, student_logits, train_student)
 from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
-from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
+from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
 from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, save_teacher,
                              teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import student_loss_error
-from reference import (kd_chain_reference, soft_label_row, student_row, teacher_row,
-                       train_student_reference)
+from reference import (kd_chain_reference, make_subgraph, soft_label_row, student_row,
+                       teacher_row, train_student_reference)
 
 
 def _subgraphs(count, dim=8, classes=3, seed=0, split="train"):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
-        nodes = [Node(kind, kind, rng.normal(0, 1, dim)) for kind in CONTENT_KINDS]
-        nodes.append(Node("commonsense", "t0", rng.normal(0, 1, dim)))
-        n = len(nodes)
-        upper = np.triu(rng.uniform(0, 1, (n, n)), 1)
-        out.append(Subgraph(sample_id=f"s{i}", split=split, group=f"g{i % 3}",
-                            label=int(rng.integers(classes)), nodes=nodes,
-                            adjacency=upper + upper.T))
+        features = rng.normal(0, 1, (5, dim))
+        upper = np.triu(rng.uniform(0, 1, (5, 5)), 1)
+        out.append(make_subgraph([*CONTENT_KINDS, "t0"], features, upper + upper.T,
+                                 label=int(rng.integers(classes)), sample_id=f"s{i}",
+                                 split=split, group=f"g{i % 3}"))
     return out
 
 
@@ -483,13 +481,12 @@ def _mixed_sizes(count, dim=8, classes=3, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
-        nodes = [Node(kind, kind, rng.normal(0, 1, dim)) for kind in CONTENT_KINDS]
-        nodes += [Node("commonsense", f"t{j}", rng.normal(0, 1, dim)) for j in range(i % 4)]
-        n = len(nodes)
+        n = 4 + i % 4
+        features = rng.normal(0, 1, (n, dim))
         upper = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.7), 1)
-        out.append(Subgraph(sample_id=f"m{i}", split="test", group="g0",
-                            label=int(rng.integers(classes)), nodes=nodes,
-                            adjacency=upper + upper.T))
+        out.append(make_subgraph([*CONTENT_KINDS, *(f"t{j}" for j in range(i % 4))],
+                                 features, upper + upper.T, label=int(rng.integers(classes)),
+                                 sample_id=f"m{i}", split="test"))
     return out
 
 

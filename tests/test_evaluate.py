@@ -7,7 +7,8 @@ from graphkd.errors import DataError
 from graphkd.evaluate import (EvalReport, accuracy, build_report, comparison_report,
                               evaluate_model, micro_f1, read_report,
                               render_comparison_text, write_comparison, write_report)
-from graphkd.graphs import CONTENT_KINDS, Node, Subgraph
+from graphkd.graphs import CONTENT_KINDS
+from reference import make_subgraph
 
 
 class TestMicroF1:
@@ -105,11 +106,9 @@ def _graphs():
     rng = np.random.default_rng(2)
     out = []
     for i in range(10):
-        nodes = [Node(kind, kind, rng.normal(0, 1, 4)) for kind in CONTENT_KINDS]
-        adj = np.zeros((4, 4))
-        out.append(Subgraph(sample_id=f"s{i}", split="test" if i % 2 else "train",
-                            group=f"g{i % 2}", label=i % 3, nodes=nodes,
-                            adjacency=adj))
+        out.append(make_subgraph(CONTENT_KINDS, rng.normal(0, 1, (4, 4)), np.zeros((4, 4)),
+                                 label=i % 3, sample_id=f"s{i}",
+                                 split="test" if i % 2 else "train", group=f"g{i % 2}"))
     return out
 
 

@@ -15,16 +15,16 @@ import pytest
 from graphkd import graphs
 from graphkd.datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
-                                read_store, read_triplets_tsv, write_store)
+                                read_store, read_triplets_tsv, toy_embed, write_store)
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
 from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, CooccurrenceStats,
-                            Node, RetrievalHit, Subgraph, attach_commonsense,
+                            RetrievalHit, attach_commonsense,
                             build_content_nodes, build_dataset_graphs, build_edges,
                             companion_path, normalize_adjacency, pmi_weight, read_graphs,
                             write_graphs)
 from graphkd.serialization import read_checkpoint
 from record_mutations import RECORD_MUTATIONS
-from reference import build_graphs_reference
+from reference import build_graphs_reference, make_subgraph
 
 
 def _record(**overrides):
@@ -36,30 +36,32 @@ def _record(**overrides):
 
 class TestContentNodes:
     def test_four_nodes_in_fixed_order(self):
-        nodes = build_content_nodes(_record(), 16, 7)
-        assert [n.kind for n in nodes] == list(CONTENT_KINDS)
-        assert all(n.embedding.size == 16 for n in nodes)
+        rec = _record()
+        rows = build_content_nodes(rec, 16, 7)
+        assert rows.shape == (4, 16)
+        for row, text in zip(rows, (rec.question, rec.language_context, rec.visual_text)):
+            np.testing.assert_array_equal(row, toy_embed(text, 16, 7))
 
     def test_vl_equals_shared_vector(self):
         # Equal visual and language vectors: their renormalized mean is the
         # shared (unit) vector itself.
         rec = _record(language_context="shared ctx", visual_text="shared ctx")
-        nodes = build_content_nodes(rec, 16, 7)
-        np.testing.assert_allclose(nodes[3].embedding, nodes[1].embedding, atol=1e-12)
+        rows = build_content_nodes(rec, 16, 7)
+        np.testing.assert_allclose(rows[3], rows[1], atol=1e-12)
 
     def test_empty_visual_text_gets_sentinel(self):
-        nodes = build_content_nodes(_record(visual_text=""), 8, 7)
+        rows = build_content_nodes(_record(visual_text=""), 8, 7)
         expected = np.zeros(8)
         expected[0] = 1.0
-        np.testing.assert_array_equal(nodes[2].embedding, expected)
+        np.testing.assert_array_equal(rows[2], expected)
 
     def test_visual_ref_resolved_from_store(self):
         store = EmbeddingStore(8)
         vec = np.arange(8.0) / np.linalg.norm(np.arange(8.0))
         store.add("v7", vec)
         rec = _record(visual_text=None, visual_ref="v7")
-        nodes = build_content_nodes(rec, 8, 7, embedding_store=store)
-        np.testing.assert_array_equal(nodes[2].embedding, store.vector("v7"))
+        rows = build_content_nodes(rec, 8, 7, embedding_store=store)
+        np.testing.assert_array_equal(rows[2], store.vector("v7"))
 
     def test_missing_ref_names_id(self):
         rec = _record(visual_text=None, visual_ref="v404")
@@ -74,8 +76,7 @@ class TestContentNodes:
     def test_deterministic(self):
         a = build_content_nodes(_record(), 16, 7)
         b = build_content_nodes(_record(), 16, 7)
-        for x, y in zip(a, b):
-            assert (x.embedding == y.embedding).all()
+        assert (a == b).all()
 
 
 def _basis_store(dim=16):
@@ -94,26 +95,22 @@ def _basis_store(dim=16):
 
 
 def _content(dim=16):
-    nodes = []
-    for axis, kind in enumerate(CONTENT_KINDS):
-        vec = np.zeros(dim)
-        vec[axis] = 1.0
-        nodes.append(Node(kind, kind, vec))
-    return nodes
+    """Content rows along the first four axes."""
+    return np.eye(dim)[:4]
 
 
 class TestAttachCommonsense:
     def test_disjoint_retrievals_give_twelve_nodes(self):
-        nodes, log = attach_commonsense(_content(), _basis_store(), k=3)
-        assert len(nodes) == 12
+        ids, log = attach_commonsense(_content(), _basis_store(), k=3)
+        assert len(ids) == 12
         assert len(log) == 12
-        assert [n.id for n in nodes] == [f"t{i}" for i in range(12)]
+        assert ids == [f"t{i}" for i in range(12)]
 
     def test_identical_retrievals_merge(self):
         store = _basis_store()
-        same = [Node(kind, kind, _content()[0].embedding) for kind in CONTENT_KINDS]
-        nodes, log = attach_commonsense(same, store, k=3)
-        assert len(nodes) == 3
+        same = np.tile(_content()[0], (4, 1))
+        ids, log = attach_commonsense(same, store, k=3)
+        assert len(ids) == 3
         assert len(log) == 12
 
     def test_store_smaller_than_k(self):
@@ -121,8 +118,8 @@ class TestAttachCommonsense:
         store.add("t0", np.array([1.0, 0, 0, 0]))
         store.add("t1", np.array([0.0, 1, 0, 0]))
         tiny = TripletStore([Triplet("a", "r", "b"), Triplet("c", "r", "d")], store)
-        nodes, _ = attach_commonsense(_content(4), tiny, k=3)
-        assert len(nodes) == 2
+        ids, _ = attach_commonsense(_content(4), tiny, k=3)
+        assert len(ids) == 2
 
     def test_nodes_ordered_by_numeric_index(self):
         store = EmbeddingStore(4)
@@ -133,8 +130,8 @@ class TestAttachCommonsense:
             triplets.append(Triplet(f"h{i}", "r", f"x{i}"))
             store.add(f"t{i}", vec)
         ts = TripletStore(triplets, store)
-        nodes, _ = attach_commonsense(_content(4), ts, k=3)
-        indices = [int(n.id[1:]) for n in nodes]
+        ids, _ = attach_commonsense(_content(4), ts, k=3)
+        indices = [int(tid[1:]) for tid in ids]
         assert indices == sorted(indices)
 
 
@@ -202,25 +199,18 @@ class TestBuildEdges:
         lc = np.array([0.6, 0.8, 0.0, 0.0])
         vc = np.array([0.0, 0.0, 1.0, 0.0])
         vl = np.array([0.3, 0.4, 0.5, 0.0]) / math.sqrt(0.5)
-        t0 = np.array([0.8, 0.6, 0.0, 0.0])
-        t1 = np.array([0.0, 0.0, 0.0, 1.0])
-        nodes = [Node("question", "question", q),
-                 Node("language_context", "language_context", lc),
-                 Node("visual_context", "visual_context", vc),
-                 Node("vl", "vl", vl),
-                 Node("commonsense", "t0", t0),
-                 Node("commonsense", "t1", t1)]
+        content = np.array([q, lc, vc, vl])
         log = [RetrievalHit("question", "t0", 0.8),
                RetrievalHit("language_context", "t0", 0.92),
                RetrievalHit("visual_context", "t1", -0.3),
                RetrievalHit("vl", "t1", 0.55)]
         stats = CooccurrenceStats(num_samples=10, counts={"t0": 2, "t1": 5},
                                   pair_counts={("t0", "t1"): 2})
-        return nodes, log, stats
+        return content, ["t0", "t1"], log, stats
 
     def test_hand_built_oracle_matrix(self):
-        nodes, log, stats = self._fixture()
-        got = build_edges(nodes, log, stats, mode="hybrid", tau=0.0)
+        content, ids, log, stats = self._fixture()
+        got = build_edges(content, ids, log, stats, mode="hybrid", tau=0.0)
         s = 0.3 / math.sqrt(0.5)          # cos(question, vl)
         r = 0.5 / math.sqrt(0.5)          # cos(language, vl) = cos(visual, vl)
         npmi = math.log(2.0) / -math.log(0.2)
@@ -237,50 +227,50 @@ class TestBuildEdges:
         assert not np.diagonal(got).any()
 
     def test_symmetric_entry_both_directions(self):
-        nodes, log, stats = self._fixture()
-        adj = build_edges(nodes, log, stats)
+        content, ids, log, stats = self._fixture()
+        adj = build_edges(content, ids, log, stats)
         assert adj[0, 1] == adj[1, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_negative_cosine_never_edges(self):
-        nodes, log, stats = self._fixture()
+        content, ids, log, stats = self._fixture()
         for tau in (0.0, -0.5):
-            adj = build_edges(nodes, log, stats, tau=tau)
+            adj = build_edges(content, ids, log, stats, tau=tau)
             assert adj[0, 2] == 0.0   # orthogonal pair stays disconnected
             assert (adj >= 0.0).all()
 
     def test_tau_thresholds_content_edges(self):
-        nodes, log, stats = self._fixture()
-        adj = build_edges(nodes, log, stats, tau=0.65)
+        content, ids, log, stats = self._fixture()
+        adj = build_edges(content, ids, log, stats, tau=0.65)
         assert adj[0, 1] == 0.0       # cos 0.6 dropped
         assert adj[1, 3] > 0.0        # cos 0.707 kept
 
     def test_cosine_mode_drops_pmi_edges(self):
-        nodes, log, stats = self._fixture()
-        adj = build_edges(nodes, log, stats, mode="cosine")
+        content, ids, log, stats = self._fixture()
+        adj = build_edges(content, ids, log, stats, mode="cosine")
         assert adj[4, 5] == 0.0
-        hybrid_adj = build_edges(nodes, log, stats, mode="hybrid")
+        hybrid_adj = build_edges(content, ids, log, stats, mode="hybrid")
         assert hybrid_adj[4, 5] > 0.0
 
     def test_retrieval_similarity_clamped(self):
-        nodes, log, stats = self._fixture()
-        adj = build_edges(nodes, log, stats)
+        content, ids, log, stats = self._fixture()
+        adj = build_edges(content, ids, log, stats)
         assert adj[2, 5] == 0.0       # similarity -0.3 clamps to no edge
 
     def test_bad_tau(self):
-        nodes, log, stats = self._fixture()
+        content, ids, log, stats = self._fixture()
         with pytest.raises(ConfigError):
-            build_edges(nodes, log, stats, tau=1.0)
+            build_edges(content, ids, log, stats, tau=1.0)
 
     def test_bad_mode(self):
-        nodes, log, stats = self._fixture()
+        content, ids, log, stats = self._fixture()
         for mode in ("fancy", "pmi"):
             with pytest.raises(ConfigError):
-                build_edges(nodes, log, stats, mode=mode)
+                build_edges(content, ids, log, stats, mode=mode)
 
     def test_unseen_triplet_pairs_skip_pmi(self):
-        nodes, log, stats = self._fixture()
+        content, ids, log, stats = self._fixture()
         stats.counts.pop("t1")
-        adj = build_edges(nodes, log, stats, mode="hybrid")
+        adj = build_edges(content, ids, log, stats, mode="hybrid")
         assert adj[4, 5] == 0.0
 
 
@@ -337,14 +327,12 @@ class TestGraphsFile:
         rng = np.random.default_rng(3)
         out = []
         for i in range(3):
-            nodes = [Node(kind, kind, rng.normal(0, 1, 6)) for kind in CONTENT_KINDS]
-            nodes.append(Node("commonsense", f"t{i}", rng.normal(0, 1, 6)))
-            n = len(nodes)
-            adj = np.abs(rng.normal(0, 0.3, (n, n)))
+            features = rng.normal(0, 1, (5, 6))
+            adj = np.abs(rng.normal(0, 0.3, (5, 5)))
             adj = np.triu(adj, 1)
             adj = adj + adj.T
-            out.append(Subgraph(sample_id=f"s{i}", split="train", group=f"g{i}",
-                                label=i % 2, nodes=nodes, adjacency=adj))
+            out.append(make_subgraph([*CONTENT_KINDS, f"t{i}"], features, adj, label=i % 2,
+                                     sample_id=f"s{i}", group=f"g{i}"))
         return out
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -359,9 +347,8 @@ class TestGraphsFile:
             assert got.label == want.label
             assert got.group == want.group
             assert (got.adjacency == want.adjacency).all()
-            for gn, wn in zip(got.nodes, want.nodes):
-                assert gn.kind == wn.kind and gn.id == wn.id
-                assert (gn.embedding == wn.embedding).all()
+            assert got.kinds == want.kinds and got.ids == want.ids
+            assert (got.features() == want.features()).all()
 
     def test_write_twice_identical(self, tmp_path):
         subgraphs = self._subgraphs()
@@ -404,12 +391,10 @@ def assert_same_graphs(got, want):
         assert type(g.label) is int
         assert g.adjacency.shape == w.adjacency.shape
         assert g.adjacency.tobytes() == w.adjacency.tobytes()
-        assert len(g.nodes) == len(w.nodes)
-        for gn, wn in zip(g.nodes, w.nodes):
-            assert (gn.kind, gn.id) == (wn.kind, wn.id)
-            assert gn.embedding.dtype == np.float64
-            assert gn.embedding.shape == wn.embedding.shape
-            assert gn.embedding.tobytes() == wn.embedding.tobytes()
+        assert (g.kinds, list(g.ids)) == (w.kinds, list(w.ids))
+        assert g.features().dtype == np.float64
+        assert g.features().shape == w.features().shape
+        assert g.features().tobytes() == w.features().tobytes()
 
 
 class TestGraphsCompanion:
@@ -421,17 +406,18 @@ class TestGraphsCompanion:
         triplets["t4"][:3] = (-0.0, 5e-324, 1.0 / 3.0)
         out = []
         for i in range(6):
-            nodes = [Node(kind, kind, rng.normal(0, 1, 6)) for kind in CONTENT_KINDS]
-            nodes += [Node("commonsense", tid, triplets[tid].copy())
-                      for tid in sorted(triplets)[i % 3: i % 3 + 2 + i % 2]]
+            content = rng.normal(0, 1, (4, 6))
+            ids = sorted(triplets)[i % 3: i % 3 + 2 + i % 2]
+            rows = [triplets[tid] for tid in ids]
             if i == 5:
                 # Same id as other samples' t0, other vector: kept apart.
-                nodes.append(Node("commonsense", "t0", -triplets["t0"]))
-            n = len(nodes)
+                ids.append("t0")
+                rows.append(-triplets["t0"])
+            n = 4 + len(ids)
             adj = np.triu(np.abs(rng.normal(0, 0.3, (n, n))), 1)
-            out.append(Subgraph(sample_id=f"s{i}", split=("train", "val", "test")[i % 3],
-                                group=f"g{i % 2}", label=i % 3, nodes=nodes,
-                                adjacency=adj + adj.T))
+            out.append(make_subgraph([*CONTENT_KINDS, *ids], [*content, *rows], adj + adj.T,
+                                     label=i % 3, sample_id=f"s{i}",
+                                     split=("train", "val", "test")[i % 3], group=f"g{i % 2}"))
         return out
 
     def _write(self, tmp_path, subgraphs=None):
@@ -447,6 +433,9 @@ class TestGraphsCompanion:
         companion_path(path).unlink()
         from_json = read_graphs(path)
         assert_same_graphs(from_companion, from_json)
+        # Both readers lay the table out alike: content rows, then each
+        # distinct commonsense row.
+        assert from_companion[0][0].table.tobytes() == from_json[0][0].table.tobytes()
 
     def test_companion_read_equals_what_was_written(self, tmp_path):
         subgraphs = self._subgraphs()
@@ -457,14 +446,15 @@ class TestGraphsCompanion:
 
     def test_triplet_rows_are_shared_and_read_only(self, tmp_path):
         loaded, _ = read_graphs(self._write(tmp_path))
+        assert not loaded[0].table.flags.writeable
         rows = {}
         for sg in loaded:
-            for node in sg.nodes[4:]:
-                assert not node.embedding.flags.writeable
-                rows.setdefault(node.id, []).append(node.embedding)
+            for node_id, row in zip(sg.ids[4:], sg.rows[4:]):
+                rows.setdefault(node_id, []).append(int(row))
         shared = rows["t2"]
-        assert len(shared) > 1
-        assert all(np.shares_memory(shared[0], other) for other in shared[1:])
+        assert len(shared) > 1 and len(set(shared)) == 1
+        # t0 with its other vector is a row of its own.
+        assert len(set(rows["t0"])) == 2
 
     def test_edited_json_ignores_stale_companion(self, tmp_path):
         path = self._write(tmp_path)
@@ -510,19 +500,23 @@ class TestGraphsCompanion:
         assert companion_path(p1).read_bytes() == companion_path(p2).read_bytes()
         assert str(tmp_path).encode() not in companion_path(p1).read_bytes()
 
-    @pytest.mark.parametrize("mutation", sorted(RECORD_MUTATIONS))
+    # A Subgraph holds no kinds: node i's kind follows from i, so a mutation
+    # that only reorders the nodes leaves a subgraph the rule accepts.
+    @pytest.mark.parametrize("mutation", sorted(set(RECORD_MUTATIONS)
+                                                - {"commonsense-first", "swapped-content"}))
     def test_record_rule_is_checked_before_any_file_is_created(self, tmp_path, mutation):
         subgraphs = self._subgraphs()
         sg = subgraphs[1]
         record = {"sample_id": sg.sample_id, "split": sg.split, "group": sg.group,
                   "label": sg.label}
-        nodes = [{"kind": n.kind, "id": n.id, "embedding": n.embedding} for n in sg.nodes]
+        nodes = [{"kind": kind, "id": node_id, "embedding": row}
+                 for kind, node_id, row in zip(sg.kinds, sg.ids, sg.features())]
         edit, message = RECORD_MUTATIONS[mutation]
         edit(record, nodes)
         n = len(nodes)
-        subgraphs[1] = Subgraph(**record, nodes=[Node(d["kind"], d["id"], d["embedding"])
-                                                 for d in nodes],
-                                adjacency=sg.adjacency if n == sg.size else np.zeros((n, n)))
+        subgraphs[1] = make_subgraph([d["id"] for d in nodes], [d["embedding"] for d in nodes],
+                                     sg.adjacency if n == sg.size else np.zeros((n, n)),
+                                     **record)
         path = tmp_path / "x.graphs"
         with pytest.raises(DataError, match=message):
             write_graphs(path, subgraphs, ["a", "b", "c"], {})
@@ -535,16 +529,35 @@ class TestGraphsCompanion:
             write_graphs(path, self._subgraphs(), bad, {})
         assert not path.exists() and not companion_path(path).exists()
 
-    @pytest.mark.parametrize("misfit", ["wider-embedding", "2-d-embedding",
+    @pytest.mark.parametrize("size, kinds", [
+        (0, ()), (3, CONTENT_KINDS[:3]), (4, CONTENT_KINDS),
+        (6, CONTENT_KINDS + ("commonsense", "commonsense"))])
+    def test_kinds_follow_from_the_node_count(self, tmp_path, size, kinds):
+        sg = make_subgraph([f"n{i}" for i in range(size)], np.ones((size, 6)),
+                           np.zeros((size, size)))
+        assert sg.kinds == kinds
+        assert [node.kind for node in sg.nodes] == list(kinds)
+        path = tmp_path / "x.graphs"
+        if size < 4:
+            with pytest.raises(DataError, match="node kinds"):
+                write_graphs(path, [sg], ["a"], {})
+            assert not path.exists() and not companion_path(path).exists()
+        else:
+            write_graphs(path, [sg], ["a"], {})
+            assert read_graphs(path)[0][0].kinds == sg.kinds
+
+    @pytest.mark.parametrize("misfit", ["wider-table", "3-d-table", "row-outside-table",
                                         "flat-adjacency"])
     def test_layout_misfit_is_rejected_before_writing(self, tmp_path, misfit):
         path = self._write(tmp_path)
         before = path.read_bytes(), companion_path(path).read_bytes()
         odd = self._subgraphs()
-        if misfit == "wider-embedding":
-            odd[2].nodes[0] = Node("question", "question", np.ones(7))
-        elif misfit == "2-d-embedding":
-            odd[2].nodes[0] = Node("question", "question", np.ones((1, 6)))
+        if misfit == "wider-table":
+            odd[2].table = np.ones((odd[2].size, 7))
+        elif misfit == "3-d-table":
+            odd[2].table = np.ones((odd[2].size, 1, 6))
+        elif misfit == "row-outside-table":
+            odd[2].rows = odd[2].rows + 1
         else:
             odd[2].adjacency = odd[2].adjacency.reshape(-1)
         with pytest.raises(DataError, match="'s2'"):
@@ -562,8 +575,8 @@ def _reference_graph_lines(subgraphs, label_vocab, config):
         "split": sg.split,
         "group": sg.group,
         "label": sg.label,
-        "nodes": [{"kind": n.kind, "id": n.id, "embedding": n.embedding.tolist()}
-                  for n in sg.nodes],
+        "nodes": [{"kind": kind, "id": node_id, "embedding": row.tolist()}
+                  for kind, node_id, row in zip(sg.kinds, sg.ids, sg.features())],
         "adjacency": sg.adjacency.reshape(-1).tolist(),
     } for sg in subgraphs]
     return [(json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
@@ -584,16 +597,17 @@ def _odd_subgraphs():
     names = [("s0-é", "grüppe"), ("样本1", "g\"1\\"), ("s2\n", "g2")]
     out = []
     for i, ((sample_id, group), extra) in enumerate(zip(names, commonsense)):
-        nodes = [Node(kind, kind, rng.normal(0, 1, 6)) for kind in CONTENT_KINDS]
-        nodes[i].embedding[3:] = special
-        nodes += [Node("commonsense", tid, vec) for tid, vec in extra]
-        n = len(nodes)
+        content = rng.normal(0, 1, (4, 6))
+        content[i, 3:] = special
+        n = 4 + len(extra)
         adj = np.triu(np.abs(rng.normal(0, 0.3, (n, n))), 1)
         adj[0, 1:4] = special
         adj = adj + adj.T
         adj[0, 1] = adj[1, 0] = -0.0
-        out.append(Subgraph(sample_id=sample_id, split=("train", "val", "test")[i],
-                            group=group, label=i, nodes=nodes, adjacency=adj))
+        out.append(make_subgraph([*CONTENT_KINDS, *(tid for tid, _ in extra)],
+                                 [*content, *(vec for _, vec in extra)], adj, label=i,
+                                 sample_id=sample_id, split=("train", "val", "test")[i],
+                                 group=group))
     return out
 
 
@@ -621,28 +635,25 @@ class TestWriterMatchesWholeRecordJson:
         assert meta["graphs_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _reference_edges(nodes, log, stats, mode="hybrid", tau=0.0):
+def _reference_edges(content, ids, log, stats, mode="hybrid", tau=0.0):
     """build_edges before the NPMI table: one cosine_sim per content pair
     and one pmi_weight per commonsense pair."""
-    n = len(nodes)
-    index = {node.id: i for i, node in enumerate(nodes)}
+    ids = [*CONTENT_KINDS, *ids]
+    n = len(ids)
     adjacency = np.zeros((n, n))
-    content = [i for i, node in enumerate(nodes) if node.kind in CONTENT_KINDS]
-    kind_to_index = {nodes[i].kind: i for i in content}
-    for a, b in itertools.combinations(content, 2):
-        sim = cosine_sim(nodes[a].embedding, nodes[b].embedding)
+    for a, b in itertools.combinations(range(4), 2):
+        sim = cosine_sim(content[a], content[b])
         if sim > tau and sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
     for hit in log:
-        if hit.triplet_id in index:
-            a, b = kind_to_index[hit.content_kind], index[hit.triplet_id]
+        if hit.triplet_id in ids[4:]:
+            a, b = ids.index(hit.content_kind), ids.index(hit.triplet_id, 4)
             adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
     if mode == "hybrid":
-        commonsense = [i for i, node in enumerate(nodes) if node.kind == "commonsense"]
-        for a, b in itertools.combinations(commonsense, 2):
-            if nodes[a].id not in stats.counts or nodes[b].id not in stats.counts:
+        for a, b in itertools.combinations(range(4, n), 2):
+            if ids[a] not in stats.counts or ids[b] not in stats.counts:
                 continue
-            weight = pmi_weight(stats, nodes[a].id, nodes[b].id)
+            weight = pmi_weight(stats, ids[a], ids[b])
             if weight is not None:
                 adjacency[a, b] = adjacency[b, a] = weight
     return adjacency
@@ -666,24 +677,23 @@ class TestNpmiTableEdges:
         return stats
 
     def _sample(self, rng):
-        nodes = [Node(kind, kind, rng.normal(0, 1, 8)) for kind in CONTENT_KINDS]
-        ids = sorted(rng.choice(self.NUM_TRIPLETS, size=int(rng.integers(0, 9)),
-                                replace=False))
-        nodes += [Node("commonsense", f"t{i}", rng.normal(0, 1, 8)) for i in ids]
-        log = [RetrievalHit(CONTENT_KINDS[int(rng.integers(4))], f"t{i}",
-                            float(rng.uniform(-0.5, 1.2))) for i in ids]
-        return nodes, log
+        content = rng.normal(0, 1, (4, 8))
+        ids = [f"t{i}" for i in sorted(rng.choice(self.NUM_TRIPLETS,
+                                                  size=int(rng.integers(0, 9)), replace=False))]
+        log = [RetrievalHit(CONTENT_KINDS[int(rng.integers(4))], tid,
+                            float(rng.uniform(-0.5, 1.2))) for tid in ids]
+        return content, ids, log
 
     def test_table_fill_equals_pairwise_reference_bitwise(self):
         rng = np.random.default_rng(17)
         stats = self._stats(rng)
         seen = {"unseen": 0, "independent": 0, "always": 0}
         for _ in range(150):
-            nodes, log = self._sample(rng)
+            content, ids, log = self._sample(rng)
             for mode, tau in (("hybrid", 0.0), ("hybrid", 0.3), ("cosine", -0.2)):
-                want = _reference_edges(nodes, log, stats, mode, tau)
-                assert build_edges(nodes, log, stats, mode, tau).tobytes() == want.tobytes()
-            ids = [node.id for node in nodes[4:]]
+                want = _reference_edges(content, ids, log, stats, mode, tau)
+                got = build_edges(content, ids, log, stats, mode, tau)
+                assert got.tobytes() == want.tobytes()
             seen["unseen"] += "t23" in ids
             for a, b in itertools.combinations(ids, 2):
                 if a in stats.counts and b in stats.counts:
@@ -763,13 +773,13 @@ class TestBuildPassOrder:
         dataset, store = synth
         rows = {}
         for sg in build_dataset_graphs(dataset, store, seed=5, k=2):
-            for node in sg.nodes[4:]:
-                assert node.embedding.tobytes() == store.embeddings.vector(node.id).tobytes()
-                rows.setdefault(node.id, []).append(node.embedding)
+            for node_id, row in zip(sg.ids[4:], sg.rows[4:]):
+                assert sg.table[row].tobytes() == store.embeddings.vector(node_id).tobytes()
+                rows.setdefault(node_id, []).append(int(row))
         first, *others = max(rows.values(), key=len)
-        assert others and all(np.shares_memory(first, other) for other in others)
+        assert others and set(others) == {first}
         with pytest.raises(ValueError, match="read-only"):
-            first[0] = 0.0
+            sg.table[first, 0] = 0.0
 
     def test_store_listing_ids_out_of_order_builds_the_same_graphs(self, synth, tmp_path):
         """A triplet GEMB may list its ids in any order; retrieval and node
@@ -784,6 +794,23 @@ class TestBuildPassOrder:
         assert reread.embeddings.ids() != ids
         got = build_dataset_graphs(dataset, reread, seed=5, k=2)
         assert_same_graphs((got, {}), (build_dataset_graphs(dataset, store, seed=5, k=2), {}))
-        for sg in got:
-            for node in sg.nodes[4:]:
-                assert not node.embedding.flags.writeable
+        assert not got[0].table.flags.writeable
+
+
+@pytest.mark.parametrize("source", ["build", "companion", "json"])
+def test_subgraphs_of_one_read_share_one_read_only_table(synth, tmp_path, source):
+    """A build, a companion read and a JSON read each give every subgraph
+    the same node table object, which no one can write to."""
+    dataset, store = synth
+    subgraphs = build_dataset_graphs(dataset, store, seed=5, k=2)
+    if source != "build":
+        path = tmp_path / "x.graphs"
+        write_graphs(path, subgraphs, dataset.label_vocab, {})
+        if source == "json":
+            companion_path(path).unlink()
+        subgraphs, _ = read_graphs(path)
+    table = subgraphs[0].table
+    assert all(sg.table is table for sg in subgraphs)
+    assert table.dtype == np.float64 and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0

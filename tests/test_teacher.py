@@ -7,11 +7,11 @@ import pytest
 
 from graphkd.autodiff import Tensor
 from graphkd.errors import ConfigError, DataError
-from graphkd.graphs import CONTENT_KINDS, Node, Subgraph, normalize_adjacency
+from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
 from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, load_teacher,
                              save_teacher, teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import teacher_loss_error
-from reference import teacher_row, train_teacher_reference
+from reference import make_subgraph, teacher_row, train_teacher_reference
 
 
 def _forward(features, a_hat=None, w0=None, w1=None, head=None):
@@ -87,14 +87,12 @@ def _random_subgraphs(count, dim=8, classes=3, commonsense=2, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
-        nodes = [Node(kind, kind, rng.normal(0, 1, dim)) for kind in CONTENT_KINDS]
-        for j in range(commonsense):
-            nodes.append(Node("commonsense", f"t{j}", rng.normal(0, 1, dim)))
-        n = len(nodes)
+        n = 4 + commonsense
+        features = rng.normal(0, 1, (n, dim))
         upper = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6), 1)
-        out.append(Subgraph(sample_id=f"s{i}", split="train", group=f"g{i % 3}",
-                            label=int(rng.integers(classes)), nodes=nodes,
-                            adjacency=upper + upper.T))
+        out.append(make_subgraph([*CONTENT_KINDS, *(f"t{j}" for j in range(commonsense))],
+                                 features, upper + upper.T, label=int(rng.integers(classes)),
+                                 sample_id=f"s{i}", group=f"g{i % 3}"))
     return out
 
 
