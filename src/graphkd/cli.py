@@ -2,14 +2,16 @@
 
 Every subcommand is seeded and rerunnable: identical flags produce
 byte-identical output files. Exit codes: 0 success, 1 usage error, 2
-data/format error, 3 numeric invariant violation. Diagnostics go to
-stderr; results go to files and stdout.
+data/format error or an allocation that failed, 3 numeric invariant
+violation. Flags are checked before any input file is read. Diagnostics go
+to stderr; results go to files and stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import datagen, distill, evaluate, graphs, teacher, verification
@@ -100,14 +102,17 @@ def _splits(subgraphs):
 
 
 def cmd_train_teacher(args) -> int:
+    # The flags are checked before the graphs file is read; the dim and the
+    # class count come from it.
+    config = teacher.TeacherConfig(
+        dim=0, num_classes=0, hidden=args.hidden, head_hidden=args.head_hidden,
+        epochs=args.epochs, optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
+    config.validate()
     subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
     train, val = _splits(subgraphs)
-    config = teacher.TeacherConfig(
-        dim=dim, num_classes=len(label_vocab), hidden=args.hidden,
-        head_hidden=args.head_hidden, epochs=args.epochs,
-        optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
     params, metadata, metrics = teacher.train_teacher(
-        train, val, config, graph_config=header.get("config"))
+        train, val, replace(config, dim=dim, num_classes=len(label_vocab)),
+        graph_config=header.get("config"))
     _log_epochs(metrics)
     metadata["label_vocab"] = label_vocab
     teacher.save_teacher(args.out, params, metadata)
@@ -116,11 +121,17 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
-    train, val = _splits(subgraphs)
+    # The flags are checked before the graphs file or any teacher is read.
+    config = distill.DistillConfig(
+        student=args.student, dim=0, num_classes=0, hidden=args.hidden,
+        kd_weight=args.kd_weight, temperature=args.temperature, epochs=args.epochs,
+        optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
+    config.validate()
     teacher_paths = [p for p in args.teacher.split(",") if p]
     if not teacher_paths:
         raise ConfigError("at least one teacher checkpoint is required")
+    subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
+    train, val = _splits(subgraphs)
     teachers = []
     for path in teacher_paths:
         params, metadata = teacher.load_teacher(path)
@@ -134,13 +145,9 @@ def cmd_distill(args) -> int:
                 f"teacher {path} has dim {t_config.get('dim')}, graphs have {dim}")
         teachers.append(params)
 
-    config = distill.DistillConfig(
-        student=args.student, dim=dim, num_classes=len(label_vocab),
-        hidden=args.hidden, kd_weight=args.kd_weight,
-        temperature=args.temperature, epochs=args.epochs,
-        optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
     params, metadata, metrics = distill.train_student(
-        train, val, config, teachers, teacher_names=teacher_paths)
+        train, val, replace(config, dim=dim, num_classes=len(label_vocab)), teachers,
+        teacher_names=teacher_paths)
     _log_epochs(metrics)
     metadata["label_vocab"] = label_vocab
     metadata["graph_config"] = header.get("config")
@@ -302,6 +309,10 @@ def run(argv=None) -> int:
         return 2
     except OSError as exc:
         _log(f"error: {exc}")
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate.
+        _log(f"error: out of memory{f': {exc}' if str(exc) else ''}")
         return 2
 
 

@@ -23,7 +23,8 @@ from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
 from .teacher import (TEACHER_MODEL_KIND, TeacherParams, check_dataset, checkpoint_arrays,
-                      resolved_learning_rate, teacher_from_checkpoint, teacher_logits)
+                      graph_stacks, resolved_learning_rate, teacher_from_checkpoint,
+                      teacher_logits)
 
 STUDENT_KINDS = ("mlp", "transformer")
 MLP_PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -207,10 +208,16 @@ def compute_soft_labels(teachers: list[TeacherParams], subgraphs: list[Subgraph]
     so this is computed once and reused across epochs."""
     if not teachers:
         raise ConfigError("need at least one teacher")
-    a_hats = [normalize_adjacency(sg.adjacency) for sg in subgraphs]
+    logits = [np.empty((len(subgraphs), params.head_b2.shape[1])) for params in teachers]
+    # One stack's Â at a time, normalized once for every teacher.
+    for members in graph_stacks(subgraphs):
+        stack = [subgraphs[i] for i in members]
+        a_hats = [normalize_adjacency(sg.adjacency) for sg in stack]
+        for params, out in zip(teachers, logits):
+            out[members] = teacher_logits(params, stack, a_hats)
     probs = []
-    for params in teachers:
-        scaled = teacher_logits(params, subgraphs, a_hats) / temperature
+    for out in logits:
+        scaled = out / temperature
         e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         probs.append(e / e.sum(axis=1, keepdims=True))
     widths = sorted({p.shape[1] for p in probs})

@@ -7,9 +7,10 @@ as a 64-bit integer, then numpy's ``SeedSequence`` words for that integer,
 then a ``PCG64`` seeded with those words, then ``standard_normal(dim)``.
 ``token_rows`` derives the rows of all distinct tokens of a set of texts in
 one pass, with the ``SeedSequence`` words computed as arrays, one chunk of
-``TOKEN_ROW_CHUNK`` tokens at a time. A graph build makes one such table
-for all the texts it embeds, so each distinct token's row is computed once
-per build.
+``TOKEN_ROW_CHUNK`` tokens at a time. A graph build embeds its records a
+chunk at a time through ``TokenRowChunks``: the rows of tokens that recur
+are kept, the rows of tokens that occur once live only with their chunk.
+Either way each distinct token's row is computed once per build.
 
 The on-disk embedding format (``GEMB``) stores vectors as f32 little-endian;
 in memory everything is float64. Stores quantize to f32 on insertion so that
@@ -120,41 +121,98 @@ class _SeedWords:
 @dataclass(frozen=True)
 class TokenRows:
     """One Gaussian row per distinct token, for one (dim, seed):
-    ``rows[index[token]]``."""
+    ``rows[index[token]]``. ``picks`` holds each text the table was made
+    for, with its tokens' rows in token order, so that embedding one of
+    those texts does not tokenize it again."""
 
     dim: int
     seed: int
     index: dict[str, int]
     rows: np.ndarray
+    picks: dict[str, list[int]]
+
+
+def _token_index(texts) -> tuple[dict[str, int], dict[str, list[int]]]:
+    """Each distinct token of ``texts`` numbered in order of first
+    occurrence, and each distinct text's token numbers."""
+    index: dict[str, int] = {}
+    picks: dict[str, list[int]] = {}
+    for text in texts:
+        if text not in picks:
+            picks[text] = [index.setdefault(token, len(index)) for token in tokenize(text)]
+    return index, picks
+
+
+def _derive_rows(tokens, seed: int, out) -> None:
+    """Write the row of the i-th of ``tokens`` into the i-th row of ``out``.
+    The ``SeedSequence`` words are derived as arrays for ``TOKEN_ROW_CHUNK``
+    tokens at a time, so the intermediates scale with the chunk."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    tokens, out = iter(tokens), iter(out)
+    while digests := b"".join(blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+                              for token in islice(tokens, TOKEN_ROW_CHUNK)):
+        words = seed_sequence_words(np.frombuffer(digests, dtype="<u8"))
+        for row_words, row in zip(words, out):
+            np.random.Generator(np.random.PCG64(_SeedWords(row_words))).standard_normal(
+                len(row), out=row)
 
 
 def token_rows(texts, dim: int, seed: int) -> TokenRows:
-    """The row of every distinct token in ``texts``, each computed once.
+    """The row of every distinct token in ``texts``, each computed once, in
+    one table.
 
     A token's row is ``Generator(PCG64(s)).standard_normal(dim)``, where
     ``s`` is the little-endian 64-bit blake2b digest of ``"{seed}:{token}"``.
     The PCG64 is seeded with ``SeedSequence(s)``'s words, derived by
-    ``seed_sequence_words`` for ``TOKEN_ROW_CHUNK`` tokens at a time, and
-    the table is filled one such chunk at a time, so the intermediates
-    scale with the chunk rather than with the table."""
+    ``seed_sequence_words``. A graph build holds its rows a chunk of records
+    at a time instead (see ``TokenRowChunks``)."""
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
-    index: dict[str, int] = {}
-    for text in texts:
-        for token in tokenize(text):
-            index.setdefault(token, len(index))
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    index, picks = _token_index(texts)
     rows = np.empty((len(index), dim))
-    tokens = iter(index)
-    for start in range(0, len(index), TOKEN_ROW_CHUNK):
-        digests = b"".join(blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
-                           for token in islice(tokens, TOKEN_ROW_CHUNK))
-        words = seed_sequence_words(np.frombuffer(digests, dtype="<u8"))
-        for row_words, row in zip(words, rows[start:start + TOKEN_ROW_CHUNK]):
-            np.random.Generator(np.random.PCG64(_SeedWords(row_words))).standard_normal(
-                dim, out=row)
+    _derive_rows(index, seed, rows)
     rows.flags.writeable = False
-    return TokenRows(dim, seed, index, rows)
+    return TokenRows(dim, seed, index, rows, picks)
+
+
+class TokenRowChunks:
+    """Token rows for texts that are embedded one chunk at a time. A token
+    that occurs more than once in ``texts`` keeps its row from the first
+    chunk that holds it on; any other token's row lives only in its own
+    chunk's table. So each distinct token's row is derived once, and what
+    is alive is the recurring rows plus one chunk's table.
+
+    Occurrences are counted by ``hash`` of the token, so no token string
+    outlives its text. Tokens that share a hash count together, which can
+    only keep a row that was not needed again."""
+
+    def __init__(self, texts, dim: int, seed: int):
+        if dim < 2:
+            raise DataError(f"embedding dim must be >= 2, got {dim}")
+        self.dim, self.seed = dim, seed
+        hashes = np.fromiter((hash(token) for text in texts for token in tokenize(text)),
+                             dtype=np.int64)
+        values, counts = np.unique(hashes, return_counts=True)
+        self._recurring = set(values[counts > 1].tolist())
+        self._kept: dict[str, np.ndarray] = {}
+
+    def table(self, texts) -> TokenRows:
+        """One chunk's table: the row of every distinct token of ``texts``,
+        derived here unless an earlier chunk kept it."""
+        index, picks = _token_index(texts)
+        rows = np.empty((len(index), self.dim))
+        fresh = []
+        for token, i in index.items():
+            if token in self._kept:
+                rows[i] = self._kept[token]
+            else:
+                fresh.append(token)
+        _derive_rows(fresh, self.seed, (rows[index[token]] for token in fresh))
+        for token in fresh:
+            if hash(token) in self._recurring:
+                self._kept[token] = rows[index[token]].copy()
+        rows.flags.writeable = False
+        return TokenRows(self.dim, self.seed, index, rows, picks)
 
 
 def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> np.ndarray:
@@ -164,26 +222,24 @@ def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> 
     -> ``standard_normal(dim)`` (see ``token_rows``). Text with no tokens
     maps to the first basis vector e1 (the documented empty-text sentinel).
 
-    ``rows`` is a ``token_rows`` table for the same dim and seed that holds
-    every token of ``text``. A graph build passes one table for all its
-    texts, so each distinct token's row is computed once per build. Without
-    ``rows``, the rows of this text's tokens are computed for this call."""
+    ``rows`` is a token-row table for the same dim and seed that holds every
+    token of ``text``; a text it was made for is not tokenized again. A
+    graph build passes one table per chunk of records, so each distinct
+    token's row is computed once per build. Without ``rows``, the rows of
+    this text's tokens are computed for this call."""
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
-    tokens = tokenize(text)
-    if not tokens:
-        vec = np.zeros(dim)
-        vec[0] = 1.0
-        return vec
     if rows is None:
         rows = token_rows([text], dim, seed)
     elif (rows.dim, rows.seed) != (dim, seed):
         raise DataError(f"token rows for dim {rows.dim} and seed {rows.seed} cannot "
                         f"embed at dim {dim} and seed {seed}")
-    try:
-        picked = [rows.index[token] for token in tokens]
-    except KeyError as exc:
-        raise DataError(f"token {exc} has no row in the token-row table") from exc
+    picked = rows.picks.get(text)
+    if picked is None:
+        try:
+            picked = [rows.index[token] for token in tokenize(text)]
+        except KeyError as exc:
+            raise DataError(f"token {exc} has no row in the token-row table") from exc
     total = np.zeros(dim)
     for i in picked:
         total += rows.rows[i]
@@ -346,6 +402,7 @@ class TripletStore:
                 raise DataError(f"companion store lacks embedding id '{triplet_id(i)}'")
         self.triplets = list(triplets)
         self.embeddings = embeddings
+        self._ids: list[str] = []
         self._scoring: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -364,6 +421,14 @@ class TripletStore:
     def dim(self) -> int:
         return self.embeddings.dim
 
+    @property
+    def ids(self) -> list[str]:
+        """t0, t1, ... for the store's triplets: retrieval hands out these
+        strings rather than a new one per hit."""
+        if len(self._ids) != len(self.triplets):
+            self._ids = [triplet_id(i) for i in range(len(self.triplets))]
+        return self._ids
+
     def scoring_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """The embeddings of t0, t1, ... as rows in that order, and their
         norms, computed and checked for zero norms once per embedding matrix
@@ -372,9 +437,8 @@ class TripletStore:
         freely) is gathered by id."""
         mat = self.embeddings.matrix()
         if self._scoring is None or self._scoring[0] is not mat:
-            ids = [triplet_id(i) for i in range(len(self))]
-            ordered = (mat if self.embeddings.ids() == ids
-                       else np.stack([self.embeddings.row(tid) for tid in ids]))
+            ordered = (mat if self.embeddings.ids() == self.ids
+                       else np.stack([self.embeddings.row(tid) for tid in self.ids]))
             norms = np.linalg.norm(ordered, axis=1)
             if (norms == 0.0).any():
                 raise DataError("triplet store contains a zero-norm embedding")
@@ -406,7 +470,8 @@ def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple
     cut = len(scores) - k
     candidates = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
     top = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
-    return [(triplet_id(i), s) for i, s in zip(top.tolist(), scores[top].tolist())]
+    ids = store.ids
+    return [(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())]
 
 
 # ---------------------------------------------------------------------------

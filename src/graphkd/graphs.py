@@ -21,8 +21,9 @@ rows, then the triplet store's t0, t1, ... rows; a read's table is laid
 out as the companion (below). No row is copied per sample.
 
 A dataset is built in three passes (see ``build_dataset_graphs``): embed
-every sample's content nodes, release the token-row table, retrieve, then
-add edges.
+every sample's content nodes, a chunk of records per token-row table; then
+retrieve and add each sample's edges; then, in mode hybrid, the
+commonsense blocks.
 
 Graphs file: JSON lines, one header line (format, label vocabulary, config
 echo) and then one record per sample (nodes with kind, id and embedding,
@@ -78,8 +79,8 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SPLITS, Dataset, ManifestRecord
-from .embeddings import (EmbeddingStore, TokenRows, TripletStore, pairwise_cosine,
-                         token_rows, top_k_triplets, toy_embed)
+from .embeddings import (EmbeddingStore, TokenRowChunks, TokenRows, TripletStore,
+                         pairwise_cosine, top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .serialization import (canonical_json, check_text, read_checkpoint, utf8_lines,
                             write_checkpoint)
@@ -93,6 +94,9 @@ COMPANION_SUFFIX = ".gkdc"
 COMPANION_FORMAT = "graphkd-graphs-companion"
 COMPANION_VERSION = 1
 HASH_CHUNK_BYTES = 1 << 20
+# Records embedded from one token-row table: a build holds the rows of the
+# tokens that recur plus those of one such chunk's single-use tokens.
+TOKEN_CHUNK_RECORDS = 128
 
 
 NodeView = namedtuple("NodeView", ["kind", "id", "embedding"])
@@ -132,11 +136,11 @@ class Subgraph:
 
     def features(self) -> np.ndarray:
         """All node embeddings stacked N x dim, in node order."""
-        return self.table[self.rows]
+        return self.table.take(self.rows, axis=0)
 
     def content_features(self) -> np.ndarray:
         """The four content-node embeddings (the raw-feature student input)."""
-        return self.table[self.rows[:4]]
+        return self.table.take(self.rows[:4], axis=0)
 
 
 @dataclass(frozen=True)
@@ -335,49 +339,71 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: int,
                          k: int = 3, mode: str = "hybrid",
                          tau: float = 0.0) -> list[Subgraph]:
-    """Three passes over a validated dataset: embed, retrieve, then edges.
-    Node embeddings use the triplet store's dimension.
+    """Three passes over a validated dataset: embed, retrieve and add edges,
+    then the NPMI edges. Node embeddings use the triplet store's dimension.
 
-    1. Every record's content nodes are embedded from one ``token_rows``
-       table, so each distinct token of the dataset's texts gets its row
-       once. The table is then released: it is the build's largest object
-       (one float64 row per distinct token), and nothing after this pass
-       embeds, so retrieval and edges never hold it.
+    1. Every record's content nodes are embedded, ``TOKEN_CHUNK_RECORDS``
+       records from one ``TokenRowChunks`` table at a time. Each distinct
+       token of the dataset's texts gets its row once; a token that occurs
+       once has its row only while its chunk is embedded. Nothing after
+       this pass embeds, so retrieval and edges hold no token rows.
     2. Retrieval, in record order, accumulating the training split's
-       co-occurrence statistics. A sample's retrieval depends only on its
-       own content nodes, so it does not matter that all samples were
-       embedded first.
-    3. Edges, which need the complete statistics."""
+       co-occurrence statistics, and each sample's edges as soon as it is
+       retrieved, except for the commonsense block. A sample's retrieval
+       depends only on its own content nodes, so it does not matter that
+       all samples were embedded first.
+    3. In mode hybrid, every sample's commonsense block, the NPMI edges
+       ``build_edges`` adds in that mode, which need the complete
+       statistics."""
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
     base = 4 * len(dataset.records)
     table = np.empty((base + len(triplet_store), dim))
+    _embed_content(dataset, dim, seed, table)
 
-    # A record with a visual_ref has no visual_text, so this is every text
-    # build_content_nodes embeds.
-    rows = token_rows([text for r in dataset.records
-                       for text in (r.question, r.language_context, r.visual_text or "")],
-                      dim, seed)
-    for i, record in enumerate(dataset.records):
-        table[4 * i:4 * i + 4] = build_content_nodes(record, dim, seed,
-                                                     dataset.visual_store, rows)
-    del rows
-
-    built: list[tuple[list[str], list[RetrievalHit]]] = []
+    if mode not in EDGE_MODES:
+        raise ConfigError(f"unknown edge mode '{mode}'")
+    built: list[tuple[list[str], np.ndarray]] = []
     stats = CooccurrenceStats()
     for i, record in enumerate(dataset.records):
-        built.append(attach_commonsense(table[4 * i:4 * i + 4], triplet_store, k))
+        content = table[4 * i:4 * i + 4]
+        ids, log = attach_commonsense(content, triplet_store, k)
         if record.split == "train":
-            stats.observe({hit.triplet_id for hit in built[-1][1]})
+            stats.observe(set(ids))
+        # Every edge but the commonsense block, which waits for the complete
+        # statistics; so no retrieval log outlives its sample.
+        built.append((ids, build_edges(content, ids, log, stats, mode="cosine", tau=tau)))
     table[base:] = triplet_store.scoring_matrix()[0]
     table.flags.writeable = False
+    if mode == "hybrid":
+        npmi = stats.npmi_table()
+        for ids, adjacency in built:
+            adjacency[4:, 4:] = npmi.block(ids)
 
     return [Subgraph(record.sample_id, record.split, record.group, label_index[record.label],
                      table, np.array([*range(4 * i, 4 * i + 4),
                                       *(base + _triplet_index(tid) for tid in ids)]),
-                     [*CONTENT_KINDS, *ids],
-                     build_edges(table[4 * i:4 * i + 4], ids, log, stats, mode=mode, tau=tau))
-            for i, (record, (ids, log)) in enumerate(zip(dataset.records, built))]
+                     [*CONTENT_KINDS, *ids], adjacency)
+            for i, (record, (ids, adjacency)) in enumerate(zip(dataset.records, built))]
+
+
+def _texts(records):
+    # A record with a visual_ref has no visual_text, so this is every text
+    # build_content_nodes embeds.
+    return (text for r in records
+            for text in (r.question, r.language_context, r.visual_text or ""))
+
+
+def _embed_content(dataset: Dataset, dim: int, seed: int, table: np.ndarray) -> None:
+    """Write record i's four content rows to rows 4i..4i+3 of ``table``."""
+    chunks = TokenRowChunks(_texts(dataset.records), dim, seed)
+    for start in range(0, len(dataset.records), TOKEN_CHUNK_RECORDS):
+        records = dataset.records[start:start + TOKEN_CHUNK_RECORDS]
+        rows = chunks.table(_texts(records))
+        for i, record in enumerate(records, start):
+            table[4 * i:4 * i + 4] = build_content_nodes(record, dim, seed,
+                                                         dataset.visual_store, rows)
+        del rows  # before the next chunk's table is made
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +472,8 @@ def write_graphs(path, subgraphs: list[Subgraph], label_vocab: list[str],
 
 def _companion_parts(subgraphs: list[Subgraph]):
     """The companion's sample metadata, each ``triplets`` row's (id, bytes)
-    key, and its tensors as piece lists. A subgraph off this layout (tables
+    key, and its tensors as piece lists of views into the subgraphs' tables
+    where their rows allow it. A subgraph off this layout (tables
     2-D of one width, rows inside them, n x n adjacency) is a ``DataError``."""
     samples: list[dict] = []
     triplet_rows: dict[tuple[str, bytes], int] = {}
@@ -466,7 +493,12 @@ def _companion_parts(subgraphs: list[Subgraph]):
                 triplet_rows[key] = len(triplets)
                 triplets.append(table[row:row + 1])
             refs.append(triplet_rows[key])
-        rows.append(table[sg.rows[:4]])
+        # A build's content rows are one block of its table: write them from
+        # views of it instead of copying them.
+        first = int(index[0])
+        content = index[:4].tolist()
+        rows.append(table[first:first + 4] if content == list(range(first, first + 4))
+                    else table[content])
         adjacency.append(np.asarray(sg.adjacency, dtype=np.float64).reshape(-1, 1))
         samples.append({"sample_id": sg.sample_id, "split": sg.split, "group": sg.group,
                         "label": sg.label, "kinds": list(sg.kinds), "ids": list(sg.ids),

@@ -19,6 +19,7 @@ string they read.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -147,30 +148,45 @@ def _check_manifest_entry(entry, at: int) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Metadata and tensors of the checkpoint at ``path``. The manifest is
+    checked, and its sizes against the file's size, before any tensor is
+    allocated, so a forged size is a ``FormatError`` that costs nothing.
+    Each tensor is then read straight from the file into its own writable
+    array: one copy of its bytes, never the whole file at once."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), "checkpoint")
-    reader.expect_magic(CHECKPOINT_MAGIC)
-    reader.expect_version(FORMAT_VERSION)
-    meta_len = reader.u64()
-    at = reader.pos
-    try:
-        metadata = json.loads(reader.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint metadata: {exc}", offset=at) from exc
-    manifest = metadata.get("tensors") if isinstance(metadata, dict) else None
-    if not isinstance(manifest, list):
-        raise FormatError("checkpoint metadata lacks a tensor manifest", offset=at)
-    tensors: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        _check_manifest_entry(entry, at)
-        rows, cols = entry["rows"], entry["cols"]
-        start = reader.pos
-        raw = reader.take(rows * cols * 8)
-        tensor = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        if not np.isfinite(tensor).all():
-            raise FormatError(f"checkpoint tensor '{entry['name']}' holds non-finite values",
-                              offset=start)
-        tensors[entry["name"]] = tensor
-    reader.done()
+        size = os.fstat(fh.fileno()).st_size
+        reader = _Reader(fh.read(16), "checkpoint")
+        reader.expect_magic(CHECKPOINT_MAGIC)
+        reader.expect_version(FORMAT_VERSION)
+        meta_len = reader.u64()
+        at = reader.pos
+        if meta_len > size - at:
+            raise FormatError(f"truncated checkpoint: wanted {meta_len} bytes", offset=at)
+        try:
+            metadata = json.loads(fh.read(meta_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"unreadable checkpoint metadata: {exc}", offset=at) from exc
+        manifest = metadata.get("tensors") if isinstance(metadata, dict) else None
+        if not isinstance(manifest, list):
+            raise FormatError("checkpoint metadata lacks a tensor manifest", offset=at)
+        starts = []
+        end = at + meta_len
+        for entry in manifest:
+            _check_manifest_entry(entry, at)
+            wanted = entry["rows"] * entry["cols"] * 8
+            if wanted > size - end:
+                raise FormatError(f"truncated checkpoint: wanted {wanted} bytes", offset=end)
+            starts.append(end)
+            end += wanted
+        if end != size:
+            raise FormatError(f"{size - end} trailing bytes in checkpoint", offset=end)
+        tensors: dict[str, np.ndarray] = {}
+        for entry, start in zip(manifest, starts):
+            tensor = np.empty((entry["rows"], entry["cols"]), dtype="<f8")
+            if fh.readinto(tensor.reshape(-1).view(np.uint8)) != tensor.nbytes:
+                raise FormatError(f"checkpoint {path} changed while it was read", offset=start)
+            if not np.isfinite(tensor).all():
+                raise FormatError(f"checkpoint tensor '{entry['name']}' holds non-finite values",
+                                  offset=start)
+            tensors[entry["name"]] = tensor
     return metadata, tensors
-

@@ -18,6 +18,9 @@ from .serialization import read_checkpoint, write_checkpoint
 DEFAULT_LEARNING_RATE = {"adam": 0.001, "sgd": 0.01}
 TEACHER_MODEL_KIND = "gcn-teacher"
 PARAM_NAMES = ("w0", "w1", "head_w1", "head_b1", "head_w2", "head_b2")
+# The most graphs one untracked forward pass stacks: enough to amortise the
+# per-call cost, few enough that a stack's intermediates stay a few MB.
+MAX_STACK = 128
 
 
 def resolved_learning_rate(config) -> float:
@@ -111,20 +114,31 @@ def teacher_forward(params: list[Tensor], a_hat: Tensor,
     return pooled, add(matmul(hidden, head_w2), head_b2)
 
 
-def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
-                   a_hats: list[np.ndarray] | None = None) -> np.ndarray:
-    """Untracked forward passes for prediction; returns the n x C logits in
-    sample order. Graphs of one node count go through the network as one
-    stack. A group's stacked Â (normalized here unless ``a_hats`` are given)
-    and features are built only when that group runs, so at most one
-    group's stacks are alive at a time."""
+def graph_stacks(subgraphs: list[Subgraph],
+                 a_hats: list[np.ndarray] | None = None) -> list[list[int]]:
+    """The indices of ``subgraphs`` in stacks for untracked forward passes:
+    graphs of one node count (one Â shape, when ``a_hats`` are given) in
+    sample order, at most ``MAX_STACK`` of them per stack."""
     groups: dict[tuple, list[int]] = {}
     for i, sg in enumerate(subgraphs):
         shape = np.shape(sg.adjacency if a_hats is None else a_hats[i])
         groups.setdefault((shape, sg.size), []).append(i)
+    return [members[start:start + MAX_STACK] for members in groups.values()
+            for start in range(0, len(members), MAX_STACK)]
+
+
+def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
+                   a_hats: list[np.ndarray] | None = None) -> np.ndarray:
+    """Untracked forward passes for prediction; returns the n x C logits in
+    sample order. The graphs go through the network in the stacks of
+    ``graph_stacks``, each stack's Â (normalized here unless ``a_hats`` are
+    given) and features built only when it runs, so the memory a call adds
+    is bounded by ``MAX_STACK`` graphs rather than by the dataset. A stacked
+    forward is exact slice by slice, so the logits do not depend on how the
+    graphs are stacked."""
     tensors = [Tensor(a) for a in params.as_list()]
     out = np.empty((len(subgraphs), params.head_b2.shape[1]))
-    for members in groups.values():
+    for members in graph_stacks(subgraphs, a_hats):
         if a_hats is None:
             stacked = np.stack([normalize_adjacency(subgraphs[i].adjacency) for i in members])
         else:
@@ -168,8 +182,9 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
     state = OptimizerState(kind=config.optimizer,
                            learning_rate=resolved_learning_rate(config))
 
+    # Each step gathers its sample's features from the shared node table, so
+    # the train split's rows are never copied as a whole.
     a_hats = [Tensor(normalize_adjacency(sg.adjacency)) for sg in train]
-    features = [Tensor(sg.features()) for sg in train]
     labels = [sg.label for sg in train]
     val_a_hats = [normalize_adjacency(sg.adjacency) for sg in val]
     val_labels = [sg.label for sg in val]
@@ -181,7 +196,10 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
         for idx in order:
             tape = Tape()
             tracked = [tape.watch(p) for p in params.tensors]
-            _, logits = teacher_forward(tracked, a_hats[idx], features[idx])
+            # The first matmul checks its product for non-finite values, so the
+            # gathered rows need no check of their own.
+            features = Tensor._wrap(train[idx].features(), None, None)
+            _, logits = teacher_forward(tracked, a_hats[idx], features)
             loss = cross_entropy(logits, labels[idx])
             optimizer_step(state, params, backward(tape, loss))
             total_loss += loss.item()

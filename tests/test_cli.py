@@ -4,6 +4,7 @@ import dataclasses
 import json
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from graphkd.cli import build_parser, run
 from graphkd.datagen import SynthConfig
 from graphkd.distill import DistillConfig
 from graphkd.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION, read_store
+from graphkd.errors import FormatError
 from graphkd.evaluate import read_report
 from graphkd.graphs import COMPANION_SUFFIX, companion_path, read_graphs
 from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, read_checkpoint,
@@ -511,6 +513,93 @@ class TestDataErrors:
                     "--epochs", "1", "--out", str(tmp_path / "t.ckpt")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(companion) in err
+
+
+class TestFlagsFirst:
+    """A bad flag is refused before any input is read, so the error names
+    the flag even when the graphs file does not exist."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["distill", "--teacher", "t.ckpt", "--student", "mlp", "--kd-weight", "nan"],
+         "kd_weight"),
+        (["distill", "--teacher", "t.ckpt", "--student", "mlp", "--epochs", "0"], "epochs"),
+        (["train-teacher", "--epochs", "0"], "epochs"),
+        (["train-teacher", "--lr", "inf"], "learning_rate"),
+    ])
+    def test_bad_flag_with_missing_graphs_exits_two_naming_the_flag(self, tmp_path, capsys,
+                                                                    argv, field):
+        missing = tmp_path / "missing.graphs"
+        out = tmp_path / "out"
+        assert run(argv + ["--graphs", str(missing), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err and str(missing) not in err
+        assert not out.exists()
+
+
+class TestAllocationFailure:
+    def test_memory_error_is_one_line_and_exit_two(self, trained, tmp_path, capsys,
+                                                   monkeypatch):
+        from graphkd import distill
+
+        def glorot_uniform(rng, rows, cols):
+            raise MemoryError(f"Unable to allocate 191. GiB for an array with shape "
+                              f"({rows}, {cols}) and data type float64")
+
+        monkeypatch.setattr(distill, "glorot_uniform", glorot_uniform)
+        graphs, teacher = trained
+        out = tmp_path / "s.ckpt"
+        capsys.readouterr()
+        assert run(["distill", "--graphs", str(graphs), "--teacher", str(teacher),
+                    "--student", "mlp", "--hidden", "100000000", "--epochs", "1",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "191. GiB" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _forge_rows(path, rows):
+    """Rewrite the checkpoint at ``path`` so that its manifest claims
+    ``rows`` rows for its first tensor; the tensor bytes stay as they are."""
+    blob = path.read_bytes()
+    meta_len = struct.unpack("<Q", blob[8:16])[0]
+    meta = json.loads(blob[16:16 + meta_len])
+    meta["tensors"][0]["rows"] = rows
+    raw = json.dumps(meta).encode("ascii")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + meta_len:])
+
+
+class TestForgedManifest:
+    """A manifest that claims 2**40 rows is refused before anything is
+    allocated for it, with one line and exit 2."""
+
+    @pytest.mark.parametrize("target", ["model", "companion"])
+    def test_forged_rows_exit_two_with_one_line(self, trained, tmp_path, capsys, target):
+        graphs, teacher = trained
+        graphs = shutil.copy(graphs, tmp_path / "g.graphs")
+        shutil.copy(companion_path(trained[0]), companion_path(graphs))
+        model = shutil.copy(teacher, tmp_path / "t.ckpt")
+        forged = model if target == "model" else companion_path(graphs)
+        _forge_rows(forged, 2**40)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                (read_checkpoint(forged) if target == "model"
+                 else read_graphs(graphs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        report = tmp_path / "r.json"
+        assert run(["eval", "--model", str(model), "--graphs", str(graphs),
+                    "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "truncated" in err
+        if target == "companion":
+            assert str(forged) in err
+        assert not report.exists()
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Distillation: soft labels, KD loss, student models, and training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,6 +538,46 @@ class TestStackedLogits:
         # Each group's adjacencies are normalized just before its forward pass.
         assert len(forwards) == 4
         assert [done for done, _ in forwards] == list(np.cumsum([n for _, n in forwards]))
+
+    def test_soft_labels_over_a_group_above_the_cap(self, monkeypatch):
+        """A node-count group larger than ``MAX_STACK`` runs as several
+        stacks. The soft labels stay bit-equal to the per-sample reference,
+        and the memory the call adds follows the cap, not the group."""
+        from graphkd import teacher as teacher_module
+        n, dim, hidden, count, cap = 12, 16, 16, 256, 8
+        rng = np.random.default_rng(3)
+        graphs = []
+        for i in range(count):
+            upper = np.triu(rng.uniform(0, 1, (n, n)), 1)
+            graphs.append(make_subgraph([*CONTENT_KINDS, *(f"t{j}" for j in range(n - 4))],
+                                        rng.normal(0, 1, (n, dim)), upper + upper.T,
+                                        label=0, sample_id=f"g{i}"))
+        teachers = [init_teacher(TeacherConfig(dim=dim, num_classes=3, hidden=hidden,
+                                               head_hidden=4), np.random.default_rng(s))
+                    for s in (1, 2)]
+        stacks = []
+        real_forward = teacher_module.teacher_forward
+
+        def forward(params, a_hat, features):
+            stacks.append(a_hat.data.shape[0])
+            return real_forward(params, a_hat, features)
+
+        monkeypatch.setattr(teacher_module, "MAX_STACK", cap)
+        monkeypatch.setattr(teacher_module, "teacher_forward", forward)
+        tracemalloc.start()
+        try:
+            entries = compute_soft_labels(teachers, graphs, temperature=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stacks == [cap] * (len(teachers) * count // cap)
+        for (sample_id, row), sg in zip(entries, graphs):
+            assert sample_id == sg.sample_id
+            assert row.tobytes() == soft_label_row(teachers, sg, 2.0).tobytes()
+        # One stack's Â, features and a few n x hidden blocks per graph, twice
+        # over, plus the count x C outputs and the interpreter's own objects.
+        per_graph = 8 * (n * n + n * dim + 4 * n * hidden)
+        assert peak < 2 * cap * per_graph + 128 * 1024
 
     @pytest.mark.parametrize("kind", ["mlp", "transformer"])
     def test_student_logits_match_per_sample_forward(self, kind):

@@ -111,8 +111,8 @@ def test_pipeline_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
 def test_chunked_build_and_capped_stacks_match_the_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(embeddings, "TOKEN_ROW_CHUNK", 5)
-    monkeypatch.setattr(graphs, "TOKEN_CHUNK_RECORDS", 7, raising=False)
-    monkeypatch.setattr(teacher, "MAX_STACK", 3, raising=False)
+    monkeypatch.setattr(graphs, "TOKEN_CHUNK_RECORDS", 7)
+    monkeypatch.setattr(teacher, "MAX_STACK", 3)
     for argv in CHUNKED_PIPELINE:
         assert run(argv) == 0, argv
     assert _digests(tmp_path) == CHUNKED_DIGESTS

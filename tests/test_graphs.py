@@ -1,6 +1,7 @@
 """Subgraph construction: content nodes, retrieval attachment, PMI edges,
 adjacency normalization, and the graphs file."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -12,10 +13,11 @@ import weakref
 import numpy as np
 import pytest
 
-from graphkd import graphs
+from graphkd import embeddings, graphs
 from graphkd.datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
-                                read_store, read_triplets_tsv, toy_embed, write_store)
+                                read_store, read_triplets_tsv, tokenize, toy_embed,
+                                write_store)
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
 from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, CooccurrenceStats,
                             RetrievalHit, attach_commonsense,
@@ -736,7 +738,7 @@ def synth(tmp_path_factory):
 
 class TestBuildPassOrder:
     """Embedding every record before any retrieval gives the subgraphs of the
-    interleaved loop, and the token-row table is gone before retrieval."""
+    interleaved loop, and no token row is alive at retrieval."""
 
     @pytest.mark.parametrize("mode", ["cosine", "hybrid"])
     def test_equals_the_interleaved_build(self, synth, mode):
@@ -746,28 +748,53 @@ class TestBuildPassOrder:
         assert_same_graphs((got, {}), (want, {}))
         assert any(sg.adjacency[4:, 4:].any() for sg in got) == (mode != "cosine")
 
-    def test_token_rows_are_released_before_retrieval(self, synth, monkeypatch):
+    @pytest.mark.parametrize("chunk", [7, 60])
+    def test_each_token_row_is_derived_once_and_released_before_retrieval(
+            self, synth, monkeypatch, chunk):
+        """Every distinct token's row is derived exactly once per build. While
+        a chunk is embedded, what is alive is the kept rows (at most the
+        recurring tokens) plus that chunk's table (exactly its own tokens);
+        no earlier table survives, and nothing is alive at retrieval."""
         dataset, store = synth
-        tables = []
-        alive_at_retrieval = []
-        real_rows, real_top_k = graphs.token_rows, graphs.top_k_triplets
+        monkeypatch.setattr(graphs, "TOKEN_CHUNK_RECORDS", chunk)
+        derived, tables, sources, alive_at_retrieval = [], [], [], []
+        real_derive, real_table = embeddings._derive_rows, embeddings.TokenRowChunks.table
+        real_top_k = graphs.top_k_triplets
 
-        def rows(*args, **kwargs):
-            table = real_rows(*args, **kwargs)
-            tables.append(weakref.ref(table))
-            return table
+        def derive(tokens, seed, out):
+            tokens = list(tokens)
+            derived.extend(tokens)
+            real_derive(tokens, seed, out)
+
+        def table(self, texts):
+            texts = list(texts)
+            gc.collect()
+            assert all(ref() is None for ref in tables)
+            rows = real_table(self, texts)
+            assert rows.rows.shape[0] == len({t for text in texts for t in tokenize(text)})
+            assert len(self._kept) <= len(recurring)
+            tables.append(weakref.ref(rows))
+            sources.append(weakref.ref(self))
+            return rows
 
         def top_k(*args, **kwargs):
             if not alive_at_retrieval:
                 gc.collect()
-                alive_at_retrieval.append(tables[0]() is not None)
+                alive_at_retrieval.append([ref() is not None for ref in tables + sources])
             return real_top_k(*args, **kwargs)
 
-        monkeypatch.setattr(graphs, "token_rows", rows)
+        texts = [text for r in dataset.records
+                 for text in (r.question, r.language_context, r.visual_text or "")]
+        counts = collections.Counter(t for text in texts for t in tokenize(text))
+        recurring = [t for t, n in counts.items() if n > 1]
+        assert 0 < len(recurring) < len(counts)
+        monkeypatch.setattr(embeddings, "_derive_rows", derive)
+        monkeypatch.setattr(embeddings.TokenRowChunks, "table", table)
         monkeypatch.setattr(graphs, "top_k_triplets", top_k)
         build_dataset_graphs(dataset, store, seed=5, k=2)
-        assert len(tables) == 1
-        assert alive_at_retrieval == [False]
+        assert len(tables) == math.ceil(len(dataset.records) / chunk)
+        assert sorted(derived) == sorted(counts)
+        assert alive_at_retrieval == [[False] * (2 * len(tables))]
 
     def test_commonsense_rows_are_shared_and_read_only(self, synth):
         dataset, store = synth

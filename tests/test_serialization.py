@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,3 +97,65 @@ class TestCheckText:
         assert str(info.value) == message
         with pytest.raises(DataError):
             check_text(value, "field 'x'", DataError)
+
+
+def _traced_peak(fn, *args):
+    """The peak of traced memory while ``fn(*args)`` runs, and what it
+    returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except FormatError as exc:
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    def test_read_holds_one_copy_of_each_tensor(self, tmp_path):
+        path = tmp_path / "big.gkdc"
+        big = np.random.default_rng(0).normal(0, 1, (1024, 1024))
+        write_checkpoint(path, {"m": 1}, [("small", np.ones((3, 2))), ("big", big)])
+        size = path.stat().st_size
+        assert size > 8 * 2**20
+        peak, (meta, tensors) = _traced_peak(read_checkpoint, path)
+        assert tensors["big"].tobytes() == big.tobytes() and meta["m"] == 1
+        assert peak <= 1.25 * size
+
+    @pytest.mark.parametrize("rows", [2**40, 2**61])
+    def test_forged_size_allocates_nothing(self, tmp_path, rows):
+        path = tmp_path / "forged.gkdc"
+        _raw_checkpoint(path, [{"name": "w", "rows": rows, "cols": 8}],
+                        payload=np.ones(8).tobytes())
+        peak, error = _traced_peak(read_checkpoint, path)
+        assert isinstance(error, FormatError) and "truncated" in str(error)
+        assert peak < 2**20
+
+    def test_sizes_are_checked_before_any_tensor_is_read(self, tmp_path):
+        """A later tensor that does not fit is found before an earlier,
+        valid one is allocated."""
+        path = tmp_path / "late.gkdc"
+        _raw_checkpoint(path, [{"name": "a", "rows": 4096, "cols": 64},
+                               {"name": "b", "rows": 2**40, "cols": 1}],
+                        payload=np.ones(4096 * 64).tobytes())
+        peak, error = _traced_peak(read_checkpoint, path)
+        assert isinstance(error, FormatError) and "truncated" in str(error)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("extra, message", [(-1, "truncated"), (1, "trailing")])
+    def test_payload_of_the_wrong_size(self, tmp_path, extra, message):
+        path = tmp_path / "x.gkdc"
+        payload = np.ones(6).tobytes()
+        _raw_checkpoint(path, [{"name": "w", "rows": 2, "cols": 3}],
+                        payload=payload[:extra] if extra < 0 else payload + b"\0" * extra)
+        with pytest.raises(FormatError, match=message):
+            read_checkpoint(path)
+
+    def test_metadata_length_past_the_end_is_truncation(self, tmp_path):
+        path = tmp_path / "x.gkdc"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION)
+                         + struct.pack("<Q", 2**62) + b"{}")
+        with pytest.raises(FormatError, match="truncated"):
+            read_checkpoint(path)
