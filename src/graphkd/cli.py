@@ -312,7 +312,7 @@ def run(argv=None) -> int:
         return 2
     except MemoryError as exc:
         # numpy's message names the size it could not allocate.
-        _log(f"error: out of memory{f': {exc}' if str(exc) else ''}")
+        _log(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
         return 2
 
 
