@@ -8,7 +8,12 @@ The first run fits in one chunk of token rows and one teacher stack. The
 second shrinks those bounds so that the build embeds its records over
 several chunks and every stacked teacher forward (soft labels, validation,
 eval) splits its node-count groups, and must still write the same bytes as
-one chunk and one stack would."""
+one chunk and one stack would.
+
+The third trains with SGD at the default and at a given learning rate,
+distils a plain (kd-weight 0) MLP and a KD transformer, evaluates all three
+models and compares the students. It also fixes each command's stderr,
+which holds the epoch log, and the config echo of every checkpoint."""
 
 import hashlib
 
@@ -96,6 +101,69 @@ CHUNKED_DIGESTS = {
 }
 
 
+SGD_PIPELINE = [
+    ["gen-synth", "--samples", "48", "--classes", "3", "--seed", "11", "--out", "data"],
+    ["build-graphs", "--manifest", "data/manifest.jsonl", "--embeddings", "data/visual.gemb",
+     "--triplets", "data/triplets.tsv", "--triplet-embeddings", "data/triplets.gemb",
+     "--edge-mode", "cosine", "--out", "graphs.jsonl"],
+    ["train-teacher", "--graphs", "graphs.jsonl", "--optimizer", "sgd", "--hidden", "8",
+     "--head-hidden", "6", "--epochs", "2", "--out", "teacher.ckpt"],
+    ["distill", "--graphs", "graphs.jsonl", "--teacher", "teacher.ckpt", "--student", "mlp",
+     "--kd-weight", "0", "--optimizer", "sgd", "--lr", "0.05", "--epochs", "2",
+     "--out", "plain.ckpt"],
+    ["distill", "--graphs", "graphs.jsonl", "--teacher", "teacher.ckpt", "--student",
+     "transformer", "--kd-weight", "0.5", "--hidden", "16", "--epochs", "2",
+     "--out", "kd.ckpt"],
+    ["eval", "--model", "teacher.ckpt", "--graphs", "graphs.jsonl", "--report", "teacher.json"],
+    ["eval", "--model", "plain.ckpt", "--graphs", "graphs.jsonl", "--report", "plain.json"],
+    ["eval", "--model", "kd.ckpt", "--graphs", "graphs.jsonl", "--report", "kd.json"],
+    ["compare", "--baseline", "plain.json", "--treated", "kd.json", "--out", "compare.json"],
+]
+
+SGD_DIGESTS = {
+    "compare.json":
+        "9b3cdfdf84ac6411aa6a509a7afe65c0c176fd8432ca1ceaccf0c1c58013c0bf",
+    "data/config.json":
+        "6c0915dce0bf23a7b72f423c1e4f84e8b009b9e13ae8b3426d82516cddb3338a",
+    "data/ground_truth.jsonl":
+        "3cf43408f0d2ba74386c0bd14fa693637f9141350c7fd362f2be6f5688bb90a1",
+    "data/manifest.jsonl":
+        "f605700ea1c82b4f70ad8a436790419479f4049c3dc8a9bdb6b2f3c5deab74c4",
+    "data/triplets.gemb":
+        "643221d16cabfa679f1a4cd2a6d79e27e4bce5b4d7b6916ad765cc2e47bfed01",
+    "data/triplets.tsv":
+        "8b2d7229004fc881140cbb3c30ce620771cfa330936941376b36612e6906f382",
+    "data/visual.gemb":
+        "f053191d183b3843f62ea18432510f2f0ff7762f46364b34a9d2cbb32740070f",
+    "graphs.jsonl":
+        "da3af703bb78b63840995fc1e7553a04b8b6a18cf96d20910b99f2a5d247f765",
+    "graphs.jsonl.gkdc":
+        "9dd8a73654b892e6c42848fa315206e14a74230f0caa275584e8a1eb0d3841c0",
+    "kd.ckpt":
+        "e1c59d8f5d0b6cb275a6b2d03eebc895f8258348630485f05d924bb19529c9b8",
+    "kd.json":
+        "ea4fd47c46b1935d1427a55fa299174f443543e461aa82e450c3d3b611f4e212",
+    "plain.ckpt":
+        "13089149feac0fee88083f42a8e7e7bf69d3e24afebce4f8541c880fe24eaae8",
+    "plain.json":
+        "66eafdb617d9c03f92ddf7f7b78743c3ad71b9fb972e7fe9411a9ebd39ef6657",
+    "teacher.ckpt":
+        "1e265283ab7dd8c54b54baf7111b73a56bef5bd72d89aa47290a70ec4d508bfc",
+    "teacher.json":
+        "1949da4177dd80e696a9084ddc55484551ad396d00e357c73f9078e6c2efa22b",
+}
+
+# The sha256 of each SGD_PIPELINE command's stderr, in order.
+SGD_STDERR_DIGESTS = [
+    "8b63e47a0db0f45f7c7b342a2009e1f9c38186d4bb0be6d387ff8ecf3def17b4",
+    "c7c751fe5fb5bf256abe81f6fed659898b543addb9d7eda9e67582ce2037656f",
+    "f1e077737ed85cb0990f6b30877af7bfb1e9a884b17b240dcb16d9864e1cfefe",
+    "603e1d19774141d56c3a9db276c85473de64e7bd70f3b37aa2a2d953f5133440",
+    "546f25811a5bd8dabaaeecb8349dce4ba166721e338e15ca4880cec64631e5f5",
+    *[hashlib.sha256(b"").hexdigest()] * 4,
+]
+
+
 def _digests(root):
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -116,3 +184,14 @@ def test_chunked_build_and_capped_stacks_match_the_recorded_digests(tmp_path, mo
     for argv in CHUNKED_PIPELINE:
         assert run(argv) == 0, argv
     assert _digests(tmp_path) == CHUNKED_DIGESTS
+
+
+def test_sgd_and_plain_student_run_matches_the_recorded_digests(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    stderr = []
+    for argv in SGD_PIPELINE:
+        assert run(argv) == 0, argv
+        stderr.append(hashlib.sha256(capsys.readouterr().err.encode("utf-8")).hexdigest())
+    assert _digests(tmp_path) == SGD_DIGESTS
+    assert stderr == SGD_STDERR_DIGESTS
