@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, backward, gradcheck,
                        optimizer_step)
 from .datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
-from .distill import (DistillConfig, StudentParams, combined_loss, compute_soft_labels,
-                      kd_loss, soft_target, train_student)
+from .distill import (DistillConfig, combined_loss, compute_soft_labels, kd_loss,
+                      soft_target, train_student)
 from .embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
                          top_k_triplets, toy_embed)
 from .evaluate import EvalReport, comparison_report, evaluate_model, micro_f1
 from .graphs import (CooccurrenceStats, Subgraph, attach_commonsense, build_content_nodes,
                      build_edges, normalize_adjacency, pmi_weight)
-from .teacher import TeacherConfig, TeacherParams, train_teacher
+from .teacher import Params, TeacherConfig, train_teacher

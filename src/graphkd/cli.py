@@ -42,6 +42,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_build_graphs(args) -> int:
+    graphs.check_build_flags(args.k, args.edge_mode, args.tau)
+    if not args.triplet_embeddings and args.dim < 2:
+        raise ConfigError(f"dim must be >= 2 to embed triplet texts, got {args.dim}")
     visual_store = read_store(args.embeddings) if args.embeddings else None
     triplets = read_triplets_tsv(args.triplets)
     if args.triplet_embeddings:
@@ -111,10 +114,11 @@ def cmd_train_teacher(args) -> int:
     subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
     train, val = _splits(subgraphs)
     params, metadata, metrics = teacher.train_teacher(
-        train, val, replace(config, dim=dim, num_classes=len(label_vocab)),
-        graph_config=header.get("config"))
+        train, val, replace(config, dim=dim, num_classes=len(label_vocab)))
     _log_epochs(metrics)
     metadata["label_vocab"] = label_vocab
+    if header.get("config") is not None:
+        metadata["graph_config"] = header["config"]
     teacher.save_teacher(args.out, params, metadata)
     print(str(args.out))
     return 0

@@ -6,6 +6,12 @@ them exclusively through its averaged softmax outputs, which is the point
 of the transfer. Two student bodies are provided: a two-layer perceptron
 over the concatenated embeddings and a minimal single-head transformer
 block over the four embeddings as a token sequence.
+
+A student is trained like the teacher: its weights are a ``teacher.Params``
+of kind ``student-mlp`` or ``student-transformer``, its config extends
+``teacher.TrainConfig``, ``teacher.fit`` runs its epochs and
+``teacher.model_from_checkpoint`` reads it back. This module adds the
+student bodies, the soft labels and the distillation loss.
 """
 
 from __future__ import annotations
@@ -15,85 +21,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, affine,
-                       backward, cross_entropy, glorot_uniform, kl_to_target, matmul,
-                       mean_rows, optimizer_step, relu, reshape, row_softmax, transpose)
+from .autodiff import (Tape, Tensor, add, affine, backward, cross_entropy, glorot_uniform,
+                       kl_to_target, matmul, mean_rows, optimizer_step, relu, reshape,
+                       row_softmax, transpose)
 from .errors import ConfigError, DataError, NumericError, ShapeError, check_finite
-from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
-from .teacher import (TEACHER_MODEL_KIND, TeacherParams, check_dataset, checkpoint_arrays,
-                      graph_stacks, resolved_learning_rate, teacher_from_checkpoint,
-                      teacher_logits)
+from .teacher import (PARAM_NAMES, TEACHER_MODEL_KIND, Params, TrainConfig, check_dataset,
+                      fit, graph_stacks, model_from_checkpoint, teacher_logits)
 
 STUDENT_KINDS = ("mlp", "transformer")
-MLP_PARAM_NAMES = ("w1", "b1", "w2", "b2")
-TRANSFORMER_PARAM_NAMES = ("kind_embed", "wq", "wk", "wv", "ff_w1", "ff_b1",
-                           "ff_w2", "ff_b2", "out_w", "out_b")
 
 
-@dataclass
-class DistillConfig:
+@dataclass(kw_only=True)
+class DistillConfig(TrainConfig):
     student: str
-    dim: int
-    num_classes: int
-    hidden: int = 64
     kd_weight: float = 1.0
     temperature: float = 1.0
-    epochs: int = 30
-    optimizer: str = "adam"
-    learning_rate: float | None = None
-    seed: int = 0
 
     def validate(self) -> None:
         if self.student not in STUDENT_KINDS:
             raise ConfigError(f"unknown student kind '{self.student}'")
-        check_finite(self, "kd_weight", "temperature", "learning_rate")
+        check_finite(self, "kd_weight", "temperature")
         if self.kd_weight < 0:
             raise ConfigError(f"kd weight must be >= 0, got {self.kd_weight}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        for name in ("hidden", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "student": self.student,
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "hidden": self.hidden,
-            "kd_weight": self.kd_weight,
-            "temperature": self.temperature,
-            "epochs": self.epochs,
-            "optimizer": self.optimizer,
-            "learning_rate": resolved_learning_rate(self),
-            "seed": self.seed,
-        }
+        super().validate()
 
 
-@dataclass
-class StudentParams:
-    kind: str
-    tensors: list[np.ndarray]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return MLP_PARAM_NAMES if self.kind == "mlp" else TRANSFORMER_PARAM_NAMES
-
-
-def init_student(config: DistillConfig, rng: np.random.Generator) -> StudentParams:
+def init_student(config: DistillConfig, rng: np.random.Generator) -> Params:
     """Seeded Glorot weights, zero biases; the transformer's kind embeddings
     start at zero so the block is initially permutation-symmetric."""
     d, h, c = config.dim, config.hidden, config.num_classes
     if config.student == "mlp":
-        return StudentParams("mlp", [
+        return Params("student-mlp", [
             glorot_uniform(rng, 4 * d, h),
             np.zeros((1, h)),
             glorot_uniform(rng, h, c),
             np.zeros((1, c)),
         ])
-    return StudentParams("transformer", [
+    return Params("student-transformer", [
         np.zeros((4, d)),
         glorot_uniform(rng, d, d),
         glorot_uniform(rng, d, d),
@@ -139,14 +107,14 @@ def student_forward(kind: str, params: list[Tensor], content: Tensor,
     raise ConfigError(f"unknown student kind '{kind}'")
 
 
-def student_logits(params: StudentParams, subgraphs: list[Subgraph]) -> np.ndarray:
+def student_logits(params: Params, subgraphs: list[Subgraph]) -> np.ndarray:
     """Untracked predictions from the subgraphs' content embeddings, as one
     forward pass over their stack; returns the n x C logits in sample order."""
     tensors = [Tensor(a) for a in params.tensors]
     if not subgraphs:
         return np.empty((0, tensors[-1].cols))
     content = Tensor(np.stack([sg.content_features() for sg in subgraphs]))
-    logits = student_forward(params.kind, tensors, content)
+    logits = student_forward(params.kind.removeprefix("student-"), tensors, content)
     return logits.data.reshape(len(subgraphs), -1).copy()
 
 
@@ -201,14 +169,14 @@ def combined_loss(l_sce: Tensor, l_kd: Tensor | None, kd_weight: float) -> Tenso
 # Student training
 # ---------------------------------------------------------------------------
 
-def compute_soft_labels(teachers: list[TeacherParams], subgraphs: list[Subgraph],
+def compute_soft_labels(teachers: list[Params], subgraphs: list[Subgraph],
                         temperature: float = 1.0) -> list[tuple[str, np.ndarray]]:
     """Soft labels for a whole dataset in sample order: the mean over the
     ensemble of softmax(teacher logits / temperature). Teachers are frozen,
     so this is computed once and reused across epochs."""
     if not teachers:
         raise ConfigError("need at least one teacher")
-    logits = [np.empty((len(subgraphs), params.head_b2.shape[1])) for params in teachers]
+    logits = [np.empty((len(subgraphs), params.tensors[-1].shape[1])) for params in teachers]
     # One stack's Â at a time, normalized once for every teacher.
     for members in graph_stacks(subgraphs):
         stack = [subgraphs[i] for i in members]
@@ -228,12 +196,11 @@ def compute_soft_labels(teachers: list[TeacherParams], subgraphs: list[Subgraph]
 
 
 def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillConfig,
-                  teachers: list[TeacherParams],
-                  teacher_names: list[str] | None = None,
-                  ) -> tuple[StudentParams, dict, list[dict]]:
-    """Per-sample distillation training. The teacher ensemble is only
-    consulted when kd_weight > 0; a zero weight reproduces the plain
-    supervised baseline bit for bit."""
+                  teachers: list[Params], teacher_names: list[str] | None = None,
+                  ) -> tuple[Params, dict, list[dict]]:
+    """Per-sample distillation training through ``teacher.fit``. The teacher
+    ensemble is only consulted when kd_weight > 0; a zero weight reproduces
+    the plain supervised baseline bit for bit."""
     config.validate()
     if not train:
         raise ConfigError("training split is empty")
@@ -252,44 +219,25 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
                 f"{config.num_classes}")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = ParameterVector(init_student(config, rng).tensors)
-    state = OptimizerState(kind=config.optimizer,
-                           learning_rate=resolved_learning_rate(config))
-
+    params = init_student(config, rng)
     content = [Tensor(sg.content_features()) for sg in train]
-    labels = [sg.label for sg in train]
-    val_labels = [sg.label for sg in val]
 
-    metrics: list[dict] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train))
-        total_loss = 0.0
-        for idx in order:
-            tape = Tape()
-            tracked = [tape.watch(p) for p in params.tensors]
-            logits = student_forward(config.student, tracked, content[idx])
-            sce = cross_entropy(logits, labels[idx])
-            if use_kd:
-                kd = kd_loss(targets[idx], logits, config.temperature)
-                loss = combined_loss(sce, kd, config.kd_weight)
-            else:
-                loss = sce
-            optimizer_step(state, params, backward(tape, loss))
-            total_loss += loss.item()
+    def step(state, vector, idx):
+        tape = Tape()
+        tracked = [tape.watch(p) for p in vector.tensors]
+        logits = student_forward(config.student, tracked, content[idx])
+        loss = cross_entropy(logits, train[idx].label)
+        if use_kd:
+            loss = combined_loss(loss, kd_loss(targets[idx], logits, config.temperature),
+                                 config.kd_weight)
+        optimizer_step(state, vector, backward(tape, loss))
+        return loss.item()
 
-        entry = {"epoch": epoch + 1, "train_loss": total_loss / len(train)}
-        if val:
-            current = StudentParams(config.student, [p.data for p in params.tensors])
-            preds = student_logits(current, val).argmax(axis=1)
-            entry["val_micro_f1"] = micro_f1(preds, val_labels)
-        metrics.append(entry)
-
-    final = StudentParams(config.student, params.copies())
-    metadata = {
-        "model": f"student-{config.student}",
-        "config": config.to_dict(),
-        "teachers": list(teacher_names or []),
-    }
+    final, metrics = fit(config, params, rng, len(train), step,
+                         lambda current: student_logits(current, val),
+                         [sg.label for sg in val])
+    metadata = {"model": params.kind, "config": config.to_dict(),
+                "teachers": list(teacher_names or [])}
     return final, metadata, metrics
 
 
@@ -297,26 +245,14 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
 # Checkpoints and model loading
 # ---------------------------------------------------------------------------
 
-def save_student(path, params: StudentParams, metadata: dict) -> None:
-    write_checkpoint(path, metadata, list(zip(params.names, params.tensors)))
+def save_student(path, params: Params, metadata: dict) -> None:
+    write_checkpoint(path, metadata, list(zip(PARAM_NAMES[params.kind], params.tensors)))
 
 
-def student_from_checkpoint(path, metadata: dict, tensors: dict) -> StudentParams:
-    """The student in a checkpoint already read from ``path``."""
-    model = metadata.get("model", "")
-    if not isinstance(model, str) or not model.startswith("student-"):
-        raise ConfigError(f"{path} holds a '{model}' model, expected a student")
-    kind = model.removeprefix("student-")
-    if kind not in STUDENT_KINDS:
-        raise ConfigError(f"unknown student kind '{kind}' in {path}")
-    params = StudentParams(kind, [])
-    params.tensors = checkpoint_arrays(tensors, params.names, "student")
-    return params
-
-
-def load_student(path) -> tuple[StudentParams, dict]:
+def load_student(path) -> tuple[Params, dict]:
     metadata, tensors = read_checkpoint(path)
-    return student_from_checkpoint(path, metadata, tensors), metadata
+    students = [kind for kind in PARAM_NAMES if kind != TEACHER_MODEL_KIND]
+    return model_from_checkpoint(path, metadata, tensors, students, "a student"), metadata
 
 
 def load_model(path):
@@ -324,14 +260,10 @@ def load_model(path):
     -> n x C array, metadata). Teachers consume the full subgraphs,
     students only the content embeddings."""
     metadata, tensors = read_checkpoint(path)
-    model = metadata.get("model")
-    if model == TEACHER_MODEL_KIND:
-        params = teacher_from_checkpoint(path, metadata, tensors)
-        return (lambda subgraphs: teacher_logits(params, subgraphs)), metadata
-    if isinstance(model, str) and model.startswith("student-"):
-        sparams = student_from_checkpoint(path, metadata, tensors)
-        return (lambda subgraphs: student_logits(sparams, subgraphs)), metadata
-    raise ConfigError(f"{path} holds an unknown model kind '{model}'")
+    params = model_from_checkpoint(path, metadata, tensors, PARAM_NAMES,
+                                   "a teacher or a student")
+    logits = teacher_logits if params.kind == TEACHER_MODEL_KIND else student_logits
+    return (lambda subgraphs: logits(params, subgraphs)), metadata
 
 
 def load_predictor(path):

@@ -336,6 +336,18 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 # Dataset-level construction
 # ---------------------------------------------------------------------------
 
+def check_build_flags(k: int, mode: str, tau: float) -> None:
+    """The flags of a graph build, checked before any input is read: k
+    triplets retrieved per content node, a known edge mode, and the cosine
+    threshold tau in [-1, 1)."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if mode not in EDGE_MODES:
+        raise ConfigError(f"unknown edge mode '{mode}'")
+    if not -1.0 <= tau < 1.0:
+        raise ConfigError(f"tau must lie in [-1, 1), got {tau}")
+
+
 def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: int,
                          k: int = 3, mode: str = "hybrid",
                          tau: float = 0.0) -> list[Subgraph]:
@@ -355,14 +367,13 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     3. In mode hybrid, every sample's commonsense block, the NPMI edges
        ``build_edges`` adds in that mode, which need the complete
        statistics."""
+    check_build_flags(k, mode, tau)
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
     base = 4 * len(dataset.records)
     table = np.empty((base + len(triplet_store), dim))
     _embed_content(dataset, dim, seed, table)
 
-    if mode not in EDGE_MODES:
-        raise ConfigError(f"unknown edge mode '{mode}'")
     built: list[tuple[list[str], np.ndarray]] = []
     stats = CooccurrenceStats()
     for i, record in enumerate(dataset.records):

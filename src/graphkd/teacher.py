@@ -1,9 +1,14 @@
 """Two-layer GCN teacher: degree-normalized propagation, average pooling,
-an MLP head, and per-sample cross-entropy training."""
+an MLP head, and per-sample cross-entropy training.
+
+What the teacher shares with the students of ``distill`` lives here too:
+the parameter holder ``Params`` of every model kind, with ``PARAM_NAMES``
+naming each kind's tensors; the config base ``TrainConfig``; the training
+loop ``fit``; and the checkpoint reader ``model_from_checkpoint``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,15 +22,21 @@ from .serialization import read_checkpoint, write_checkpoint
 
 DEFAULT_LEARNING_RATE = {"adam": 0.001, "sgd": 0.01}
 TEACHER_MODEL_KIND = "gcn-teacher"
-PARAM_NAMES = ("w0", "w1", "head_w1", "head_b1", "head_w2", "head_b2")
+# Each model kind, the "model" string of its checkpoints, and its tensors in
+# the order its forward pass takes them.
+PARAM_NAMES = {
+    TEACHER_MODEL_KIND: ("w0", "w1", "head_w1", "head_b1", "head_w2", "head_b2"),
+    "student-mlp": ("w1", "b1", "w2", "b2"),
+    "student-transformer": ("kind_embed", "wq", "wk", "wv", "ff_w1", "ff_b1", "ff_w2",
+                            "ff_b2", "out_w", "out_b"),
+}
 # The most graphs one untracked forward pass stacks: enough to amortise the
 # per-call cost, few enough that a stack's intermediates stay a few MB.
 MAX_STACK = 128
 
 
-def resolved_learning_rate(config) -> float:
-    """The configured learning rate, else the optimizer's default. Takes a
-    ``TeacherConfig`` or a ``distill.DistillConfig``."""
+def resolved_learning_rate(config: TrainConfig) -> float:
+    """The configured learning rate, else the optimizer's default."""
     if config.learning_rate is not None:
         return config.learning_rate
     if config.optimizer not in DEFAULT_LEARNING_RATE:
@@ -34,66 +45,59 @@ def resolved_learning_rate(config) -> float:
 
 
 @dataclass
-class TeacherConfig:
+class TrainConfig:
+    """The fields a teacher's and a student's training run share. ``SIZES``
+    names the fields that must be at least 1."""
+
     dim: int
     num_classes: int
     hidden: int = 64
-    head_hidden: int = 64
     epochs: int = 30
     optimizer: str = "adam"
     learning_rate: float | None = None
     seed: int = 0
+    SIZES = ("hidden", "epochs")
 
     def validate(self) -> None:
-        """Sizes a training run needs; ``train_teacher`` checks them first."""
+        """The flags of a run, checked before any input is read."""
         check_finite(self, "learning_rate")
-        for name in ("hidden", "head_hidden", "epochs"):
+        if self.learning_rate is not None and self.learning_rate < 0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in self.SIZES:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "hidden": self.hidden,
-            "head_hidden": self.head_hidden,
-            "epochs": self.epochs,
-            "optimizer": self.optimizer,
-            "learning_rate": resolved_learning_rate(self),
-            "seed": self.seed,
-        }
+        """Every field, with the learning rate resolved: a checkpoint's echo."""
+        return {**asdict(self), "learning_rate": resolved_learning_rate(self)}
 
 
 @dataclass
-class TeacherParams:
-    """GCN weights plus the two-layer classification head."""
-
-    w0: np.ndarray
-    w1: np.ndarray
-    head_w1: np.ndarray
-    head_b1: np.ndarray
-    head_w2: np.ndarray
-    head_b2: np.ndarray
-
-    def as_list(self) -> list[np.ndarray]:
-        return [self.w0, self.w1, self.head_w1, self.head_b1, self.head_w2, self.head_b2]
-
-    @classmethod
-    def from_list(cls, arrays: list[np.ndarray]) -> "TeacherParams":
-        return cls(*arrays)
+class TeacherConfig(TrainConfig):
+    head_hidden: int = 64
+    SIZES = ("hidden", "head_hidden", "epochs")
 
 
-def init_teacher(config: TeacherConfig, rng: np.random.Generator) -> TeacherParams:
+@dataclass
+class Params:
+    """One model's weights: ``kind`` is the "model" string of its
+    checkpoints, ``tensors`` its arrays in the order of ``PARAM_NAMES[kind]``."""
+
+    kind: str
+    tensors: list[np.ndarray]
+
+
+def init_teacher(config: TeacherConfig, rng: np.random.Generator) -> Params:
     """Seeded Glorot-uniform weights, zero biases. Draw order is fixed so
     identical seeds give identical parameters."""
-    return TeacherParams(
-        w0=glorot_uniform(rng, config.dim, config.hidden),
-        w1=glorot_uniform(rng, config.hidden, config.hidden),
-        head_w1=glorot_uniform(rng, config.hidden, config.head_hidden),
-        head_b1=np.zeros((1, config.head_hidden)),
-        head_w2=glorot_uniform(rng, config.head_hidden, config.num_classes),
-        head_b2=np.zeros((1, config.num_classes)),
-    )
+    return Params(TEACHER_MODEL_KIND, [
+        glorot_uniform(rng, config.dim, config.hidden),
+        glorot_uniform(rng, config.hidden, config.hidden),
+        glorot_uniform(rng, config.hidden, config.head_hidden),
+        np.zeros((1, config.head_hidden)),
+        glorot_uniform(rng, config.head_hidden, config.num_classes),
+        np.zeros((1, config.num_classes)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +131,7 @@ def graph_stacks(subgraphs: list[Subgraph],
             for start in range(0, len(members), MAX_STACK)]
 
 
-def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
+def teacher_logits(params: Params, subgraphs: list[Subgraph],
                    a_hats: list[np.ndarray] | None = None) -> np.ndarray:
     """Untracked forward passes for prediction; returns the n x C logits in
     sample order. The graphs go through the network in the stacks of
@@ -136,8 +140,8 @@ def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
     is bounded by ``MAX_STACK`` graphs rather than by the dataset. A stacked
     forward is exact slice by slice, so the logits do not depend on how the
     graphs are stacked."""
-    tensors = [Tensor(a) for a in params.as_list()]
-    out = np.empty((len(subgraphs), params.head_b2.shape[1]))
+    tensors = [Tensor(a) for a in params.tensors]
+    out = np.empty((len(subgraphs), tensors[-1].cols))
     for members in graph_stacks(subgraphs, a_hats):
         if a_hats is None:
             stacked = np.stack([normalize_adjacency(subgraphs[i].adjacency) for i in members])
@@ -153,9 +157,9 @@ def teacher_logits(params: TeacherParams, subgraphs: list[Subgraph],
 # Training
 # ---------------------------------------------------------------------------
 
-def check_dataset(subgraphs: list[Subgraph], config, what: str = "sample") -> None:
-    """Every sample has the config's dim and a label below its class count.
-    Takes a ``TeacherConfig`` or a ``distill.DistillConfig``."""
+def check_dataset(subgraphs: list[Subgraph], config: TrainConfig,
+                  what: str = "sample") -> None:
+    """Every sample has the config's dim and a label below its class count."""
     for sg in subgraphs:
         if sg.dim != config.dim:
             raise ConfigError(f"{what} '{sg.sample_id}' has dim {sg.dim}, expected {config.dim}")
@@ -165,12 +169,37 @@ def check_dataset(subgraphs: list[Subgraph], config, what: str = "sample") -> No
                 f"but the model has {config.num_classes} classes")
 
 
-def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherConfig,
-                  graph_config: dict | None = None,
-                  ) -> tuple[TeacherParams, dict, list[dict]]:
-    """Per-sample training in seeded-shuffled order; returns the final-epoch
-    parameters, the checkpoint metadata (config echo), and per-epoch metrics
-    (mean train loss, validation micro-F1)."""
+def fit(config: TrainConfig, params: Params, rng: np.random.Generator, n: int, step,
+        val_logits, val_labels: list[int]) -> tuple[Params, list[dict]]:
+    """The training loop of every model: ``config.epochs`` passes over ``n``
+    samples, each pass in the order of a fresh ``rng.permutation``.
+    ``step(state, vector, i)`` trains on sample i, updating the
+    ``ParameterVector`` that holds ``params`` with the ``OptimizerState``,
+    and returns the sample's loss. Each epoch records the mean train loss
+    and, unless ``val_labels`` is empty, the micro-F1 of
+    ``val_logits(current params)`` against them. Returns copies of the final
+    parameters and the per-epoch metrics."""
+    vector = ParameterVector(params.tensors)
+    state = OptimizerState(kind=config.optimizer,
+                           learning_rate=resolved_learning_rate(config))
+    metrics: list[dict] = []
+    for epoch in range(config.epochs):
+        total_loss = 0.0
+        for idx in rng.permutation(n):
+            total_loss += step(state, vector, idx)
+        entry = {"epoch": epoch + 1, "train_loss": total_loss / n}
+        if val_labels:
+            current = Params(params.kind, [p.data for p in vector.tensors])
+            entry["val_micro_f1"] = micro_f1(val_logits(current).argmax(axis=1), val_labels)
+        metrics.append(entry)
+    return Params(params.kind, vector.copies()), metrics
+
+
+def train_teacher(train: list[Subgraph], val: list[Subgraph],
+                  config: TeacherConfig) -> tuple[Params, dict, list[dict]]:
+    """Per-sample cross-entropy training through ``fit``; returns the
+    final-epoch parameters, the checkpoint metadata (config echo), and
+    per-epoch metrics (mean train loss, validation micro-F1)."""
     config.validate()
     if not train:
         raise ConfigError("training split is empty")
@@ -178,71 +207,52 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph], config: TeacherCon
     check_dataset(val, config, "val sample")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = ParameterVector(init_teacher(config, rng).as_list())
-    state = OptimizerState(kind=config.optimizer,
-                           learning_rate=resolved_learning_rate(config))
-
+    params = init_teacher(config, rng)
     # Each step gathers its sample's features from the shared node table, so
     # the train split's rows are never copied as a whole.
     a_hats = [Tensor(normalize_adjacency(sg.adjacency)) for sg in train]
-    labels = [sg.label for sg in train]
     val_a_hats = [normalize_adjacency(sg.adjacency) for sg in val]
-    val_labels = [sg.label for sg in val]
 
-    metrics: list[dict] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train))
-        total_loss = 0.0
-        for idx in order:
-            tape = Tape()
-            tracked = [tape.watch(p) for p in params.tensors]
-            # The first matmul checks its product for non-finite values, so the
-            # gathered rows need no check of their own.
-            features = Tensor._wrap(train[idx].features(), None, None)
-            _, logits = teacher_forward(tracked, a_hats[idx], features)
-            loss = cross_entropy(logits, labels[idx])
-            optimizer_step(state, params, backward(tape, loss))
-            total_loss += loss.item()
+    def step(state, vector, idx):
+        tape = Tape()
+        tracked = [tape.watch(p) for p in vector.tensors]
+        # The first matmul checks its product for non-finite values, so the
+        # gathered rows need no check of their own.
+        features = Tensor._wrap(train[idx].features(), None, None)
+        _, logits = teacher_forward(tracked, a_hats[idx], features)
+        loss = cross_entropy(logits, train[idx].label)
+        optimizer_step(state, vector, backward(tape, loss))
+        return loss.item()
 
-        entry = {"epoch": epoch + 1, "train_loss": total_loss / len(train)}
-        if val:
-            current = TeacherParams.from_list([p.data for p in params.tensors])
-            preds = teacher_logits(current, val, val_a_hats).argmax(axis=1)
-            entry["val_micro_f1"] = micro_f1(preds, val_labels)
-        metrics.append(entry)
-
-    final = TeacherParams.from_list(params.copies())
-    metadata = {"model": TEACHER_MODEL_KIND, "config": config.to_dict()}
-    if graph_config is not None:
-        metadata["graph_config"] = graph_config
-    return final, metadata, metrics
+    final, metrics = fit(config, params, rng, len(train), step,
+                         lambda current: teacher_logits(current, val, val_a_hats),
+                         [sg.label for sg in val])
+    return final, {"model": TEACHER_MODEL_KIND, "config": config.to_dict()}, metrics
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def save_teacher(path, params: TeacherParams, metadata: dict) -> None:
-    write_checkpoint(path, metadata, list(zip(PARAM_NAMES, params.as_list())))
+def save_teacher(path, params: Params, metadata: dict) -> None:
+    write_checkpoint(path, metadata, list(zip(PARAM_NAMES[params.kind], params.tensors)))
 
 
-def checkpoint_arrays(tensors: dict, names, what: str) -> list[np.ndarray]:
-    """The checkpoint tensors ``names``, in that order; a missing one is a
-    ``ConfigError`` naming the ``what`` checkpoint."""
-    missing = [n for n in names if n not in tensors]
+def model_from_checkpoint(path, metadata: dict, tensors: dict, kinds,
+                          expected: str) -> Params:
+    """The model in a checkpoint already read from ``path``. Its "model"
+    string must be one of ``kinds`` (else the ``ConfigError`` says what was
+    ``expected``), and it must hold every tensor that kind has."""
+    kind = metadata.get("model")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path} holds a '{kind}' model, expected {expected}")
+    missing = [name for name in PARAM_NAMES[kind] if name not in tensors]
     if missing:
-        raise ConfigError(f"{what} checkpoint lacks tensors: {missing}")
-    return [tensors[n] for n in names]
+        raise ConfigError(f"{kind} checkpoint {path} lacks tensors: {missing}")
+    return Params(kind, [tensors[name] for name in PARAM_NAMES[kind]])
 
 
-def teacher_from_checkpoint(path, metadata: dict, tensors: dict) -> TeacherParams:
-    """The teacher in a checkpoint already read from ``path``."""
-    if metadata.get("model") != TEACHER_MODEL_KIND:
-        raise ConfigError(
-            f"{path} holds a '{metadata.get('model')}' model, expected teacher")
-    return TeacherParams.from_list(checkpoint_arrays(tensors, PARAM_NAMES, "teacher"))
-
-
-def load_teacher(path) -> tuple[TeacherParams, dict]:
+def load_teacher(path) -> tuple[Params, dict]:
     metadata, tensors = read_checkpoint(path)
-    return teacher_from_checkpoint(path, metadata, tensors), metadata
+    return (model_from_checkpoint(path, metadata, tensors, (TEACHER_MODEL_KIND,), "a teacher"),
+            metadata)

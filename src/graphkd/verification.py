@@ -13,7 +13,6 @@ import numpy as np
 from .autodiff import Tensor, cross_entropy, gradcheck
 from .distill import (DistillConfig, combined_loss, init_student, kd_loss, soft_target,
                       student_forward)
-from .errors import ConfigError
 from .graphs import CONTENT_KINDS, Subgraph, normalize_adjacency
 from .teacher import TeacherConfig, init_teacher, teacher_forward
 
@@ -54,17 +53,16 @@ def teacher_loss_error(seed: int = 0, eps: float = 1e-5) -> float:
         _, logits = teacher_forward(tracked, a_hat, features)
         return cross_entropy(logits, sg.label)
 
-    return gradcheck(loss, [Tensor(a) for a in params.as_list()], eps=eps)
+    return gradcheck(loss, [Tensor(a) for a in params.tensors], eps=eps)
 
 
 def student_loss_error(kind: str, seed: int = 0, eps: float = 1e-5) -> float:
     """Max relative gradient error of the combined student loss (supervised
     cross-entropy plus the distillation term) on the fixture."""
-    if kind not in ("mlp", "transformer"):
-        raise ConfigError(f"unknown student kind '{kind}'")
-    sg = fixture_subgraph(seed)
     config = DistillConfig(student=kind, dim=FIXTURE_DIM,
                            num_classes=FIXTURE_CLASSES, hidden=4, seed=seed)
+    config.validate()
+    sg = fixture_subgraph(seed)
     rng = np.random.Generator(np.random.PCG64(seed + 2))
     params = init_student(config, rng)
     content = Tensor(sg.content_features())

@@ -100,7 +100,7 @@ def kd_step_reference(p_teacher, logits, temperature):
 
 def teacher_row(params, sg):
     """One sample's 1-D teacher logit row from a 2-D forward pass."""
-    tensors = [Tensor(a) for a in params.as_list()]
+    tensors = [Tensor(a) for a in params.tensors]
     _, logits = teacher_forward(tensors, Tensor(normalize_adjacency(sg.adjacency)),
                                 Tensor(sg.features()))
     return logits.data[0].copy()
@@ -109,7 +109,8 @@ def teacher_row(params, sg):
 def student_row(params, sg):
     """One sample's 1-D student logit row from a 2-D forward pass."""
     tensors = [Tensor(a) for a in params.tensors]
-    logits = student_forward(params.kind, tensors, Tensor(sg.content_features()))
+    logits = student_forward(params.kind.removeprefix("student-"), tensors,
+                             Tensor(sg.content_features()))
     return logits.data[0].copy()
 
 
@@ -138,7 +139,7 @@ def _train(arrays, samples, epochs, seed_rng, kind, learning_rate, loss_of):
 def train_teacher_reference(train, config):
     """Final teacher parameter arrays of the per-sample, per-tensor loop."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    arrays = init_teacher(config, rng).as_list()
+    arrays = init_teacher(config, rng).tensors
     a_hats = [normalize_adjacency(sg.adjacency) for sg in train]
 
     def loss_of(tracked, idx):

@@ -525,6 +525,9 @@ class TestFlagsFirst:
         (["distill", "--teacher", "t.ckpt", "--student", "mlp", "--epochs", "0"], "epochs"),
         (["train-teacher", "--epochs", "0"], "epochs"),
         (["train-teacher", "--lr", "inf"], "learning_rate"),
+        (["train-teacher", "--lr", "-1"], "learning_rate"),
+        (["distill", "--teacher", "t.ckpt", "--student", "mlp", "--lr", "-1"],
+         "learning_rate"),
     ])
     def test_bad_flag_with_missing_graphs_exits_two_naming_the_flag(self, tmp_path, capsys,
                                                                     argv, field):
@@ -535,6 +538,21 @@ class TestFlagsFirst:
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err and str(missing) not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--k", "0", "k must be"), ("--tau", "1.5", "tau"), ("--tau", "nan", "tau"),
+        ("--dim", "1", "dim"),
+    ])
+    def test_bad_build_flag_with_missing_inputs_exits_two_naming_the_flag(
+            self, tmp_path, capsys, flag, value, named):
+        missing = tmp_path / "missing.jsonl"
+        out = tmp_path / "out.graphs"
+        assert run(["build-graphs", "--manifest", str(missing), "--triplets",
+                    str(tmp_path / "missing.tsv"), flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err and "missing" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAllocationFailure:

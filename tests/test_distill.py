@@ -8,14 +8,14 @@ import pytest
 
 from graphkd import autodiff
 from graphkd.autodiff import Tape, Tensor, cross_entropy
-from graphkd.distill import (STUDENT_KINDS, DistillConfig, StudentParams, combined_loss,
-                             compute_soft_labels, init_student, kd_loss, load_model,
-                             load_predictor, load_student, save_student, soft_target,
-                             student_forward, student_logits, train_student)
+from graphkd.distill import (STUDENT_KINDS, DistillConfig, combined_loss, compute_soft_labels,
+                             init_student, kd_loss, load_model, load_predictor, load_student,
+                             save_student, soft_target, student_forward, student_logits,
+                             train_student)
 from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
 from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
-from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, save_teacher,
-                             teacher_forward, teacher_logits, train_teacher)
+from graphkd.teacher import (TEACHER_MODEL_KIND, Params, TeacherConfig, init_teacher,
+                             save_teacher, teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import student_loss_error
 from reference import (kd_chain_reference, make_subgraph, soft_label_row, student_row,
                        teacher_row, train_student_reference)
@@ -39,11 +39,9 @@ def _teacher(dim=8, classes=3, seed=2, bias_row=None):
     params = init_teacher(config, np.random.Generator(np.random.PCG64(seed)))
     if bias_row is not None:
         # Zero the network so logits equal the output bias exactly.
-        params = TeacherParams(
-            w0=np.zeros_like(params.w0), w1=np.zeros_like(params.w1),
-            head_w1=np.zeros_like(params.head_w1), head_b1=np.zeros_like(params.head_b1),
-            head_w2=np.zeros_like(params.head_w2),
-            head_b2=np.asarray(bias_row, dtype=np.float64).reshape(1, -1))
+        params = Params(TEACHER_MODEL_KIND,
+                        [np.zeros_like(a) for a in params.tensors[:-1]]
+                        + [np.asarray(bias_row, dtype=np.float64).reshape(1, -1)])
     return params
 
 
@@ -273,7 +271,7 @@ class TestStudentForward:
         sg = _subgraphs(1)[0]
         recorded = set()
         tape = Tape()
-        tracked = [tape.watch(Tensor(a)) for a in _teacher().as_list()]
+        tracked = [tape.watch(Tensor(a)) for a in _teacher().tensors]
         _, logits = teacher_forward(tracked, Tensor(normalize_adjacency(sg.adjacency)),
                                     Tensor(sg.features()))
         cross_entropy(logits, sg.label)
@@ -339,9 +337,9 @@ class TestTrainStudent:
     def test_teacher_parameters_untouched(self):
         train = _subgraphs(8)
         teacher = _teacher()
-        before = [a.tobytes() for a in teacher.as_list()]
+        before = [a.tobytes() for a in teacher.tensors]
         train_student(train, [], self._config(), [teacher])
-        after = [a.tobytes() for a in teacher.as_list()]
+        after = [a.tobytes() for a in teacher.tensors]
         assert before == after
 
     def test_kd_needs_teachers(self):
@@ -361,7 +359,7 @@ class TestTrainStudent:
         params, meta, _ = train_student(
             _subgraphs(6), [], self._config(student="transformer"), [_teacher()])
         assert meta["model"] == "student-transformer"
-        assert params.kind == "transformer"
+        assert params.kind == "student-transformer"
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -381,7 +379,7 @@ class TestStudentCheckpoint:
         path = tmp_path / "s.ckpt"
         save_student(path, params, meta)
         loaded, loaded_meta = load_student(path)
-        assert loaded.kind == "mlp"
+        assert loaded.kind == "student-mlp"
         for a, b in zip(loaded.tensors, params.tensors):
             assert (a == b).all()
         # write -> read -> write gives identical bytes
@@ -403,6 +401,14 @@ class TestStudentCheckpoint:
         save_student(path, params, {"model": model, "config": {}})
         with pytest.raises(ConfigError, match="expected a student"):
             load_student(path)
+
+    @pytest.mark.parametrize("model", ["gcn-teacher", "student-mlp", "student-transformer"])
+    def test_load_model_rejects_a_missing_tensor(self, tmp_path, model):
+        from graphkd.serialization import write_checkpoint
+        path = tmp_path / "m.ckpt"
+        write_checkpoint(path, {"model": model}, [("w1", np.zeros((1, 1)))])
+        with pytest.raises(ConfigError, match="lacks tensors"):
+            load_model(path)
 
     def test_predictor_dispatch(self, tmp_path):
         sg = _subgraphs(1)[0]

@@ -796,6 +796,20 @@ class TestBuildPassOrder:
         assert sorted(derived) == sorted(counts)
         assert alive_at_retrieval == [[False] * (2 * len(tables))]
 
+    @pytest.mark.parametrize("flags, named", [
+        ({"k": 0}, "k must be"), ({"tau": 1.5}, "tau"), ({"tau": float("nan")}, "tau"),
+        ({"mode": "psychic"}, "edge mode"),
+    ])
+    def test_bad_flags_are_refused_before_embedding(self, synth, monkeypatch, flags, named):
+        dataset, store = synth
+
+        def embed(*args):
+            raise AssertionError("the build embedded before checking its flags")
+
+        monkeypatch.setattr(graphs, "_embed_content", embed)
+        with pytest.raises(ConfigError, match=named):
+            build_dataset_graphs(dataset, store, seed=5, **{"k": 2, **flags})
+
     def test_commonsense_rows_are_shared_and_read_only(self, synth):
         dataset, store = synth
         rows = {}

@@ -8,8 +8,8 @@ import pytest
 from graphkd.autodiff import Tensor
 from graphkd.errors import ConfigError, DataError
 from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
-from graphkd.teacher import (TeacherConfig, TeacherParams, init_teacher, load_teacher,
-                             save_teacher, teacher_forward, teacher_logits, train_teacher)
+from graphkd.teacher import (TeacherConfig, init_teacher, load_teacher, save_teacher,
+                             teacher_forward, teacher_logits, train_teacher)
 from graphkd.verification import teacher_loss_error
 from reference import make_subgraph, teacher_row, train_teacher_reference
 
@@ -120,7 +120,7 @@ class TestTrainTeacher:
         config = self._config()
 
         def init(seed):
-            return init_teacher(config, np.random.Generator(np.random.PCG64(seed))).as_list()
+            return init_teacher(config, np.random.Generator(np.random.PCG64(seed))).tensors
 
         for got, want in zip(init(1), init(1)):
             assert got.tobytes() == want.tobytes()
@@ -154,7 +154,7 @@ class TestTrainTeacher:
         config = self._config(optimizer=optimizer)
         got, _, _ = train_teacher(train, _random_subgraphs(4, seed=8), config)
         want = train_teacher_reference(train, config)
-        for a, b in zip(got.as_list(), want):
+        for a, b in zip(got.tensors, want):
             assert a.tobytes() == b.tobytes()
 
     def test_val_metrics_reported(self):
@@ -197,7 +197,7 @@ class TestForwardInvariants:
         params = self._params()
         a_hat = normalize_adjacency(sg.adjacency)
         feats = sg.features()
-        tensors = [Tensor(a) for a in params.as_list()]
+        tensors = [Tensor(a) for a in params.tensors]
         pooled, logits = teacher_forward(tensors, Tensor(a_hat), Tensor(feats))
 
         perm = rng.permutation(sg.size)
@@ -211,7 +211,7 @@ class TestForwardInvariants:
         rng = np.random.default_rng(5)
         params = self._params()
         row = rng.normal(0, 1, 8)
-        tensors = [Tensor(a) for a in params.as_list()]
+        tensors = [Tensor(a) for a in params.tensors]
         pooled_many, _ = teacher_forward(
             tensors, Tensor(np.eye(5)), Tensor(np.tile(row, (5, 1))))
         pooled_one, _ = teacher_forward(
@@ -222,7 +222,7 @@ class TestForwardInvariants:
         from graphkd.autodiff import cross_entropy
         params = self._params()
         sg = _random_subgraphs(1, seed=11)[0]
-        big = [Tensor(a * 50.0) for a in params.as_list()]
+        big = [Tensor(a * 50.0) for a in params.tensors]
         _, logits = teacher_forward(big, Tensor(normalize_adjacency(sg.adjacency)),
                                     Tensor(sg.features()))
         loss = cross_entropy(logits, 0)
@@ -237,11 +237,12 @@ class TestCheckpoint:
         train = _random_subgraphs(8)
         config = TeacherConfig(dim=8, num_classes=3, hidden=6, head_hidden=5,
                                epochs=1, seed=3)
-        params, meta, _ = train_teacher(train, [], config, graph_config={"k": 3})
+        params, meta, _ = train_teacher(train, [], config)
+        meta["graph_config"] = {"k": 3}
         path = tmp_path / "t.ckpt"
         save_teacher(path, params, meta)
         loaded, loaded_meta = load_teacher(path)
-        for got, want in zip(loaded.as_list(), params.as_list()):
+        for got, want in zip(loaded.tensors, params.tensors):
             assert (got == want).all()
         assert loaded_meta["config"]["seed"] == 3
         assert loaded_meta["graph_config"] == {"k": 3}
