@@ -13,9 +13,16 @@ one chunk and one stack would.
 The third trains with SGD at the default and at a given learning rate,
 distils a plain (kd-weight 0) MLP and a KD transformer, evaluates all three
 models and compares the students. It also fixes each command's stderr,
-which holds the epoch log, and the config echo of every checkpoint."""
+which holds the epoch log, and the config echo of every checkpoint.
+
+The fourth builds from a manifest whose visual channels are texts, with no
+visual store: once against a triplet store whose GEMB records are listed
+in reverse id order, with cosine edges above tau 0.3 and k 1, and once
+with hybrid edges and k 1 over triplets embedded from their texts."""
 
 import hashlib
+import json
+import struct
 
 from graphkd import embeddings, graphs, teacher
 from graphkd.cli import run
@@ -195,3 +202,102 @@ def test_sgd_and_plain_student_run_matches_the_recorded_digests(tmp_path, monkey
         stderr.append(hashlib.sha256(capsys.readouterr().err.encode("utf-8")).hexdigest())
     assert _digests(tmp_path) == SGD_DIGESTS
     assert stderr == SGD_STDERR_DIGESTS
+
+
+TEXT_VISUAL_PIPELINE = [
+    ["gen-synth", "--samples", "36", "--classes", "3", "--dim", "16", "--out", "data"],
+    ["build-graphs", "--manifest", "manifest.jsonl", "--triplets", "data/triplets.tsv",
+     "--triplet-embeddings", "reversed.gemb", "--edge-mode", "cosine", "--tau", "0.3",
+     "--k", "1", "--out", "cosine.jsonl"],
+    ["build-graphs", "--manifest", "manifest.jsonl", "--triplets", "data/triplets.tsv",
+     "--dim", "16", "--k", "1", "--out", "hybrid.jsonl"],
+    ["train-teacher", "--graphs", "cosine.jsonl", "--epochs", "2", "--out", "teacher.ckpt"],
+    ["eval", "--model", "teacher.ckpt", "--graphs", "hybrid.jsonl", "--split", "all",
+     "--report", "report.json"],
+]
+
+TEXT_VISUAL_DIGESTS = {
+    "cosine.jsonl":
+        "b09c4e4a2b4f6cd93cb0579dbce0e0072b58b79d3ebfae4e79dfb180846b1c6b",
+    "cosine.jsonl.gkdc":
+        "4c8d3375544f932d71f3d04decbafbef2f4ce3b7bfab3a77e79fa43e219eaa69",
+    "data/config.json":
+        "b751534b66c221e88ed4419d320ea1b197d06d3b27f7049be44ec3807dc245c9",
+    "data/ground_truth.jsonl":
+        "ae9162557d3a6c0a2069b1792a777bbcd1328629911b15147d0b06bc21bc839b",
+    "data/manifest.jsonl":
+        "dc70a513038d8661059d1665c365b35568fa9aa117034b5df09c86214399c47b",
+    "data/triplets.gemb":
+        "7e991397c4bf69f631d28fe306f1fc4f32ff7a48a796652c0f7c838e9da324f2",
+    "data/triplets.tsv":
+        "8b2d7229004fc881140cbb3c30ce620771cfa330936941376b36612e6906f382",
+    "data/visual.gemb":
+        "96cecfe3176608be44a1146641d8699523e69f0a4dbba55929b7b89b9b40b0c7",
+    "hybrid.jsonl":
+        "3857649f864217a51b61da93433715bebcdaadbe2432e5106c8f42869102736c",
+    "hybrid.jsonl.gkdc":
+        "fef8e89954b48410a55ffec98839a45d547b604d47ebd450bcc1afbcb6c3e7bf",
+    "manifest.jsonl":
+        "d1eb56bd7ffa9cc3d693bfd23e99ed448ad0e947bbfff200235673df50b9516d",
+    "report.json":
+        "58cf747a9aedb3402768ab1960a642d19d35d5e3b217dda9fb1851ef65b6e53d",
+    "reversed.gemb":
+        "316871e61a6ce9908b7493c9b88c280129c285bb893d76f041b6e93d5cf3cff0",
+    "teacher.ckpt":
+        "78e252b36756a006f947a01a3226b6d17a3e70bd5269bea0c082011666fdcf7a",
+}
+
+# The sha256 of each TEXT_VISUAL_PIPELINE command's stderr after gen-synth, in order.
+TEXT_VISUAL_STDERR_DIGESTS = [
+    *["c5999d17010940ff8d45fe609567b5b09c3c4d1dd278a07eaadd1d2fabbdd546"] * 2,
+    "1f835fea25520e975b6169ed897366bdd65ad7440bc041cc5eb69b92a1cba889",
+    hashlib.sha256(b"").hexdigest(),
+]
+
+
+def _reversed_gemb(blob: bytes) -> bytes:
+    """The GEMB file ``blob`` with its records in reverse order: a 20-byte
+    header (magic, version, dim, count), then per record a u16 id length,
+    the id bytes and dim little-endian f32 values."""
+    dim, count = struct.unpack_from("<IQ", blob, 8)
+    records, at = [], 20
+    for _ in range(count):
+        (size,) = struct.unpack_from("<H", blob, at)
+        end = at + 2 + size + 4 * dim
+        records.append(blob[at:end])
+        at = end
+    assert at == len(blob)
+    return blob[:20] + b"".join(reversed(records))
+
+
+def _text_visual_manifest(lines) -> str:
+    """The synthetic manifest with each visual reference replaced by a text:
+    the question's first eight tokens, or for every seventh record an empty
+    text (the embedder's sentinel)."""
+    out = []
+    for i, line in enumerate(lines):
+        doc = json.loads(line)
+        del doc["visual_ref"]
+        doc["visual_text"] = "" if i % 7 == 3 else " ".join(doc["question"].split()[:8])
+        out.append(json.dumps(doc, sort_keys=True) + "\n")
+    return "".join(out)
+
+
+def test_text_visual_manifest_and_reversed_store_match_the_recorded_digests(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    gen, *rest = TEXT_VISUAL_PIPELINE
+    assert run(gen) == 0
+    capsys.readouterr()
+    (tmp_path / "manifest.jsonl").write_text(
+        _text_visual_manifest((tmp_path / "data/manifest.jsonl").read_text().splitlines()),
+        encoding="utf-8")
+    forward = (tmp_path / "data/triplets.gemb").read_bytes()
+    (tmp_path / "reversed.gemb").write_bytes(_reversed_gemb(forward))
+    assert _reversed_gemb(_reversed_gemb(forward)) == forward
+    stderr = []
+    for argv in rest:
+        assert run(argv) == 0, argv
+        stderr.append(hashlib.sha256(capsys.readouterr().err.encode("utf-8")).hexdigest())
+    assert _digests(tmp_path) == TEXT_VISUAL_DIGESTS
+    assert stderr == TEXT_VISUAL_STDERR_DIGESTS
