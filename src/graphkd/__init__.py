@@ -16,6 +16,6 @@ from .distill import (DistillConfig, combined_loss, compute_soft_labels, kd_loss
 from .embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
                          top_k_triplets, toy_embed)
 from .evaluate import EvalReport, comparison_report, evaluate_model, micro_f1
-from .graphs import (CooccurrenceStats, Subgraph, attach_commonsense, build_content_nodes,
-                     build_edges, normalize_adjacency, pmi_weight)
+from .graphs import (Subgraph, build_content_nodes, build_edges, normalize_adjacency,
+                     npmi_table, retrieve)
 from .teacher import Params, TeacherConfig, train_teacher

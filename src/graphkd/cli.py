@@ -89,12 +89,25 @@ def _log_epochs(metrics: list[dict]) -> None:
         _log(f"epoch {entry['epoch']:3d} train_loss={entry['train_loss']:.4f}{val_part}")
 
 
-def _checkpoint_config(path, metadata: dict) -> dict:
-    """The ``config`` object of a checkpoint's metadata, {} when it has none."""
+def _checked_config(path, metadata: dict, label_vocab: list[str], dim: int) -> dict:
+    """The ``config`` object of the checkpoint at ``path``, checked against
+    the graphs it is to be used with: the same dim, and the same label
+    vocabulary in the same order. A checkpoint that records no vocabulary
+    (one written by the library) must have as many classes."""
     config = metadata.get("config", {})
     if not isinstance(config, dict):
         raise ConfigError(f"checkpoint {path}: metadata config must be an object, "
                           f"got {type(config).__name__}")
+    vocab = metadata.get("label_vocab")
+    if vocab is not None and vocab != label_vocab:
+        raise ConfigError(f"checkpoint {path} was trained on the label vocabulary {vocab!r}, "
+                          f"the graphs have {label_vocab!r}")
+    if vocab is None and config.get("num_classes") != len(label_vocab):
+        raise ConfigError(f"checkpoint {path} has {config.get('num_classes')} classes, "
+                          f"the graphs have {len(label_vocab)}")
+    if config.get("dim") != dim:
+        raise ConfigError(f"checkpoint {path} has dim {config.get('dim')}, "
+                          f"the graphs have {dim}")
     return config
 
 
@@ -139,14 +152,7 @@ def cmd_distill(args) -> int:
     teachers = []
     for path in teacher_paths:
         params, metadata = teacher.load_teacher(path)
-        t_config = _checkpoint_config(path, metadata)
-        if t_config.get("num_classes") != len(label_vocab):
-            raise ConfigError(
-                f"teacher {path} has {t_config.get('num_classes')} classes, "
-                f"graphs have {len(label_vocab)}")
-        if t_config.get("dim") != dim:
-            raise ConfigError(
-                f"teacher {path} has dim {t_config.get('dim')}, graphs have {dim}")
+        _checked_config(path, metadata, label_vocab, dim)
         teachers.append(params)
 
     params, metadata, metrics = distill.train_student(
@@ -163,10 +169,7 @@ def cmd_distill(args) -> int:
 def cmd_eval(args) -> int:
     subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
     predict, metadata = distill.load_model(args.model)
-    model_config = _checkpoint_config(args.model, metadata)
-    if model_config.get("dim") not in (None, dim):
-        raise ConfigError(
-            f"model dim {model_config.get('dim')} does not match graphs dim {dim}")
+    model_config = _checked_config(args.model, metadata, label_vocab, dim)
     config_echo = {
         "command": "eval", "model": str(args.model), "graphs": str(args.graphs),
         "split": args.split, "model_kind": metadata.get("model"),

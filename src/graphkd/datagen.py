@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, write_store,
-                         write_triplets_tsv)
+from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, triplet_id,
+                         write_store, write_triplets_tsv)
 from .errors import ConfigError, DataError, check_finite
 from .serialization import canonical_json, check_text, utf8_lines
 
@@ -189,17 +189,15 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
     # agree on the topic usually pick different subsets, so agreement
     # survives the per-subgraph dedup as extra distinct nodes.
     triplets: list[Triplet] = []
-    triplet_embeddings = EmbeddingStore(config.dim)
+    triplet_vectors: list[np.ndarray] = []
     for t in range(num_topics):
         for j in range(TRIPLETS_PER_TOPIC):
             triplets.append(Triplet(f"topic{t}", "indicates", f"c{class_of[t]} fact{j}"))
-            vec = _normalize(prototypes[t] + CLASS_MIX * class_dirs[class_of[t]]
-                             + TRIPLET_JITTER * _unit(rng, config.dim))
-            triplet_embeddings.add(f"t{len(triplets) - 1}", vec)
-    base = len(triplets)
+            triplet_vectors.append(_normalize(prototypes[t] + CLASS_MIX * class_dirs[class_of[t]]
+                                              + TRIPLET_JITTER * _unit(rng, config.dim)))
     for j in range(FILLER_TRIPLETS):
         triplets.append(Triplet(f"filler{j}", "mentions", f"misc{j}"))
-        triplet_embeddings.add(f"t{base + j}", _unit(rng, config.dim))
+        triplet_vectors.append(_unit(rng, config.dim))
 
     # Text channels mirror the vector geometry in token space: 8 signature
     # rows (own topic) + up to 16*noise confuser rows (another topic) + 16
@@ -230,7 +228,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
         rng.shuffle(deck)
         labels_by_index[start:end] = deck
 
-    visual_store = EmbeddingStore(config.dim)
+    visual_vectors: list[np.ndarray] = []
     records: list[ManifestRecord] = []
     ground_truth: list[dict] = []
     for i in range(config.samples):
@@ -247,7 +245,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
         visual = _normalize(prototypes[topic]
                             + confusion * prototypes[confuser]
                             + orth_scale * _unit(rng, config.dim))
-        visual_store.add(f"v{i}", visual)
+        visual_vectors.append(visual)
 
         # Training labels are flipped with probability label_noise (val and
         # test stay clean); the sidecar records the clean label.
@@ -282,9 +280,11 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
     with open(paths["manifest"], "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
-    write_store(paths["visual_embeddings"], visual_store)
+    write_store(paths["visual_embeddings"],
+                EmbeddingStore([f"v{i}" for i in range(config.samples)], visual_vectors))
     write_triplets_tsv(paths["triplets"], triplets)
-    write_store(paths["triplet_embeddings"], triplet_embeddings)
+    write_store(paths["triplet_embeddings"],
+                EmbeddingStore(map(triplet_id, range(len(triplets))), triplet_vectors))
     with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
         header = {"format": "synth-ground-truth", "version": 1,
                   "topic_prototypes": [p.tolist() for p in prototypes],

@@ -13,8 +13,13 @@ are kept, the rows of tokens that occur once live only with their chunk.
 Either way each distinct token's row is computed once per build.
 
 The on-disk embedding format (``GEMB``) stores vectors as f32 little-endian;
-in memory everything is float64. Stores quantize to f32 on insertion so that
+in memory everything is float64. A store is made once, from all its ids and
+vectors, and cannot change after; its vectors pass through f32 then, so
 write -> read reproduces the in-memory table bitwise.
+
+Retrieval works in row indices: ``top_k_triplets`` gives the rows of a
+``TripletStore`` and their similarities. The ids t0, t1, ... are made once
+per store, in ``TripletStore.ids``.
 """
 
 from __future__ import annotations
@@ -275,66 +280,52 @@ def pairwise_cosine(vectors: list[np.ndarray]) -> list[float]:
 
 
 class EmbeddingStore:
-    """Ordered, id-keyed table of fixed-dimension vectors.
+    """Ordered, id-keyed table of fixed-dimension vectors, fixed when made.
 
-    Vectors pass through f32 on insertion (matching the disk format), then
-    are widened back to float64, so a store round-trips bitwise through its
-    file representation.
+    ``ids`` names row i of the read-only float64 ``matrix``; ``index`` maps
+    each id to its row. Vectors pass through f32 once, when the store is
+    made (matching the disk format), then are widened back to float64, so a
+    store round-trips bitwise through its file representation. ``dim`` is
+    needed only when there are no vectors to take it from.
     """
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise DataError(f"store dim must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self._ids: list[str] = []
-        self._index: dict[str, int] = {}
-        self._vectors: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
+    def __init__(self, ids, vectors, dim: int | None = None):
+        self.ids = tuple(ids)
+        try:
+            with np.errstate(over="ignore"):  # a value beyond f32 is refused below
+                rounded = np.asarray(vectors, dtype=np.float32)
+        except ValueError as exc:
+            raise ShapeError(f"embedding vectors of unequal dims: {exc}") from exc
+        self.dim = int(rounded.shape[-1] if dim is None else dim)
+        if self.dim < 1:
+            raise DataError(f"store dim must be >= 1, got {self.dim}")
+        if not self.ids and not rounded.size:
+            rounded = rounded.reshape(0, self.dim)
+        if rounded.shape != (len(self.ids), self.dim):
+            raise ShapeError(f"{len(self.ids)} embedding ids of dim {self.dim}, but vectors "
+                             f"of shape {rounded.shape}")
+        self.index = {key: i for i, key in enumerate(self.ids)}
+        if len(self.index) != len(self.ids):
+            raise DataError(f"duplicate embedding id "
+                            f"'{next(k for i, k in enumerate(self.ids) if self.index[k] != i)}'")
+        self.matrix = rounded.astype(np.float64)
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            raise DataError(f"vector for '{self.ids[int(np.argmin(finite))]}' contains "
+                            f"non-finite entries")
+        self.matrix.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.ids)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def ids(self) -> list[str]:
-        return list(self._ids)
-
-    def add(self, key: str, vector: np.ndarray) -> None:
-        if key in self._index:
-            raise DataError(f"duplicate embedding id '{key}'")
-        vec = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vec.size != self.dim:
-            raise ShapeError(f"vector for '{key}' has dim {vec.size}, store dim is {self.dim}")
-        if not np.isfinite(vec).all():
-            raise DataError(f"vector for '{key}' contains non-finite entries")
-        self._index[key] = len(self._ids)
-        self._ids.append(key)
-        self._vectors.append(vec.astype(np.float32).astype(np.float64))
-        self._matrix = None
-
-    def vector(self, key: str) -> np.ndarray:
-        """A fresh, writable copy of the vector stored under ``key``."""
-        if key not in self._index:
-            raise DataError(f"missing embedding id '{key}'")
-        return self._vectors[self._index[key]].copy()
+        return key in self.index
 
     def row(self, key: str) -> np.ndarray:
-        """The vector stored under ``key`` as a read-only view of
-        ``matrix()``: every caller shares the one row instead of a copy."""
-        if key not in self._index:
+        """The vector stored under ``key``: a read-only view of ``matrix``."""
+        if key not in self.index:
             raise DataError(f"missing embedding id '{key}'")
-        return self.matrix()[self._index[key]]
-
-    def matrix(self) -> np.ndarray:
-        """Every vector as one read-only row, in insertion order."""
-        if self._matrix is None:
-            if not self._vectors:
-                self._matrix = np.zeros((0, self.dim))
-            else:
-                self._matrix = np.vstack(self._vectors)
-            self._matrix.flags.writeable = False
-        return self._matrix
+        return self.matrix[self.index[key]]
 
 
 def write_store(path, store: EmbeddingStore) -> None:
@@ -343,11 +334,11 @@ def write_store(path, store: EmbeddingStore) -> None:
         fh.write(struct.pack("<I", EMBEDDING_VERSION))
         fh.write(struct.pack("<I", store.dim))
         fh.write(struct.pack("<Q", len(store)))
-        for key in store.ids():
+        for key, row in zip(store.ids, store.matrix):
             raw = key.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(store.vector(key).astype("<f4").tobytes())
+            fh.write(row.astype("<f4").tobytes())
 
 
 def read_store(path) -> EmbeddingStore:
@@ -357,18 +348,23 @@ def read_store(path) -> EmbeddingStore:
     reader.expect_version(EMBEDDING_VERSION)
     dim = reader.u32()
     count = reader.u64()
-    store = EmbeddingStore(dim)
+    ids, starts = [], []
     for _ in range(count):
         id_len = reader.u16()
         at = reader.pos
         try:
-            key = reader.take(id_len).decode("utf-8")
+            ids.append(reader.take(id_len).decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8 embedding id: {exc}", offset=at) from exc
-        raw = reader.take(dim * 4)
-        store.add(key, np.frombuffer(raw, dtype="<f4").astype(np.float64))
+        starts.append(reader.pos)
+        reader.take(dim * 4)
     reader.done()
-    return store
+    # The framing holds, so the count is real: copy each vector once, into
+    # one f32 table.
+    vectors = np.empty((count, dim), dtype="<f4")
+    for row, start in zip(vectors, starts):
+        row[:] = np.frombuffer(reader.data, dtype="<f4", count=dim, offset=start)
+    return EmbeddingStore(ids, vectors, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +387,40 @@ def triplet_id(index: int) -> str:
 
 
 class TripletStore:
-    """Knowledge triplets plus a companion embedding table keyed t0, t1, ..."""
+    """Knowledge triplets plus a companion embedding table keyed t0, t1, ...
+
+    ``ids`` are those keys, ``matrix`` their rows in that order and
+    ``norms`` the rows' norms, all fixed when the store is made. A companion
+    that lists the ids in that order is used in place; one that does not (a
+    GEMB file may order its ids freely) is gathered by id. A zero-norm row
+    is refused, since retrieval divides by it."""
 
     def __init__(self, triplets: list[Triplet], embeddings: EmbeddingStore):
         if len(triplets) != len(embeddings):
             raise DataError(
                 f"{len(triplets)} triplets but {len(embeddings)} embeddings")
-        for i in range(len(triplets)):
-            if triplet_id(i) not in embeddings:
-                raise DataError(f"companion store lacks embedding id '{triplet_id(i)}'")
         self.triplets = list(triplets)
         self.embeddings = embeddings
-        self._ids: list[str] = []
-        self._scoring: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.ids = [triplet_id(i) for i in range(len(triplets))]
+        if list(embeddings.ids) == self.ids:
+            self.matrix = embeddings.matrix
+        else:
+            for tid in self.ids:
+                if tid not in embeddings:
+                    raise DataError(f"companion store lacks embedding id '{tid}'")
+            self.matrix = embeddings.matrix[[embeddings.index[tid] for tid in self.ids]]
+            self.matrix.flags.writeable = False
+        self.norms = np.linalg.norm(self.matrix, axis=1)
+        if (self.norms == 0.0).any():
+            raise DataError(f"triplet store contains a zero-norm embedding, "
+                            f"'{self.ids[int(np.argmin(self.norms))]}'")
 
     @classmethod
     def from_texts(cls, triplets: list[Triplet], dim: int, seed: int) -> "TripletStore":
         """Embed each triplet's surface form with the stand-in embedder."""
-        store = EmbeddingStore(dim)
         rows = token_rows([t.surface() for t in triplets], dim, seed)
-        for i, t in enumerate(triplets):
-            store.add(triplet_id(i), toy_embed(t.surface(), dim, seed, rows))
-        return cls(triplets, store)
+        vectors = [toy_embed(t.surface(), dim, seed, rows) for t in triplets]
+        return cls(triplets, EmbeddingStore(map(triplet_id, range(len(triplets))), vectors, dim))
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -421,34 +429,12 @@ class TripletStore:
     def dim(self) -> int:
         return self.embeddings.dim
 
-    @property
-    def ids(self) -> list[str]:
-        """t0, t1, ... for the store's triplets: retrieval hands out these
-        strings rather than a new one per hit."""
-        if len(self._ids) != len(self.triplets):
-            self._ids = [triplet_id(i) for i in range(len(self.triplets))]
-        return self._ids
 
-    def scoring_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """The embeddings of t0, t1, ... as rows in that order, and their
-        norms, computed and checked for zero norms once per embedding matrix
-        rather than once per query. A store that lists the ids in that order
-        is scored in place; one that does not (a GEMB file may order its ids
-        freely) is gathered by id."""
-        mat = self.embeddings.matrix()
-        if self._scoring is None or self._scoring[0] is not mat:
-            ordered = (mat if self.embeddings.ids() == self.ids
-                       else np.stack([self.embeddings.row(tid) for tid in self.ids]))
-            norms = np.linalg.norm(ordered, axis=1)
-            if (norms == 0.0).any():
-                raise DataError("triplet store contains a zero-norm embedding")
-            self._scoring = (mat, ordered, norms)
-        return self._scoring[1], self._scoring[2]
-
-
-def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple[str, float]]:
-    """Exact top-k triplets by cosine similarity, descending; ties break by
-    ascending triplet index. Returns the whole store when it has < k entries."""
+def top_k_triplets(query: np.ndarray, store: TripletStore,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k triplets by cosine similarity: their row indices into
+    the store and their similarities, descending; ties break by ascending
+    row. Returns the whole store when it has < k entries."""
     if len(store) == 0:
         raise DataError("cannot retrieve from an empty triplet store")
     if k < 1:
@@ -461,8 +447,7 @@ def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple
         raise DataError("cosine_sim of a zero-norm vector is undefined")
     if not np.isfinite(qn):
         raise DataError("query embedding holds non-finite values")
-    mat, norms = store.scoring_matrix()
-    scores = np.clip((mat @ q) / (norms * qn), -1.0, 1.0)
+    scores = np.clip((store.matrix @ q) / (store.norms * qn), -1.0, 1.0)
     # Every index scoring at least the k-th best score, ties at the boundary
     # included, in ascending index order; a stable sort of those by
     # descending score then keeps the lower index first among equal scores.
@@ -470,8 +455,7 @@ def top_k_triplets(query: np.ndarray, store: TripletStore, k: int) -> list[tuple
     cut = len(scores) - k
     candidates = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
     top = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
-    ids = store.ids
-    return [(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())]
+    return top, scores[top]
 
 
 # ---------------------------------------------------------------------------

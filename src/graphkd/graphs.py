@@ -6,10 +6,14 @@ commonsense triplets retrieved for them, ordered by ascending triplet
 index. Edges carry cosine similarity between content nodes, the retrieval
 similarity between a content node and its triplets, and normalized PMI of
 co-retrieval between triplet pairs (statistics from the training split
-only). Each content node's norm is computed once per sample. The NPMI of
-every pair co-retrieved on the training split is computed once, into an
-``NpmiTable`` indexed by triplet, and each sample's commonsense block is
-read from it.
+only). Each content node's norm is computed once per sample.
+
+A build works in triplet row indices throughout: ``retrieve`` gives each
+content row's top-k rows of the triplet store, ``build_edges`` the sample's
+distinct rows and every edge but the commonsense block, and
+``npmi_table``, made once from the training samples' rows, that block.
+The only id strings are the store's own t0, t1, ..., reused in each
+``Subgraph.ids``.
 
 In memory, the subgraphs of one build or one read share one read-only
 float64 node table. A ``Subgraph`` holds it, its node ids, ``rows`` (each
@@ -71,8 +75,8 @@ import hashlib
 import json
 import math
 import os
-from collections import _count_elements, namedtuple
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -144,69 +148,45 @@ class Subgraph:
 
 
 @dataclass(frozen=True)
-class RetrievalHit:
-    content_kind: str
-    triplet_id: str
-    similarity: float
-
-
-@dataclass(frozen=True)
 class NpmiTable:
     """Normalized PMI of every triplet pair co-retrieved on the training
-    split, computed once: ``weights[slots[a], slots[b]]``, 0.0 where the
-    pair has no edge. Triplets without statistics share the last row and
-    column, which are all zeros. The table is (U + 1) x (U + 1) for the U
-    triplets retrieved on the training split."""
+    split, computed once: ``weights[slots[a], slots[b]]`` for triplet rows a
+    and b, 0.0 where the pair has no edge. Triplets never retrieved on the
+    training split share the last row and column, which are all zeros. The
+    table is (U + 1) x (U + 1) for the U triplets retrieved there."""
 
-    slots: dict[str, int]
+    slots: np.ndarray
     weights: np.ndarray
 
-    def block(self, ids: list[str]) -> np.ndarray:
-        """The len(ids) x len(ids) matrix of weights between ``ids``."""
-        spare = len(self.slots)
-        rows = [self.slots.get(tid, spare) for tid in ids]
-        return self.weights[np.ix_(rows, rows)]
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """The len(rows) x len(rows) matrix of weights between ``rows``."""
+        picked = self.slots[rows]
+        return self.weights[np.ix_(picked, picked)]
 
 
-@dataclass
-class CooccurrenceStats:
-    """Sample-level retrieval counts over the training split: in how many
-    samples was each triplet (and each unordered triplet pair) retrieved.
-    A pair is keyed by its two ids in ascending triplet index. The NPMI
-    table is computed on first use and kept until the next ``observe``, so
-    edit the counts by hand only before that first use."""
-
-    num_samples: int = 0
-    counts: dict[str, int] = field(default_factory=dict)
-    pair_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    _npmi: NpmiTable | None = field(default=None, init=False, repr=False, compare=False)
-
-    def observe(self, retrieved_ids: set[str]) -> None:
-        self._npmi = None
-        self.num_samples += 1
-        # The tally loop behind Counter.update, in C: one pass per sample, no
-        # Python-level get and set per pair.
-        _count_elements(self.counts, retrieved_ids)
-        _count_elements(self.pair_counts,
-                        combinations(sorted(retrieved_ids, key=_triplet_index), 2))
-
-    def npmi_table(self) -> NpmiTable:
-        """``pmi_weight`` of every counted pair whose triplets both have
-        counts, each computed once."""
-        if self._npmi is None:
-            slots = {tid: i for i, tid in enumerate(self.counts)}
-            weights = np.zeros((len(slots) + 1, len(slots) + 1))
-            for (a, b), c12 in self.pair_counts.items():
-                if a in slots and b in slots:
-                    weight = _npmi(c12, self.counts[a], self.counts[b], self.num_samples)
-                    if weight is not None:
-                        weights[slots[a], slots[b]] = weights[slots[b], slots[a]] = weight
-            self._npmi = NpmiTable(slots, weights)
-        return self._npmi
-
-
-def _triplet_index(triplet_id: str) -> int:
-    return int(triplet_id[1:])
+def npmi_table(train_rows: list[np.ndarray], num_triplets: int) -> NpmiTable:
+    """Sample-level co-retrieval statistics over the training split, each
+    entry of ``train_rows`` one sample's distinct triplet rows in ascending
+    order: in how many samples each triplet, and each unordered pair, was
+    retrieved. The NPMI of each pair is computed once, by ``_npmi``."""
+    counts = np.zeros(num_triplets, dtype=np.int64)
+    pair_keys = []
+    for rows in train_rows:
+        counts[rows] += 1
+        first, second = np.triu_indices(len(rows), 1)
+        pair_keys.append(rows[first] * num_triplets + rows[second])
+    seen = np.flatnonzero(counts)
+    slots = np.full(num_triplets, len(seen))
+    slots[seen] = np.arange(len(seen))
+    weights = np.zeros((len(seen) + 1, len(seen) + 1))
+    keys, pair_counts = np.unique(np.concatenate([np.zeros(0, dtype=np.intp), *pair_keys]),
+                                  return_counts=True)
+    for key, c12 in zip(keys.tolist(), pair_counts.tolist()):
+        a, b = divmod(key, num_triplets)
+        weight = _npmi(c12, int(counts[a]), int(counts[b]), len(train_rows))
+        if weight is not None:
+            weights[slots[a], slots[b]] = weights[slots[b], slots[a]] = weight
+    return NpmiTable(slots, weights)
 
 
 def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
@@ -221,9 +201,7 @@ def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
             raise DataError(
                 f"sample '{record.sample_id}' references embedding id "
                 f"'{record.visual_ref}' but no store was supplied")
-        if record.visual_ref not in embedding_store:
-            raise DataError(f"missing embedding id '{record.visual_ref}'")
-        visual = embedding_store.vector(record.visual_ref)
+        visual = embedding_store.row(record.visual_ref)
         if visual.size != dim:
             raise ConfigError(
                 f"embedding store dim {visual.size} does not match graph dim {dim}")
@@ -240,31 +218,17 @@ def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
     return np.stack([question, language, visual, vl])
 
 
-def attach_commonsense(content: np.ndarray, store: TripletStore,
-                       k: int = 3) -> tuple[list[str], list[RetrievalHit]]:
-    """Retrieve top-k triplets for each of the four content rows; returns
-    the merged, index-ordered triplet ids plus the full retrieval log."""
-    log: list[RetrievalHit] = []
-    retrieved: set[str] = set()
-    for kind, row in zip(CONTENT_KINDS, content):
-        for tid, sim in top_k_triplets(row, store, k):
-            log.append(RetrievalHit(kind, tid, sim))
-            retrieved.add(tid)
-    return sorted(retrieved, key=_triplet_index), log
-
-
-def pmi_weight(stats: CooccurrenceStats, id1: str, id2: str) -> float | None:
-    """Normalized pointwise mutual information of co-retrieval, in (0, 1];
-    ``None`` when the pair never co-occurs or is at/below independence."""
-    for tid in (id1, id2):
-        if tid not in stats.counts:
-            raise DataError(f"no retrieval statistics for triplet '{tid}'")
-    key = tuple(sorted((id1, id2), key=_triplet_index))
-    return _npmi(stats.pair_counts.get(key, 0), stats.counts[id1], stats.counts[id2],
-                 stats.num_samples)
+def retrieve(content: np.ndarray, store: TripletStore,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k triplet rows of each of the four content rows and their
+    similarities, as two 4 x k arrays (k capped at the store's size)."""
+    hits, sims = zip(*(top_k_triplets(row, store, k) for row in content))
+    return np.stack(hits), np.stack(sims)
 
 
 def _npmi(c12: int, c1: int, c2: int, num_samples: int) -> float | None:
+    """Normalized pointwise mutual information of co-retrieval, in (0, 1];
+    ``None`` when the pair never co-occurs or is at/below independence."""
     if c12 == 0:
         return None
     pmi = math.log(c12 * num_samples / (c1 * c2))
@@ -274,45 +238,32 @@ def _npmi(c12: int, c1: int, c2: int, num_samples: int) -> float | None:
     return min(pmi / -math.log(c12 / num_samples), 1.0)
 
 
-def build_edges(content: np.ndarray, ids: list[str], log: list[RetrievalHit],
-                stats: CooccurrenceStats, mode: str = "hybrid",
-                tau: float = 0.0) -> np.ndarray:
-    """Weighted symmetric hollow adjacency over one sample's nodes: the four
-    content rows ``content`` (nodes 0-3), then the commonsense nodes
-    ``ids``.
+def build_edges(content: np.ndarray, hits: np.ndarray, sims: np.ndarray,
+                tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's distinct retrieved triplet rows, ascending, and the
+    weighted symmetric hollow adjacency over its nodes: the four content
+    rows ``content`` (nodes 0-3), then one node per retrieved row.
 
     Content-content edges: cosine similarity when above ``tau`` (negative
     similarities never become edges, keeping weights in [0, 1]).
-    Content-commonsense edges: the retrieval similarity, clamped to [0, 1].
-    Commonsense-commonsense edges: normalized PMI, in mode hybrid, read
-    from ``stats.npmi_table()``.
+    Content-commonsense edges: the similarity ``sims[a, j]`` with which
+    content row a retrieved triplet row ``hits[a, j]``, clamped to [0, 1].
+    The commonsense-commonsense block is left zero; a hybrid build fills it
+    from ``npmi_table``.
     """
-    if mode not in EDGE_MODES:
-        raise ConfigError(f"unknown edge mode '{mode}'")
     if not -1.0 <= tau < 1.0:
         raise ConfigError(f"tau must lie in [-1, 1), got {tau}")
-
-    n = 4 + len(ids)
-    index = {tid: 4 + j for j, tid in enumerate(ids)}
-    adjacency = np.zeros((n, n))
-
-    sims = pairwise_cosine(content)
-    for (a, b), sim in zip(combinations(range(4), 2), sims):
+    # Not np.unique: it imports numpy.ma (≈0.5 MB) to test for a mask.
+    rows = np.array(sorted(set(hits.ravel().tolist())), dtype=np.intp)
+    adjacency = np.zeros((4 + len(rows),) * 2)
+    for (a, b), sim in zip(combinations(range(4), 2), pairwise_cosine(content)):
         if sim > tau and sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
-
-    for hit in log:
-        if hit.triplet_id not in index:
-            continue
-        a = CONTENT_KINDS.index(hit.content_kind)
-        b = index[hit.triplet_id]
-        adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
-
-    if mode == "hybrid":
-        # Triplets never retrieved on the training split have no statistics
-        # and therefore no PMI edges.
-        adjacency[4:, 4:] = stats.npmi_table().block(ids)
-    return adjacency
+    content_nodes = np.arange(4)[:, None]
+    triplet_nodes = 4 + np.searchsorted(rows, hits)
+    adjacency[content_nodes, triplet_nodes] = adjacency[triplet_nodes, content_nodes] = \
+        np.clip(sims, 0.0, 1.0)
+    return rows, adjacency
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -359,14 +310,12 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
        token of the dataset's texts gets its row once; a token that occurs
        once has its row only while its chunk is embedded. Nothing after
        this pass embeds, so retrieval and edges hold no token rows.
-    2. Retrieval, in record order, accumulating the training split's
-       co-occurrence statistics, and each sample's edges as soon as it is
+    2. Retrieval, in record order, and each sample's edges as soon as it is
        retrieved, except for the commonsense block. A sample's retrieval
        depends only on its own content nodes, so it does not matter that
        all samples were embedded first.
-    3. In mode hybrid, every sample's commonsense block, the NPMI edges
-       ``build_edges`` adds in that mode, which need the complete
-       statistics."""
+    3. In mode hybrid, every sample's commonsense block from the
+       ``npmi_table`` of the training samples' retrieved rows."""
     check_build_flags(k, mode, tau)
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
@@ -374,28 +323,23 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     table = np.empty((base + len(triplet_store), dim))
     _embed_content(dataset, dim, seed, table)
 
-    built: list[tuple[list[str], np.ndarray]] = []
-    stats = CooccurrenceStats()
-    for i, record in enumerate(dataset.records):
+    built: list[tuple[np.ndarray, np.ndarray]] = []
+    for i in range(len(dataset.records)):
         content = table[4 * i:4 * i + 4]
-        ids, log = attach_commonsense(content, triplet_store, k)
-        if record.split == "train":
-            stats.observe(set(ids))
-        # Every edge but the commonsense block, which waits for the complete
-        # statistics; so no retrieval log outlives its sample.
-        built.append((ids, build_edges(content, ids, log, stats, mode="cosine", tau=tau)))
-    table[base:] = triplet_store.scoring_matrix()[0]
+        built.append(build_edges(content, *retrieve(content, triplet_store, k), tau=tau))
+    table[base:] = triplet_store.matrix
     table.flags.writeable = False
     if mode == "hybrid":
-        npmi = stats.npmi_table()
-        for ids, adjacency in built:
-            adjacency[4:, 4:] = npmi.block(ids)
+        npmi = npmi_table([rows for record, (rows, _) in zip(dataset.records, built)
+                           if record.split == "train"], len(triplet_store))
+        for rows, adjacency in built:
+            adjacency[4:, 4:] = npmi.block(rows)
 
+    ids = triplet_store.ids
     return [Subgraph(record.sample_id, record.split, record.group, label_index[record.label],
-                     table, np.array([*range(4 * i, 4 * i + 4),
-                                      *(base + _triplet_index(tid) for tid in ids)]),
-                     [*CONTENT_KINDS, *ids], adjacency)
-            for i, (record, (ids, adjacency)) in enumerate(zip(dataset.records, built))]
+                     table, np.concatenate((np.arange(4 * i, 4 * i + 4), base + rows)),
+                     [*CONTENT_KINDS, *(ids[row] for row in rows.tolist())], adjacency)
+            for i, (record, (rows, adjacency)) in enumerate(zip(dataset.records, built))]
 
 
 def _texts(records):

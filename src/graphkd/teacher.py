@@ -39,8 +39,6 @@ def resolved_learning_rate(config: TrainConfig) -> float:
     """The configured learning rate, else the optimizer's default."""
     if config.learning_rate is not None:
         return config.learning_rate
-    if config.optimizer not in DEFAULT_LEARNING_RATE:
-        raise ConfigError(f"unknown optimizer '{config.optimizer}'")
     return DEFAULT_LEARNING_RATE[config.optimizer]
 
 
@@ -60,6 +58,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         """The flags of a run, checked before any input is read."""
+        if self.optimizer not in DEFAULT_LEARNING_RATE:
+            raise ConfigError(f"unknown optimizer '{self.optimizer}'")
         check_finite(self, "learning_rate")
         if self.learning_rate is not None and self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")

@@ -10,18 +10,23 @@ teacher rows were checked once per run: the row checked and its entropy
 taken again at every step. ``build_graphs_reference`` is the graph build as
 it was before it ran in three passes: embed and retrieve one record at a
 time with the token-row table alive throughout, each commonsense node a
-copy of its store vector in a table of the sample's own. The package must
-reproduce them bit for bit. ``make_subgraph`` is how the tests build a
-``Subgraph`` by hand.
+copy of its store vector in a table of the sample's own. Its edges are
+``edges_reference``: one ``cosine_sim`` per content pair, a retrieval log of
+(content kind, triplet id, similarity) hits, and one NPMI per commonsense
+pair from the string-keyed training-split counts of ``CooccurrenceCounts``.
+The package must reproduce them bit for bit. ``make_subgraph`` is how the
+tests build a ``Subgraph`` by hand.
 """
+
+import math
+from itertools import combinations
 
 import numpy as np
 
 from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, kl_to_target, split_flat
 from graphkd.distill import combined_loss, init_student, student_forward
-from graphkd.embeddings import token_rows, top_k_triplets
-from graphkd.graphs import (CONTENT_KINDS, CooccurrenceStats, RetrievalHit, Subgraph,
-                            build_content_nodes, build_edges, normalize_adjacency)
+from graphkd.embeddings import cosine_sim, token_rows, top_k_triplets
+from graphkd.graphs import CONTENT_KINDS, Subgraph, build_content_nodes, normalize_adjacency
 from graphkd.teacher import init_teacher, resolved_learning_rate, teacher_forward
 
 
@@ -179,6 +184,63 @@ def make_subgraph(ids, features, adjacency, label=0, sample_id="s0", split="trai
                     ids=list(ids), adjacency=np.asarray(adjacency))
 
 
+def _index(triplet_id):
+    return int(triplet_id[1:])
+
+
+class CooccurrenceCounts:
+    """Sample-level retrieval counts over the training split: in how many
+    samples was each triplet id (and each unordered pair of ids, keyed in
+    ascending triplet index) retrieved."""
+
+    def __init__(self):
+        self.num_samples = 0
+        self.counts = {}
+        self.pair_counts = {}
+
+    def observe(self, retrieved_ids):
+        self.num_samples += 1
+        for tid in retrieved_ids:
+            self.counts[tid] = self.counts.get(tid, 0) + 1
+        for pair in combinations(sorted(retrieved_ids, key=_index), 2):
+            self.pair_counts[pair] = self.pair_counts.get(pair, 0) + 1
+
+    def npmi(self, id1, id2):
+        """Normalized PMI of co-retrieval in (0, 1], or None when either id
+        has no counts, the pair never co-occurs or is at/below independence."""
+        if id1 not in self.counts or id2 not in self.counts:
+            return None
+        c12 = self.pair_counts.get(tuple(sorted((id1, id2), key=_index)), 0)
+        if c12 == 0:
+            return None
+        pmi = math.log(c12 * self.num_samples / (self.counts[id1] * self.counts[id2]))
+        if pmi <= 0.0:
+            return None
+        return min(pmi / -math.log(c12 / self.num_samples), 1.0)
+
+
+def edges_reference(content, ids, log, stats, mode="hybrid", tau=0.0):
+    """One sample's adjacency over its four content rows and the triplets
+    ``ids``: one cosine_sim per content pair, each (kind, id, similarity)
+    hit of ``log`` clamped, and in mode hybrid one NPMI per id pair."""
+    ids = [*CONTENT_KINDS, *ids]
+    n = len(ids)
+    adjacency = np.zeros((n, n))
+    for a, b in combinations(range(4), 2):
+        sim = cosine_sim(content[a], content[b])
+        if sim > tau and sim > 0.0:
+            adjacency[a, b] = adjacency[b, a] = sim
+    for kind, tid, sim in log:
+        a, b = ids.index(kind), ids.index(tid, 4)
+        adjacency[a, b] = adjacency[b, a] = min(max(sim, 0.0), 1.0)
+    if mode == "hybrid":
+        for a, b in combinations(range(4, n), 2):
+            weight = stats.npmi(ids[a], ids[b])
+            if weight is not None:
+                adjacency[a, b] = adjacency[b, a] = weight
+    return adjacency
+
+
 def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau=0.0):
     """Subgraphs of the interleaved build loop."""
     dim = triplet_store.dim
@@ -186,19 +248,19 @@ def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau
                        for text in (r.question, r.language_context, r.visual_text or "")],
                       dim, seed)
     built = []
-    stats = CooccurrenceStats()
+    stats = CooccurrenceCounts()
     for record in dataset.records:
         content = build_content_nodes(record, dim, seed, dataset.visual_store, rows)
-        log = [RetrievalHit(kind, tid, sim) for kind, row in zip(CONTENT_KINDS, content)
-               for tid, sim in top_k_triplets(row, triplet_store, k)]
-        ids = sorted({hit.triplet_id for hit in log}, key=lambda tid: int(tid[1:]))
-        commonsense = [triplet_store.embeddings.vector(tid) for tid in ids]
+        log = [(kind, f"t{row}", sim) for kind, query in zip(CONTENT_KINDS, content)
+               for row, sim in zip(*(a.tolist() for a in top_k_triplets(query, triplet_store, k)))]
+        ids = sorted({tid for _, tid, _ in log}, key=_index)
+        commonsense = [triplet_store.embeddings.row(tid) for tid in ids]
         built.append((record, content, ids, commonsense, log))
         if record.split == "train":
             stats.observe(set(ids))
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
     return [make_subgraph([*CONTENT_KINDS, *ids], [*content, *commonsense],
-                          build_edges(content, ids, log, stats, mode=mode, tau=tau),
+                          edges_reference(content, ids, log, stats, mode=mode, tau=tau),
                           label=label_index[record.label], sample_id=record.sample_id,
                           split=record.split, group=record.group)
             for record, content, ids, commonsense, log in built]

@@ -187,7 +187,8 @@ GEMB_MUTATIONS = ["truncated", "trailing-byte", "count-plus-one", "count-minus-o
 def _mutate_gemb(path, mutation):
     blob = path.read_bytes()
     store = read_store(path)
-    dim, entries = store.dim, [(k.encode("utf-8"), store.vector(k)) for k in store.ids()]
+    dim = store.dim
+    entries = [(key.encode("utf-8"), row) for key, row in zip(store.ids, store.matrix)]
     assert _gemb(dim, entries) == blob
     (first, _), (second, row) = entries[0], entries[1]
     if mutation == "truncated":
@@ -391,6 +392,75 @@ class TestDataErrors:
         assert run(["build-graphs", "--manifest", str(tmp_path / "nope.jsonl"),
                     "--triplets", str(tmp_path / "nope.tsv"),
                     "--out", str(tmp_path / "o.graphs")]) == 2
+
+    def test_zero_norm_triplet_store_is_refused_before_the_manifest_is_read(
+            self, tmp_path, capsys):
+        data = _gen(tmp_path / "d")
+        store = read_store(data["triplet_embeddings"])
+        entries = [(key.encode("utf-8"), row * (key != "t5"))
+                   for key, row in zip(store.ids, store.matrix)]
+        data["triplet_embeddings"].write_bytes(_gemb(store.dim, entries))
+        out = tmp_path / "o.graphs"
+        capsys.readouterr()
+        assert run(["build-graphs", "--manifest", str(tmp_path / "nope.jsonl"),
+                    "--triplets", str(data["triplets"]),
+                    "--triplet-embeddings", str(data["triplet_embeddings"]),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: triplet store contains a zero-norm embedding, 't5'\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _use_argv(command, model, graphs, out):
+        if command == "eval":
+            return ["eval", "--model", str(model), "--graphs", str(graphs), "--split", "all",
+                    "--report", str(out)]
+        return ["distill", "--graphs", str(graphs), "--teacher", str(model), "--student",
+                "mlp", "--epochs", "1", "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    def test_checkpoint_trained_on_other_labels_exits_two(self, trained, tmp_path, capsys,
+                                                          command):
+        """Renaming label c0 to zc0 reorders the sorted vocabulary while the
+        class count stays; a teacher trained before must be refused rather
+        than scored against the wrong classes."""
+        source, teacher = trained
+        data = source.parent / "d"
+        manifest = tmp_path / "m.jsonl"
+        text = (data / "manifest.jsonl").read_text(encoding="utf-8")
+        manifest.write_text(text.replace('"label":"c0"', '"label":"zc0"'), encoding="utf-8")
+        graphs = tmp_path / "renamed.graphs"
+        _build({"manifest": manifest, "visual": data / "visual.gemb",
+                "triplets": data / "triplets.tsv",
+                "triplet_embeddings": data / "triplets.gemb"}, graphs)
+        assert read_graphs(graphs)[1]["label_vocab"] == ["c1", "c2", "c3", "zc0"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(self._use_argv(command, teacher, graphs, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(teacher) in err and "label vocabulary" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    def test_checkpoint_without_label_vocab_is_checked_by_class_count(
+            self, trained, tmp_path, capsys, command):
+        graphs, teacher = trained
+        meta, tensors = read_checkpoint(teacher)
+        meta.pop("tensors")
+        del meta["label_vocab"]
+        same = tmp_path / "same.ckpt"
+        write_checkpoint(same, meta, list(tensors.items()))
+        meta["config"]["num_classes"] += 1
+        more = tmp_path / "more.ckpt"
+        write_checkpoint(more, meta, list(tensors.items()))
+        assert run(self._use_argv(command, same, graphs, tmp_path / "ok")) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(self._use_argv(command, more, graphs, out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {more} has 5 classes, the graphs have 4\n"
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         data = _gen(tmp_path / "d")

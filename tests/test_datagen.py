@@ -209,7 +209,7 @@ class TestIngestValidation:
         path = tmp_path / "m.jsonl"
         path.write_text(canonical_json(doc) + "\n")
         with pytest.raises(DataError, match="missing embedding id 'v9'"):
-            ingest_manifest(path, embedding_store=EmbeddingStore(4))
+            ingest_manifest(path, embedding_store=EmbeddingStore([], [], 4))
         with pytest.raises(DataError, match="no\\s+embedding store"):
             ingest_manifest(path)
 

@@ -174,9 +174,7 @@ class TestCosine:
 
 
 def _store_from_rows(rows):
-    store = EmbeddingStore(len(rows[0]))
-    for i, row in enumerate(rows):
-        store.add(f"t{i}", np.asarray(row, dtype=np.float64))
+    store = EmbeddingStore([f"t{i}" for i in range(len(rows))], rows)
     triplets = [Triplet(f"h{i}", "r", f"x{i}") for i in range(len(rows))]
     return TripletStore(triplets, store)
 
@@ -186,23 +184,23 @@ class TestTopK:
         rng = np.random.default_rng(4)
         rows = rng.normal(0, 1, (10, 16))
         store = _store_from_rows(rows)
-        query = store.embeddings.vector("t1")
-        results = top_k_triplets(query, store, 3)
-        assert results[0][0] == "t1"
-        assert results[0][1] == pytest.approx(1.0, abs=1e-12)
+        top, sims = top_k_triplets(store.embeddings.row("t1"), store, 3)
+        assert top[0] == 1
+        assert sims[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_breaks_by_lower_index(self):
         rows = [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
         store = _store_from_rows(rows)
-        results = top_k_triplets(np.array([1.0, 0.0]), store, 3)
-        assert [r[0] for r in results] == ["t1", "t2", "t3"]
+        top, _ = top_k_triplets(np.array([1.0, 0.0]), store, 3)
+        assert top.tolist() == [1, 2, 3]
 
     def test_small_store_returns_everything(self):
         store = _store_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        assert len(top_k_triplets(np.array([1.0, 1.0]), store, 5)) == 2
+        top, sims = top_k_triplets(np.array([1.0, 1.0]), store, 5)
+        assert len(top) == len(sims) == 2
 
     def test_empty_store_rejected(self):
-        store = TripletStore([], EmbeddingStore(4))
+        store = TripletStore([], EmbeddingStore([], [], 4))
         with pytest.raises(DataError):
             top_k_triplets(np.ones(4), store, 1)
 
@@ -221,19 +219,12 @@ class TestTopK:
             rows = rng.normal(0, 1, (size, dim))
             store = _store_from_rows(rows)
             query = rng.normal(0, 1, dim)
-
-            def oracle():
-                scored = []
-                for i in range(size):
-                    scored.append((f"t{i}", cosine_sim(query, store.embeddings.vector(f"t{i}"))))
-                ranked = sorted(range(size), key=lambda i: (-scored[i][1], i))
-                return [scored[i] for i in ranked[:k]]
-
-            got = top_k_triplets(query, store, k)
-            want = oracle()
-            assert [g[0] for g in got] == [w[0] for w in want]
-            for (_, gs), (_, ws) in zip(got, want):
-                assert gs == pytest.approx(ws, abs=1e-12)
+            scored = [cosine_sim(query, store.embeddings.row(f"t{i}")) for i in range(size)]
+            ranked = sorted(range(size), key=lambda i: (-scored[i], i))[:k]
+            top, sims = top_k_triplets(query, store, k)
+            assert top.tolist() == ranked
+            for got, i in zip(sims.tolist(), ranked):
+                assert got == pytest.approx(scored[i], abs=1e-12)
 
     def test_exact_ties_across_the_cut_match_full_sort_bitwise(self):
         # Reference: the full two-key sort, descending score, then index.
@@ -244,23 +235,27 @@ class TestTopK:
             store = _store_from_rows(rows)
             query = rng.normal(0, 1, 5)
             k = int(rng.integers(1, 8))
-            mat, norms = store.scoring_matrix()
-            scores = np.clip((mat @ query) / (norms * np.linalg.norm(query)), -1.0, 1.0)
+            scores = np.clip((store.matrix @ query) / (store.norms * np.linalg.norm(query)),
+                             -1.0, 1.0)
             order = np.lexsort((np.arange(len(scores)), -scores))[:k]
-            want = [(f"t{i}", float(scores[i])) for i in order]
-            assert top_k_triplets(query, store, k) == want
+            top, sims = top_k_triplets(query, store, k)
+            assert top.tolist() == order.tolist()
+            assert sims.tobytes() == scores[order].tobytes()
 
     def test_store_listing_ids_out_of_order_retrieves_by_id(self):
         rng = np.random.default_rng(12)
         rows = rng.normal(0, 1, (9, 6))
         in_order = _store_from_rows(rows)
-        store = EmbeddingStore(6)
-        for i in (4, 0, 8, 2, 7, 1, 5, 3, 6):
-            store.add(f"t{i}", rows[i])
-        shuffled = TripletStore(in_order.triplets, store)
+        order = [4, 0, 8, 2, 7, 1, 5, 3, 6]
+        shuffled = TripletStore(in_order.triplets,
+                                EmbeddingStore([f"t{i}" for i in order], rows[order]))
+        assert shuffled.matrix.tobytes() == in_order.matrix.tobytes()
+        assert not shuffled.matrix.flags.writeable
         for query in rng.normal(0, 1, (20, 6)):
-            assert top_k_triplets(query, shuffled, 3) == top_k_triplets(query, in_order, 3)
-        assert top_k_triplets(rows[0], shuffled, 1)[0][0] == "t0"
+            got, want = top_k_triplets(query, shuffled, 3), top_k_triplets(query, in_order, 3)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert top_k_triplets(rows[0], shuffled, 1)[0].tolist() == [0]
 
     def test_non_finite_query_rejected(self):
         store = _store_from_rows([[1.0, 0.0], [0.0, 1.0]])
@@ -268,89 +263,98 @@ class TestTopK:
             with pytest.raises(DataError, match="non-finite"):
                 top_k_triplets(np.array([1.0, bad]), store, 1)
 
-    def test_norms_computed_once_per_matrix(self, monkeypatch):
+    def test_norms_are_not_recomputed_per_query(self, monkeypatch):
         rng = np.random.default_rng(5)
         store = _store_from_rows(rng.normal(0, 1, (12, 8)))
         queries = rng.normal(0, 1, (20, 8))
-        first = [top_k_triplets(q, store, 3) for q in queries]
         calls = []
         real_norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm",
                             lambda *a, **kw: calls.append(kw) or real_norm(*a, **kw))
-        again = [top_k_triplets(q, store, 3) for q in queries]
-        assert again == first
+        for q in queries:
+            top_k_triplets(q, store, 3)
+        assert len(calls) == len(queries)
         assert not any("axis" in kw for kw in calls)
-
-    def test_added_embedding_refreshes_norms(self):
-        store = _store_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        top_k_triplets(np.array([1.0, 0.0]), store, 1)
-        store.embeddings.add("t2", np.array([0.0, 0.0]))
-        store.triplets.append(Triplet("h2", "r", "x2"))
-        with pytest.raises(DataError, match="zero-norm"):
-            top_k_triplets(np.array([1.0, 0.0]), store, 1)
 
 
 class TestEmbeddingStore:
     def test_duplicate_id_rejected(self):
-        store = EmbeddingStore(2)
-        store.add("a", np.array([1.0, 0.0]))
-        with pytest.raises(DataError):
-            store.add("a", np.array([0.0, 1.0]))
+        with pytest.raises(DataError, match="duplicate embedding id 'a'"):
+            EmbeddingStore(["b", "a", "a"], np.eye(3))
 
     def test_dim_mismatch_rejected(self):
-        store = EmbeddingStore(2)
         with pytest.raises(ShapeError):
-            store.add("a", np.array([1.0, 0.0, 0.0]))
+            EmbeddingStore(["a"], [[1.0, 0.0, 0.0]], dim=2)
+        with pytest.raises(ShapeError):
+            EmbeddingStore(["a", "b"], [[1.0, 0.0]])
+        with pytest.raises(ShapeError):
+            EmbeddingStore(["a", "b"], [[1.0, 0.0], [1.0, 0.0, 0.0]])
+
+    def test_bad_dim_rejected(self):
+        for ids, vectors, dim in (([], [], None), ([], [], 0), (["a"], np.ones((1, 0)), None)):
+            with pytest.raises(DataError, match="store dim must be >= 1"):
+                EmbeddingStore(ids, vectors, dim)
+
+    def test_non_finite_vector_names_its_id(self):
+        for bad in (np.nan, np.inf, 1e300):
+            with pytest.raises(DataError, match="vector for 'b' contains non-finite"):
+                EmbeddingStore(["a", "b"], [[1.0, 0.0], [bad, 0.0]])
 
     def test_missing_id(self):
-        store = EmbeddingStore(2)
+        store = EmbeddingStore(["a"], [[1.0, 0.0]])
         with pytest.raises(DataError, match="missing embedding id 'nope'"):
-            store.vector("nope")
+            store.row("nope")
 
-    def test_row_is_a_shared_read_only_view(self):
-        store = EmbeddingStore(2)
-        store.add("a", np.array([1.0, 2.0]))
-        store.add("b", np.array([3.0, 4.0]))
+    def test_store_is_read_only(self):
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
+        store = EmbeddingStore(["a", "b"], vectors)
+        vectors[1, 0] = 0.0
+        assert store.row("b").tolist() == [3.0, 4.0]
+        with pytest.raises(ValueError, match="read-only"):
+            store.matrix[0, 0] = 0.0
         row = store.row("b")
-        assert row.tobytes() == store.vector("b").tobytes()
-        assert np.shares_memory(row, store.row("b"))
+        assert np.shares_memory(row, store.matrix) and np.shares_memory(row, store.row("b"))
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 0.0
-        store.vector("b")[0] = 0.0
-        assert row[0] == 3.0
+        assert isinstance(store.ids, tuple)
+        assert not hasattr(store, "add")
         with pytest.raises(DataError, match="missing embedding id 'c'"):
             store.row("c")
 
+    def test_empty_store_has_a_dim(self):
+        store = EmbeddingStore([], [], 3)
+        assert len(store) == 0 and store.matrix.shape == (0, 3)
+
     def test_vectors_quantized_to_f32(self):
-        store = EmbeddingStore(2)
-        store.add("a", np.array([0.1, 0.2]))
-        vec = store.vector("a")
+        store = EmbeddingStore(["a"], [[0.1, 0.2]])
         np.testing.assert_array_equal(
-            vec, np.array([0.1, 0.2], dtype=np.float32).astype(np.float64))
+            store.row("a"), np.array([0.1, 0.2], dtype=np.float32).astype(np.float64))
 
 
 class TestStoreFile:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(8)
-        store = EmbeddingStore(5)
-        for i in range(3):
-            store.add(f"id-{i}", rng.normal(0, 1, 5))
+        store = EmbeddingStore([f"id-{i}" for i in range(3)], rng.normal(0, 1, (3, 5)))
         path = tmp_path / "s.gemb"
         write_store(path, store)
         loaded = read_store(path)
-        assert loaded.ids() == store.ids()
+        assert loaded.ids == store.ids
         assert loaded.dim == store.dim
-        for key in store.ids():
-            assert (loaded.vector(key) == store.vector(key)).all()
+        assert loaded.matrix.tobytes() == store.matrix.tobytes()
+        assert not loaded.matrix.flags.writeable
 
     def test_write_read_write_identical_bytes(self, tmp_path):
-        store = EmbeddingStore(3)
-        store.add("x", np.array([1.0, 2.0, 3.0]))
-        store.add("y", np.array([-1.0, 0.5, 0.25]))
+        store = EmbeddingStore(["x", "y"], [[1.0, 2.0, 3.0], [-1.0, 0.5, 0.25]])
         p1, p2 = tmp_path / "a.gemb", tmp_path / "b.gemb"
         write_store(p1, store)
         write_store(p2, read_store(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_empty_store_round_trips(self, tmp_path):
+        path = tmp_path / "e.gemb"
+        write_store(path, EmbeddingStore([], [], 4))
+        loaded = read_store(path)
+        assert len(loaded) == 0 and loaded.dim == 4
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.gemb"
@@ -359,21 +363,17 @@ class TestStoreFile:
             read_store(path)
 
     def test_truncated_mid_vector_reports_offset(self, tmp_path):
-        store = EmbeddingStore(4)
-        store.add("abc", np.ones(4))
         path = tmp_path / "t.gemb"
-        write_store(path, store)
+        write_store(path, EmbeddingStore(["abc"], np.ones((1, 4))))
         raw = path.read_bytes()
         path.write_bytes(raw[:-6])
         with pytest.raises(FormatError, match="byte offset"):
             read_store(path)
 
     def test_unicode_ids(self, tmp_path):
-        store = EmbeddingStore(2)
-        store.add("κλειδί", np.array([1.0, 0.0]))
         path = tmp_path / "u.gemb"
-        write_store(path, store)
-        assert read_store(path).ids() == ["κλειδί"]
+        write_store(path, EmbeddingStore(["κλειδί"], [[1.0, 0.0]]))
+        assert read_store(path).ids == ("κλειδί",)
 
 
 class TestTripletTsv:
@@ -399,21 +399,41 @@ class TestTripletTsv:
 
 class TestTripletStore:
     def test_alignment_enforced(self):
-        store = EmbeddingStore(2)
-        store.add("t0", np.array([1.0, 0.0]))
+        store = EmbeddingStore(["t0"], [[1.0, 0.0]])
         with pytest.raises(DataError):
             TripletStore([Triplet("a", "r", "b"), Triplet("c", "r", "d")], store)
 
     def test_ids_must_follow_index_scheme(self):
-        store = EmbeddingStore(2)
-        store.add("wrong", np.array([1.0, 0.0]))
-        with pytest.raises(DataError):
+        store = EmbeddingStore(["wrong"], [[1.0, 0.0]])
+        with pytest.raises(DataError, match="lacks embedding id 't0'"):
             TripletStore([Triplet("a", "r", "b")], store)
+
+    def test_zero_norm_row_refused_when_made(self):
+        triplets = [Triplet(f"h{i}", "r", "x") for i in range(3)]
+        for order in (["t0", "t1", "t2"], ["t2", "t0", "t1"]):
+            rows = {"t0": [1.0, 0.0], "t1": [0.0, 0.0], "t2": [0.0, 1.0]}
+            store = EmbeddingStore(order, [rows[tid] for tid in order])
+            with pytest.raises(DataError, match="zero-norm embedding, 't1'"):
+                TripletStore(triplets, store)
+
+    def test_matrix_is_the_stores_own_when_ids_are_in_order(self):
+        rows = np.random.default_rng(3).normal(0, 1, (5, 4))
+        store = _store_from_rows(rows)
+        assert store.matrix is store.embeddings.matrix
+        assert store.ids == [f"t{i}" for i in range(5)]
+        assert store.norms.tobytes() == np.linalg.norm(store.matrix, axis=1).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            store.matrix[0, 0] = 0.0
+        assert not hasattr(store, "scoring_matrix")
 
     def test_from_texts_embeds_surfaces(self):
         triplets = [Triplet("cat", "sat on", "mat"), Triplet("dog", "ran", "far")]
         store = TripletStore.from_texts(triplets, 16, 3)
         expected = toy_embed("cat sat on mat", 16, 3)
-        got = store.embeddings.vector("t0")
         np.testing.assert_array_equal(
-            got, expected.astype(np.float32).astype(np.float64))
+            store.embeddings.row("t0"), expected.astype(np.float32).astype(np.float64))
+        assert store.embeddings.ids == ("t0", "t1")
+
+    def test_from_texts_with_no_triplets(self):
+        store = TripletStore.from_texts([], 8, 3)
+        assert len(store) == 0 and store.matrix.shape == (0, 8)

@@ -1,4 +1,4 @@
-"""Subgraph construction: content nodes, retrieval attachment, PMI edges,
+"""Subgraph construction: content nodes, retrieval, edges, the NPMI table,
 adjacency normalization, and the graphs file."""
 
 import collections
@@ -15,18 +15,18 @@ import pytest
 
 from graphkd import embeddings, graphs
 from graphkd.datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
-from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
-                                read_store, read_triplets_tsv, tokenize, toy_embed,
+from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, read_store,
+                                read_triplets_tsv, tokenize, top_k_triplets, toy_embed,
                                 write_store)
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
-from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, CooccurrenceStats,
-                            RetrievalHit, attach_commonsense,
-                            build_content_nodes, build_dataset_graphs, build_edges,
-                            companion_path, normalize_adjacency, pmi_weight, read_graphs,
+from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, build_content_nodes,
+                            build_dataset_graphs, build_edges, companion_path,
+                            normalize_adjacency, npmi_table, read_graphs, retrieve,
                             write_graphs)
 from graphkd.serialization import read_checkpoint
 from record_mutations import RECORD_MUTATIONS
-from reference import build_graphs_reference, make_subgraph
+from reference import (CooccurrenceCounts, build_graphs_reference, edges_reference,
+                       make_subgraph)
 
 
 def _record(**overrides):
@@ -58,17 +58,16 @@ class TestContentNodes:
         np.testing.assert_array_equal(rows[2], expected)
 
     def test_visual_ref_resolved_from_store(self):
-        store = EmbeddingStore(8)
         vec = np.arange(8.0) / np.linalg.norm(np.arange(8.0))
-        store.add("v7", vec)
+        store = EmbeddingStore(["v7"], [vec])
         rec = _record(visual_text=None, visual_ref="v7")
         rows = build_content_nodes(rec, 8, 7, embedding_store=store)
-        np.testing.assert_array_equal(rows[2], store.vector("v7"))
+        np.testing.assert_array_equal(rows[2], store.row("v7"))
 
     def test_missing_ref_names_id(self):
         rec = _record(visual_text=None, visual_ref="v404")
         with pytest.raises(DataError, match="v404"):
-            build_content_nodes(rec, 8, 7, embedding_store=EmbeddingStore(8))
+            build_content_nodes(rec, 8, 7, embedding_store=EmbeddingStore([], [], 8))
 
     def test_ref_without_store(self):
         rec = _record(visual_text=None, visual_ref="v0")
@@ -83,17 +82,15 @@ class TestContentNodes:
 
 def _basis_store(dim=16):
     """Triplets t0-t2 near e1, t3-t5 near e2, t6-t8 near e3, t9-t11 near e4."""
-    store = EmbeddingStore(dim)
-    triplets = []
+    vectors = []
     for axis in range(4):
         for j in range(3):
             vec = np.zeros(dim)
             vec[axis] = 1.0
-            vec[8 + len(triplets) % 8] = 0.05 * (j + 1)
-            idx = len(triplets)
-            triplets.append(Triplet(f"h{idx}", "r", f"t{idx}"))
-            store.add(f"t{idx}", vec / np.linalg.norm(vec))
-    return TripletStore(triplets, store)
+            vec[8 + len(vectors) % 8] = 0.05 * (j + 1)
+            vectors.append(vec / np.linalg.norm(vec))
+    return TripletStore([Triplet(f"h{i}", "r", f"t{i}") for i in range(12)],
+                        EmbeddingStore([f"t{i}" for i in range(12)], vectors))
 
 
 def _content(dim=16):
@@ -101,98 +98,94 @@ def _content(dim=16):
     return np.eye(dim)[:4]
 
 
-class TestAttachCommonsense:
+class TestRetrieve:
     def test_disjoint_retrievals_give_twelve_nodes(self):
-        ids, log = attach_commonsense(_content(), _basis_store(), k=3)
-        assert len(ids) == 12
-        assert len(log) == 12
-        assert ids == [f"t{i}" for i in range(12)]
+        hits, sims = retrieve(_content(), _basis_store(), k=3)
+        assert hits.shape == sims.shape == (4, 3)
+        rows, adjacency = build_edges(_content(), hits, sims)
+        assert rows.tolist() == list(range(12))
+        assert adjacency.shape == (16, 16)
 
     def test_identical_retrievals_merge(self):
-        store = _basis_store()
         same = np.tile(_content()[0], (4, 1))
-        ids, log = attach_commonsense(same, store, k=3)
-        assert len(ids) == 3
-        assert len(log) == 12
+        hits, sims = retrieve(same, _basis_store(), k=3)
+        assert hits.shape == (4, 3)
+        assert build_edges(same, hits, sims)[0].tolist() == [0, 1, 2]
 
     def test_store_smaller_than_k(self):
-        store = EmbeddingStore(4)
-        store.add("t0", np.array([1.0, 0, 0, 0]))
-        store.add("t1", np.array([0.0, 1, 0, 0]))
-        tiny = TripletStore([Triplet("a", "r", "b"), Triplet("c", "r", "d")], store)
-        ids, _ = attach_commonsense(_content(4), tiny, k=3)
-        assert len(ids) == 2
+        tiny = TripletStore([Triplet("a", "r", "b"), Triplet("c", "r", "d")],
+                            EmbeddingStore(["t0", "t1"], [[1.0, 0, 0, 0], [0.0, 1, 0, 0]]))
+        hits, sims = retrieve(_content(4), tiny, k=3)
+        assert hits.shape == sims.shape == (4, 2)
+        assert build_edges(_content(4), hits, sims)[0].tolist() == [0, 1]
+
+    def test_rows_of_each_content_node_are_its_top_k(self):
+        store = _basis_store()
+        content = np.random.default_rng(9).normal(0, 1, (4, 16))
+        hits, sims = retrieve(content, store, 4)
+        for query, got_rows, got_sims in zip(content, hits, sims):
+            want_rows, want_sims = top_k_triplets(query, store, 4)
+            assert got_rows.tolist() == want_rows.tolist()
+            assert got_sims.tobytes() == want_sims.tobytes()
 
     def test_nodes_ordered_by_numeric_index(self):
-        store = EmbeddingStore(4)
-        triplets = []
-        for i in range(12):
-            vec = np.zeros(4)
-            vec[i % 4] = 1.0
-            triplets.append(Triplet(f"h{i}", "r", f"x{i}"))
-            store.add(f"t{i}", vec)
-        ts = TripletStore(triplets, store)
-        ids, _ = attach_commonsense(_content(4), ts, k=3)
-        indices = [int(tid[1:]) for tid in ids]
-        assert indices == sorted(indices)
+        vectors = np.eye(4)[np.arange(12) % 4]
+        ts = TripletStore([Triplet(f"h{i}", "r", f"x{i}") for i in range(12)],
+                          EmbeddingStore([f"t{i}" for i in range(12)], vectors))
+        rows, _ = build_edges(_content(4), *retrieve(_content(4), ts, k=3))
+        assert rows.tolist() == sorted(rows.tolist()) and len(rows) == 12
 
 
-class TestPmi:
-    def _stats(self, counts, pairs, m):
-        stats = CooccurrenceStats(num_samples=m, counts=dict(counts),
-                                  pair_counts=dict(pairs))
-        return stats
+def _train_rows(c1, c2, c12, m):
+    """``m`` training samples in which triplet 0 is retrieved in ``c1``,
+    triplet 1 in ``c2`` and both in ``c12``; the others retrieve triplet 2."""
+    rows = [[0, 1]] * c12 + [[0]] * (c1 - c12) + [[1]] * (c2 - c12)
+    return [np.array(r) for r in rows + [[2]] * (m - len(rows))]
 
+
+def _pair_weight(c1, c2, c12, m):
+    return npmi_table(_train_rows(c1, c2, c12, m), 3).block(np.array([0, 1]))[0, 1]
+
+
+class TestNpmiTable:
     def test_perfect_cooccurrence(self):
-        stats = self._stats({"t0": 10, "t1": 10}, {("t0", "t1"): 10}, 100)
         # PMI = ln 10, normalizer -ln(10/100) = ln 10, so NPMI = 1.
-        assert pmi_weight(stats, "t0", "t1") == pytest.approx(1.0, abs=1e-12)
+        assert _pair_weight(10, 10, 10, 100) == pytest.approx(1.0, abs=1e-12)
 
     def test_independence_gives_no_edge(self):
-        stats = self._stats({"t0": 10, "t1": 10}, {("t0", "t1"): 1}, 100)
-        assert pmi_weight(stats, "t0", "t1") is None
+        assert _pair_weight(10, 10, 1, 100) == 0.0
 
     def test_never_cooccurs_gives_no_edge(self):
-        stats = self._stats({"t0": 5, "t1": 5}, {}, 100)
-        assert pmi_weight(stats, "t0", "t1") is None
+        assert _pair_weight(5, 5, 0, 100) == 0.0
 
     def test_hand_value(self):
-        stats = self._stats({"t0": 2, "t1": 5}, {("t0", "t1"): 2}, 10)
         expected = math.log(2.0) / -math.log(0.2)
-        assert pmi_weight(stats, "t0", "t1") == pytest.approx(expected, abs=1e-12)
+        assert _pair_weight(2, 5, 2, 10) == pytest.approx(expected, abs=1e-12)
 
-    def test_symmetric(self):
-        stats = self._stats({"t0": 3, "t1": 5}, {("t0", "t1"): 2}, 20)
-        assert pmi_weight(stats, "t0", "t1") == pmi_weight(stats, "t1", "t0")
+    def test_symmetric_and_hollow(self):
+        block = npmi_table(_train_rows(3, 5, 2, 20), 3).block(np.array([0, 1, 2]))
+        assert (block == block.T).all() and not np.diagonal(block).any()
+        assert block[0, 1] > 0.0
 
-    def test_unknown_id(self):
-        stats = self._stats({"t0": 3}, {}, 20)
-        with pytest.raises(DataError, match="t9"):
-            pmi_weight(stats, "t0", "t9")
+    def test_triplet_never_retrieved_on_train_has_no_edges(self):
+        table = npmi_table(_train_rows(3, 5, 2, 20), 10)
+        assert table.weights.shape == (4, 4)
+        assert not table.block(np.array([0, 1, 9]))[2].any()
+        assert not table.block(np.array([7, 9])).any()
 
-    def test_range_on_random_stats(self):
+    def test_range_on_random_counts(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
             m = int(rng.integers(2, 50))
             c1 = int(rng.integers(1, m + 1))
             c2 = int(rng.integers(1, m + 1))
-            c12 = int(rng.integers(0, min(c1, c2) + 1))
-            stats = self._stats({"t0": c1, "t1": c2},
-                                {("t0", "t1"): c12} if c12 else {}, m)
-            w = pmi_weight(stats, "t0", "t1")
-            if w is not None:
-                assert 0.0 < w <= 1.0
+            c12 = int(rng.integers(max(0, c1 + c2 - m), min(c1, c2) + 1))
+            assert 0.0 <= _pair_weight(c1, c2, c12, m) <= 1.0
 
-    def test_observe_keeps_count_invariants(self):
-        rng = np.random.default_rng(12)
-        stats = CooccurrenceStats()
-        ids = [f"t{i}" for i in range(8)]
-        for _ in range(60):
-            chosen = {ids[i] for i in rng.choice(8, size=rng.integers(1, 6),
-                                                 replace=False)}
-            stats.observe(chosen)
-        for (a, b), c12 in stats.pair_counts.items():
-            assert c12 <= min(stats.counts[a], stats.counts[b]) <= stats.num_samples
+    def test_no_training_samples_give_no_edges(self):
+        table = npmi_table([], 5)
+        assert table.weights.shape == (1, 1)
+        assert not table.block(np.arange(5)).any()
 
 
 class TestBuildEdges:
@@ -202,17 +195,15 @@ class TestBuildEdges:
         vc = np.array([0.0, 0.0, 1.0, 0.0])
         vl = np.array([0.3, 0.4, 0.5, 0.0]) / math.sqrt(0.5)
         content = np.array([q, lc, vc, vl])
-        log = [RetrievalHit("question", "t0", 0.8),
-               RetrievalHit("language_context", "t0", 0.92),
-               RetrievalHit("visual_context", "t1", -0.3),
-               RetrievalHit("vl", "t1", 0.55)]
-        stats = CooccurrenceStats(num_samples=10, counts={"t0": 2, "t1": 5},
-                                  pair_counts={("t0", "t1"): 2})
-        return content, ["t0", "t1"], log, stats
+        hits = np.array([[0], [0], [1], [1]])
+        sims = np.array([[0.8], [0.92], [-0.3], [0.55]])
+        return content, hits, sims
 
     def test_hand_built_oracle_matrix(self):
-        content, ids, log, stats = self._fixture()
-        got = build_edges(content, ids, log, stats, mode="hybrid", tau=0.0)
+        content, hits, sims = self._fixture()
+        rows, got = build_edges(content, hits, sims, tau=0.0)
+        assert rows.tolist() == [0, 1]
+        got[4:, 4:] = npmi_table(_train_rows(2, 5, 2, 10), 3).block(rows)
         s = 0.3 / math.sqrt(0.5)          # cos(question, vl)
         r = 0.5 / math.sqrt(0.5)          # cos(language, vl) = cos(visual, vl)
         npmi = math.log(2.0) / -math.log(0.2)
@@ -229,51 +220,36 @@ class TestBuildEdges:
         assert not np.diagonal(got).any()
 
     def test_symmetric_entry_both_directions(self):
-        content, ids, log, stats = self._fixture()
-        adj = build_edges(content, ids, log, stats)
+        _, adj = build_edges(*self._fixture())
         assert adj[0, 1] == adj[1, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_negative_cosine_never_edges(self):
-        content, ids, log, stats = self._fixture()
         for tau in (0.0, -0.5):
-            adj = build_edges(content, ids, log, stats, tau=tau)
+            _, adj = build_edges(*self._fixture(), tau=tau)
             assert adj[0, 2] == 0.0   # orthogonal pair stays disconnected
             assert (adj >= 0.0).all()
 
     def test_tau_thresholds_content_edges(self):
-        content, ids, log, stats = self._fixture()
-        adj = build_edges(content, ids, log, stats, tau=0.65)
+        _, adj = build_edges(*self._fixture(), tau=0.65)
         assert adj[0, 1] == 0.0       # cos 0.6 dropped
         assert adj[1, 3] > 0.0        # cos 0.707 kept
 
-    def test_cosine_mode_drops_pmi_edges(self):
-        content, ids, log, stats = self._fixture()
-        adj = build_edges(content, ids, log, stats, mode="cosine")
-        assert adj[4, 5] == 0.0
-        hybrid_adj = build_edges(content, ids, log, stats, mode="hybrid")
-        assert hybrid_adj[4, 5] > 0.0
+    def test_commonsense_block_is_left_zero(self):
+        _, adj = build_edges(*self._fixture())
+        assert not adj[4:, 4:].any()
 
     def test_retrieval_similarity_clamped(self):
-        content, ids, log, stats = self._fixture()
-        adj = build_edges(content, ids, log, stats)
+        _, adj = build_edges(*self._fixture())
         assert adj[2, 5] == 0.0       # similarity -0.3 clamps to no edge
 
     def test_bad_tau(self):
-        content, ids, log, stats = self._fixture()
         with pytest.raises(ConfigError):
-            build_edges(content, ids, log, stats, tau=1.0)
-
-    def test_bad_mode(self):
-        content, ids, log, stats = self._fixture()
-        for mode in ("fancy", "pmi"):
-            with pytest.raises(ConfigError):
-                build_edges(content, ids, log, stats, mode=mode)
+            build_edges(*self._fixture(), tau=1.0)
 
     def test_unseen_triplet_pairs_skip_pmi(self):
-        content, ids, log, stats = self._fixture()
-        stats.counts.pop("t1")
-        adj = build_edges(content, ids, log, stats, mode="hybrid")
-        assert adj[4, 5] == 0.0
+        rows, _ = build_edges(*self._fixture())
+        train = [np.array([0, 2])] * 3 + [np.array([0])]
+        assert not npmi_table(train, 3).block(rows).any()
 
 
 class TestNormalizeAdjacency:
@@ -637,88 +613,61 @@ class TestWriterMatchesWholeRecordJson:
         assert meta["graphs_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _reference_edges(content, ids, log, stats, mode="hybrid", tau=0.0):
-    """build_edges before the NPMI table: one cosine_sim per content pair
-    and one pmi_weight per commonsense pair."""
-    ids = [*CONTENT_KINDS, *ids]
-    n = len(ids)
-    adjacency = np.zeros((n, n))
-    for a, b in itertools.combinations(range(4), 2):
-        sim = cosine_sim(content[a], content[b])
-        if sim > tau and sim > 0.0:
-            adjacency[a, b] = adjacency[b, a] = sim
-    for hit in log:
-        if hit.triplet_id in ids[4:]:
-            a, b = ids.index(hit.content_kind), ids.index(hit.triplet_id, 4)
-            adjacency[a, b] = adjacency[b, a] = min(max(hit.similarity, 0.0), 1.0)
-    if mode == "hybrid":
-        for a, b in itertools.combinations(range(4, n), 2):
-            if ids[a] not in stats.counts or ids[b] not in stats.counts:
-                continue
-            weight = pmi_weight(stats, ids[a], ids[b])
-            if weight is not None:
-                adjacency[a, b] = adjacency[b, a] = weight
-    return adjacency
-
-
 class TestNpmiTableEdges:
     NUM_TRIPLETS = 24
 
-    def _stats(self, rng):
+    def _train(self, rng):
         """Training retrievals in which t0 and t1 always come together, t2
-        comes nearly always, and t23 never comes."""
-        stats = CooccurrenceStats()
+        comes nearly always, and t23 never comes: their NPMI table, and the
+        reference's string-keyed counts of them."""
+        train_rows, stats = [], CooccurrenceCounts()
         for s in range(80):
-            chosen = {f"t{i}" for i in rng.choice(np.arange(3, self.NUM_TRIPLETS - 1),
-                                                  size=int(rng.integers(2, 7)), replace=False)}
+            chosen = set(rng.choice(np.arange(3, self.NUM_TRIPLETS - 1),
+                                    size=int(rng.integers(2, 7)), replace=False).tolist())
             if s % 5 == 0:
-                chosen |= {"t0", "t1"}
+                chosen |= {0, 1}
             if s % 20:
-                chosen.add("t2")
-            stats.observe(chosen)
-        return stats
+                chosen.add(2)
+            train_rows.append(np.array(sorted(chosen)))
+            stats.observe({f"t{i}" for i in chosen})
+        return npmi_table(train_rows, self.NUM_TRIPLETS), stats
 
     def _sample(self, rng):
         content = rng.normal(0, 1, (4, 8))
-        ids = [f"t{i}" for i in sorted(rng.choice(self.NUM_TRIPLETS,
-                                                  size=int(rng.integers(0, 9)), replace=False))]
-        log = [RetrievalHit(CONTENT_KINDS[int(rng.integers(4))], tid,
-                            float(rng.uniform(-0.5, 1.2))) for tid in ids]
-        return content, ids, log
+        k = int(rng.integers(1, 4))
+        hits = np.stack([rng.choice(self.NUM_TRIPLETS, size=k, replace=False)
+                         for _ in range(4)])
+        return content, hits, rng.uniform(-0.5, 1.2, (4, k))
 
-    def test_table_fill_equals_pairwise_reference_bitwise(self):
+    def test_edges_and_blocks_equal_the_pairwise_reference_bitwise(self):
         rng = np.random.default_rng(17)
-        stats = self._stats(rng)
+        table, stats = self._train(rng)
         seen = {"unseen": 0, "independent": 0, "always": 0}
         for _ in range(150):
-            content, ids, log = self._sample(rng)
+            content, hits, sims = self._sample(rng)
+            log = [(kind, f"t{row}", sim)
+                   for kind, kind_rows, kind_sims in zip(CONTENT_KINDS, hits.tolist(),
+                                                         sims.tolist())
+                   for row, sim in zip(kind_rows, kind_sims)]
             for mode, tau in (("hybrid", 0.0), ("hybrid", 0.3), ("cosine", -0.2)):
-                want = _reference_edges(content, ids, log, stats, mode, tau)
-                got = build_edges(content, ids, log, stats, mode, tau)
+                rows, got = build_edges(content, hits, sims, tau)
+                if mode == "hybrid":
+                    got[4:, 4:] = table.block(rows)
+                ids = [f"t{row}" for row in rows.tolist()]
+                want = edges_reference(content, ids, log, stats, mode, tau)
                 assert got.tobytes() == want.tobytes()
             seen["unseen"] += "t23" in ids
             for a, b in itertools.combinations(ids, 2):
-                if a in stats.counts and b in stats.counts:
-                    weight = pmi_weight(stats, a, b)
-                    key = (a, b)
-                    seen["independent"] += weight is None and key in stats.pair_counts
-                    seen["always"] += weight == 1.0
+                weight = stats.npmi(a, b)
+                seen["independent"] += weight is None and (a, b) in stats.pair_counts
+                seen["always"] += weight == 1.0
         assert all(count > 0 for count in seen.values()), seen
 
     def test_always_cooccurring_pair_weighs_exactly_one(self):
-        stats = self._stats(np.random.default_rng(4))
-        table = stats.npmi_table()
+        table, stats = self._train(np.random.default_rng(4))
         assert stats.counts["t0"] == stats.counts["t1"] == stats.pair_counts[("t0", "t1")]
-        assert table.block(["t0", "t1"])[0, 1] == 1.0
-        assert not table.block(["t0", "t23", "t99"])[1:].any()
-
-    def test_table_is_computed_once_and_refreshed_by_observe(self):
-        stats = self._stats(np.random.default_rng(4))
-        table = stats.npmi_table()
-        assert stats.npmi_table() is table
-        stats.observe({"t0", "t5"})
-        assert stats.npmi_table() is not table
-        assert stats.npmi_table().block(["t0", "t1"])[0, 1] < 1.0
+        assert table.block(np.array([0, 1]))[0, 1] == 1.0
+        assert not table.block(np.array([0, 23]))[1:].any()
 
 
 @pytest.fixture(scope="module")
@@ -747,6 +696,23 @@ class TestBuildPassOrder:
         want = build_graphs_reference(dataset, store, seed=5, k=2, mode=mode, tau=0.1)
         assert_same_graphs((got, {}), (want, {}))
         assert any(sg.adjacency[4:, 4:].any() for sg in got) == (mode != "cosine")
+
+    def test_npmi_blocks_equal_the_reference_where_counts_are_sparse(self, synth):
+        """Some triplets in the graphs are never retrieved on the training
+        split, and some co-retrieved pairs are at or below independence."""
+        dataset, store = synth
+        got = build_dataset_graphs(dataset, store, seed=5, k=4)
+        want = build_graphs_reference(dataset, store, seed=5, k=4)
+        stats = CooccurrenceCounts()
+        for sg in want:
+            if sg.split == "train":
+                stats.observe(set(sg.ids[4:]))
+        assert any(tid not in stats.counts for sg in want for tid in sg.ids[4:])
+        assert any(stats.npmi(a, b) is None for a, b in stats.pair_counts)
+        assert any(sg.adjacency[4:, 4:].any() for sg in want)
+        for g, w in zip(got, want):
+            assert g.ids == w.ids
+            assert g.adjacency[4:, 4:].tobytes() == w.adjacency[4:, 4:].tobytes()
 
     @pytest.mark.parametrize("chunk", [7, 60])
     def test_each_token_row_is_derived_once_and_released_before_retrieval(
@@ -815,7 +781,7 @@ class TestBuildPassOrder:
         rows = {}
         for sg in build_dataset_graphs(dataset, store, seed=5, k=2):
             for node_id, row in zip(sg.ids[4:], sg.rows[4:]):
-                assert sg.table[row].tobytes() == store.embeddings.vector(node_id).tobytes()
+                assert sg.table[row].tobytes() == store.embeddings.row(node_id).tobytes()
                 rows.setdefault(node_id, []).append(int(row))
         first, *others = max(rows.values(), key=len)
         assert others and set(others) == {first}
@@ -826,13 +792,12 @@ class TestBuildPassOrder:
         """A triplet GEMB may list its ids in any order; retrieval and node
         rows go by id, not by position."""
         dataset, store = synth
-        shuffled = EmbeddingStore(store.dim)
-        ids = store.embeddings.ids()
-        for tid in ids[1::2] + ids[::2][::-1]:
-            shuffled.add(tid, store.embeddings.vector(tid))
-        write_store(tmp_path / "t.gemb", shuffled)
+        ids = store.embeddings.ids
+        order = ids[1::2] + ids[::2][::-1]
+        write_store(tmp_path / "t.gemb",
+                    EmbeddingStore(order, [store.embeddings.row(tid) for tid in order]))
         reread = TripletStore(store.triplets, read_store(tmp_path / "t.gemb"))
-        assert reread.embeddings.ids() != ids
+        assert reread.embeddings.ids != ids
         got = build_dataset_graphs(dataset, reread, seed=5, k=2)
         assert_same_graphs((got, {}), (build_dataset_graphs(dataset, store, seed=5, k=2), {}))
         assert not got[0].table.flags.writeable

@@ -7,6 +7,7 @@ import pytest
 
 from graphkd.autodiff import Tensor
 from graphkd.errors import ConfigError, DataError
+from graphkd import teacher
 from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
 from graphkd.teacher import (TeacherConfig, init_teacher, load_teacher, save_teacher,
                              teacher_forward, teacher_logits, train_teacher)
@@ -135,6 +136,16 @@ class TestTrainTeacher:
     def test_empty_train_split_rejected(self):
         with pytest.raises(ConfigError):
             train_teacher([], [], self._config())
+
+    def test_unknown_optimizer_is_refused_before_any_adjacency_is_normalized(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(teacher, "normalize_adjacency",
+                            lambda a: calls.append(a) or normalize_adjacency(a))
+        config = self._config(optimizer="rmsprop", learning_rate=0.1)
+        with pytest.raises(ConfigError, match="unknown optimizer 'rmsprop'"):
+            train_teacher(_random_subgraphs(4), _random_subgraphs(2, seed=1), config)
+        assert calls == []
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError):
