@@ -16,9 +16,9 @@ models and compares the students. It also fixes each command's stderr,
 which holds the epoch log, and the config echo of every checkpoint.
 
 The fourth builds from a manifest whose visual channels are texts, with no
-visual store: once against a triplet store whose GEMB records are listed
-in reverse id order, with cosine edges above tau 0.3 and k 1, and once
-with hybrid edges and k 1 over triplets embedded from their texts."""
+visual store, at k 1: once against a triplet store whose GEMB records are
+listed in reverse id order, and once over triplets embedded from their
+texts."""
 
 import hashlib
 import json
@@ -112,7 +112,7 @@ SGD_PIPELINE = [
     ["gen-synth", "--samples", "48", "--classes", "3", "--seed", "11", "--out", "data"],
     ["build-graphs", "--manifest", "data/manifest.jsonl", "--embeddings", "data/visual.gemb",
      "--triplets", "data/triplets.tsv", "--triplet-embeddings", "data/triplets.gemb",
-     "--edge-mode", "cosine", "--out", "graphs.jsonl"],
+     "--out", "graphs.jsonl"],
     ["train-teacher", "--graphs", "graphs.jsonl", "--optimizer", "sgd", "--hidden", "8",
      "--head-hidden", "6", "--epochs", "2", "--out", "teacher.ckpt"],
     ["distill", "--graphs", "graphs.jsonl", "--teacher", "teacher.ckpt", "--student", "mlp",
@@ -143,30 +143,30 @@ SGD_DIGESTS = {
     "data/visual.gemb":
         "f053191d183b3843f62ea18432510f2f0ff7762f46364b34a9d2cbb32740070f",
     "graphs.jsonl":
-        "da3af703bb78b63840995fc1e7553a04b8b6a18cf96d20910b99f2a5d247f765",
+        "3a2db3c96834a583aa2de4fa442eae4f920ad0791829d5fdc0421fd80e63d9df",
     "graphs.jsonl.gkdc":
-        "9dd8a73654b892e6c42848fa315206e14a74230f0caa275584e8a1eb0d3841c0",
+        "2616b4fdc418a0bdd75a6c76c61624e540bf5e6023bb27bda81a6a5ef09898e3",
     "kd.ckpt":
-        "e1c59d8f5d0b6cb275a6b2d03eebc895f8258348630485f05d924bb19529c9b8",
+        "e2f8f84af93e31ff8a7453732dfa822fdc7788ef5a36229f212fd567e0b240ab",
     "kd.json":
         "ea4fd47c46b1935d1427a55fa299174f443543e461aa82e450c3d3b611f4e212",
     "plain.ckpt":
-        "13089149feac0fee88083f42a8e7e7bf69d3e24afebce4f8541c880fe24eaae8",
+        "9f081232da8d79f58b29377a4fa5545f0af9796f1a8c4c992d9c1a05b84a6519",
     "plain.json":
         "66eafdb617d9c03f92ddf7f7b78743c3ad71b9fb972e7fe9411a9ebd39ef6657",
     "teacher.ckpt":
-        "1e265283ab7dd8c54b54baf7111b73a56bef5bd72d89aa47290a70ec4d508bfc",
+        "48ab02a29c5d5e530d798fa8afeb535e6ffd0590db0773b585d67e58595aa9d8",
     "teacher.json":
-        "1949da4177dd80e696a9084ddc55484551ad396d00e357c73f9078e6c2efa22b",
+        "10503e920c36f0561eafd3920ff40e6333fdacdce3f471247ec10b521a4cebc5",
 }
 
 # The sha256 of each SGD_PIPELINE command's stderr, in order.
 SGD_STDERR_DIGESTS = [
     "8b63e47a0db0f45f7c7b342a2009e1f9c38186d4bb0be6d387ff8ecf3def17b4",
     "c7c751fe5fb5bf256abe81f6fed659898b543addb9d7eda9e67582ce2037656f",
-    "f1e077737ed85cb0990f6b30877af7bfb1e9a884b17b240dcb16d9864e1cfefe",
+    "ab5eb46cbac6a73d4267f301927c724dd4d9bed01a82eb6ea19049aab00af56c",
     "603e1d19774141d56c3a9db276c85473de64e7bd70f3b37aa2a2d953f5133440",
-    "546f25811a5bd8dabaaeecb8349dce4ba166721e338e15ca4880cec64631e5f5",
+    "ba3c8a59466b59ab1dfdee4010e4c14df7fa698029d05bd90b01ae6adfd995ae",
     *[hashlib.sha256(b"").hexdigest()] * 4,
 ]
 
@@ -207,20 +207,15 @@ def test_sgd_and_plain_student_run_matches_the_recorded_digests(tmp_path, monkey
 TEXT_VISUAL_PIPELINE = [
     ["gen-synth", "--samples", "36", "--classes", "3", "--dim", "16", "--out", "data"],
     ["build-graphs", "--manifest", "manifest.jsonl", "--triplets", "data/triplets.tsv",
-     "--triplet-embeddings", "reversed.gemb", "--edge-mode", "cosine", "--tau", "0.3",
-     "--k", "1", "--out", "cosine.jsonl"],
+     "--triplet-embeddings", "reversed.gemb", "--k", "1", "--out", "reversed.jsonl"],
     ["build-graphs", "--manifest", "manifest.jsonl", "--triplets", "data/triplets.tsv",
      "--dim", "16", "--k", "1", "--out", "hybrid.jsonl"],
-    ["train-teacher", "--graphs", "cosine.jsonl", "--epochs", "2", "--out", "teacher.ckpt"],
+    ["train-teacher", "--graphs", "reversed.jsonl", "--epochs", "2", "--out", "teacher.ckpt"],
     ["eval", "--model", "teacher.ckpt", "--graphs", "hybrid.jsonl", "--split", "all",
      "--report", "report.json"],
 ]
 
 TEXT_VISUAL_DIGESTS = {
-    "cosine.jsonl":
-        "b09c4e4a2b4f6cd93cb0579dbce0e0072b58b79d3ebfae4e79dfb180846b1c6b",
-    "cosine.jsonl.gkdc":
-        "4c8d3375544f932d71f3d04decbafbef2f4ce3b7bfab3a77e79fa43e219eaa69",
     "data/config.json":
         "b751534b66c221e88ed4419d320ea1b197d06d3b27f7049be44ec3807dc245c9",
     "data/ground_truth.jsonl":
@@ -240,17 +235,21 @@ TEXT_VISUAL_DIGESTS = {
     "manifest.jsonl":
         "d1eb56bd7ffa9cc3d693bfd23e99ed448ad0e947bbfff200235673df50b9516d",
     "report.json":
-        "58cf747a9aedb3402768ab1960a642d19d35d5e3b217dda9fb1851ef65b6e53d",
+        "277edb0c5f598b5665d4390c4293e19acff53193d9f6c5bb199221beeb43df90",
     "reversed.gemb":
         "316871e61a6ce9908b7493c9b88c280129c285bb893d76f041b6e93d5cf3cff0",
+    "reversed.jsonl":
+        "4c2eb5f0a8fb16712d2e245e0357132d933c4ffa936232740cc35e9f2eaa4cc6",
+    "reversed.jsonl.gkdc":
+        "c327a9b10523e0c526ad93c1dcd433819c1b3821427e24f975f914ade52d517b",
     "teacher.ckpt":
-        "78e252b36756a006f947a01a3226b6d17a3e70bd5269bea0c082011666fdcf7a",
+        "5607b2a7a56a7041cb78b218265e5abc9334ed8873f07400666f8e97fdcd6a00",
 }
 
 # The sha256 of each TEXT_VISUAL_PIPELINE command's stderr after gen-synth, in order.
 TEXT_VISUAL_STDERR_DIGESTS = [
     *["c5999d17010940ff8d45fe609567b5b09c3c4d1dd278a07eaadd1d2fabbdd546"] * 2,
-    "1f835fea25520e975b6169ed897366bdd65ad7440bc041cc5eb69b92a1cba889",
+    "7deda282ce299477d06d34937af5b5ed608713117dac5ab06811ce52aef1061f",
     hashlib.sha256(b"").hexdigest(),
 ]
 
