@@ -42,7 +42,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_build_graphs(args) -> int:
-    graphs.check_build_flags(args.k, args.edge_mode, args.tau)
+    graphs.check_build_flags(args.k)
     if not args.triplet_embeddings and args.dim < 2:
         raise ConfigError(f"dim must be >= 2 to embed triplet texts, got {args.dim}")
     visual_store = read_store(args.embeddings) if args.embeddings else None
@@ -58,9 +58,7 @@ def cmd_build_graphs(args) -> int:
             f"visual store dim {visual_store.dim} != triplet store dim {dim}")
 
     dataset = datagen.ingest_manifest(args.manifest, embedding_store=visual_store)
-    subgraphs = graphs.build_dataset_graphs(
-        dataset, triplet_store, seed=args.seed, k=args.k,
-        mode=args.edge_mode, tau=args.tau)
+    subgraphs = graphs.build_dataset_graphs(dataset, triplet_store, seed=args.seed, k=args.k)
     config = {
         "command": "build-graphs", "manifest": str(args.manifest),
         "embeddings": str(args.embeddings) if args.embeddings else None,
@@ -68,7 +66,8 @@ def cmd_build_graphs(args) -> int:
         "triplet_embeddings": (str(args.triplet_embeddings)
                                if args.triplet_embeddings else None),
         "dim": dim, "seed": args.seed, "k": args.k,
-        "edge_mode": args.edge_mode, "tau": args.tau,
+        # The edges every build makes, named as before so the bytes stay.
+        "edge_mode": "hybrid", "tau": 0.0,
     }
     graphs.write_graphs(args.out, subgraphs, dataset.label_vocab, config)
     sizes = [sg.size for sg in subgraphs]
@@ -111,6 +110,13 @@ def _checked_config(path, metadata: dict, label_vocab: list[str], dim: int) -> d
     return config
 
 
+def _echo_graphs(metadata: dict, header: dict) -> None:
+    """Record the graphs' label vocabulary, and their header's config if any."""
+    metadata["label_vocab"] = header["label_vocab"]
+    if header.get("config") is not None:
+        metadata["graph_config"] = header["config"]
+
+
 def _splits(subgraphs):
     train = [sg for sg in subgraphs if sg.split == "train"]
     val = [sg for sg in subgraphs if sg.split == "val"]
@@ -129,9 +135,7 @@ def cmd_train_teacher(args) -> int:
     params, metadata, metrics = teacher.train_teacher(
         train, val, replace(config, dim=dim, num_classes=len(label_vocab)))
     _log_epochs(metrics)
-    metadata["label_vocab"] = label_vocab
-    if header.get("config") is not None:
-        metadata["graph_config"] = header["config"]
+    _echo_graphs(metadata, header)
     teacher.save_teacher(args.out, params, metadata)
     print(str(args.out))
     return 0
@@ -159,8 +163,7 @@ def cmd_distill(args) -> int:
         train, val, replace(config, dim=dim, num_classes=len(label_vocab)), teachers,
         teacher_names=teacher_paths)
     _log_epochs(metrics)
-    metadata["label_vocab"] = label_vocab
-    metadata["graph_config"] = header.get("config")
+    _echo_graphs(metadata, header)
     distill.save_student(args.out, params, metadata)
     print(str(args.out))
     return 0
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("build-graphs", help="build per-sample subgraphs")
+    p = sub.add_parser("build-graphs", help="build per-sample graphs (cosine, retrieval, NPMI)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--embeddings", default=None,
                    help="visual embedding store (.gemb)")
@@ -242,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="companion store; omitted = embed surface texts")
     p.add_argument("--dim", type=int, default=64,
                    help="embedding dim when no store supplies one")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--edge-mode", choices=graphs.EDGE_MODES, default="hybrid")
-    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--k", type=int, default=3, help="triplets retrieved per content node")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_graphs)

@@ -3,10 +3,10 @@
 Each sample becomes a small graph: four content nodes in a fixed kind
 order (question, language context, visual context, combined V-L), then the
 commonsense triplets retrieved for them, ordered by ascending triplet
-index. Edges carry cosine similarity between content nodes, the retrieval
-similarity between a content node and its triplets, and normalized PMI of
-co-retrieval between triplet pairs (statistics from the training split
-only). Each content node's norm is computed once per sample.
+index. Every graph has all three kinds of edge: positive cosine similarity
+between content nodes, the retrieval similarity between a content node and
+its triplets, and normalized PMI of co-retrieval between triplet pairs
+(training-split statistics only). Each content node's norm is computed once.
 
 A build works in triplet row indices throughout: ``retrieve`` gives each
 content row's top-k rows of the triplet store, ``build_edges`` the sample's
@@ -26,8 +26,7 @@ out as the companion (below). No row is copied per sample.
 
 A dataset is built in three passes (see ``build_dataset_graphs``): embed
 every sample's content nodes, a chunk of records per token-row table; then
-retrieve and add each sample's edges; then, in mode hybrid, the
-commonsense blocks.
+retrieve and add each sample's edges; then the commonsense blocks.
 
 Graphs file: JSON lines, one header line (format, label vocabulary, config
 echo) and then one record per sample (nodes with kind, id and embedding,
@@ -77,7 +76,7 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +90,6 @@ from .serialization import (canonical_json, check_text, read_checkpoint, utf8_li
 
 CONTENT_KINDS = ("question", "language_context", "visual_context", "vl")
 COMMONSENSE_KIND = "commonsense"
-EDGE_MODES = ("cosine", "hybrid")
 GRAPHS_FORMAT = "graphkd-graphs"
 GRAPHS_VERSION = 1
 COMPANION_SUFFIX = ".gkdc"
@@ -168,24 +166,27 @@ def npmi_table(train_rows: list[np.ndarray], num_triplets: int) -> NpmiTable:
     """Sample-level co-retrieval statistics over the training split, each
     entry of ``train_rows`` one sample's distinct triplet rows in ascending
     order: in how many samples each triplet, and each unordered pair, was
-    retrieved. The NPMI of each pair is computed once, by ``_npmi``."""
-    counts = np.zeros(num_triplets, dtype=np.int64)
-    pair_keys = []
-    for rows in train_rows:
-        counts[rows] += 1
+    retrieved. A pair at or below independence (``c12 * n <= c1 * c2``, in
+    exact integers) gets no edge; ``_npmi`` weighs each other pair once."""
+    def pair_keys(rows):
         first, second = np.triu_indices(len(rows), 1)
-        pair_keys.append(rows[first] * num_triplets + rows[second])
+        return rows[first] * num_triplets + rows[second]
+
+    empty = np.zeros(0, dtype=np.intp)
+    counts = np.bincount(np.concatenate([empty, *train_rows]), minlength=num_triplets)
+    keys, pair_counts = np.unique(np.concatenate([empty, *map(pair_keys, train_rows)]),
+                                  return_counts=True)
+    first, second = np.divmod(keys, num_triplets)
+    above = pair_counts * len(train_rows) > counts[first] * counts[second]
+    first, second, pair_counts = first[above], second[above], pair_counts[above]
+    pair_weights = np.fromiter(
+        map(_npmi, pair_counts.tolist(), counts[first].tolist(), counts[second].tolist(),
+            repeat(len(train_rows))), dtype=np.float64, count=len(pair_counts))
     seen = np.flatnonzero(counts)
     slots = np.full(num_triplets, len(seen))
     slots[seen] = np.arange(len(seen))
     weights = np.zeros((len(seen) + 1, len(seen) + 1))
-    keys, pair_counts = np.unique(np.concatenate([np.zeros(0, dtype=np.intp), *pair_keys]),
-                                  return_counts=True)
-    for key, c12 in zip(keys.tolist(), pair_counts.tolist()):
-        a, b = divmod(key, num_triplets)
-        weight = _npmi(c12, int(counts[a]), int(counts[b]), len(train_rows))
-        if weight is not None:
-            weights[slots[a], slots[b]] = weights[slots[b], slots[a]] = weight
+    weights[slots[first], slots[second]] = weights[slots[second], slots[first]] = pair_weights
     return NpmiTable(slots, weights)
 
 
@@ -226,38 +227,30 @@ def retrieve(content: np.ndarray, store: TripletStore,
     return np.stack(hits), np.stack(sims)
 
 
-def _npmi(c12: int, c1: int, c2: int, num_samples: int) -> float | None:
-    """Normalized pointwise mutual information of co-retrieval, in (0, 1];
-    ``None`` when the pair never co-occurs or is at/below independence."""
-    if c12 == 0:
-        return None
+def _npmi(c12: int, c1: int, c2: int, num_samples: int) -> float:
+    """Normalized pointwise mutual information of co-retrieval, in (0, 1],
+    of a pair above independence (``c12 * num_samples > c1 * c2``)."""
     pmi = math.log(c12 * num_samples / (c1 * c2))
-    if pmi <= 0.0:
-        return None
     # min() absorbs the last-ulp rounding when the pair always co-occurs.
     return min(pmi / -math.log(c12 / num_samples), 1.0)
 
 
-def build_edges(content: np.ndarray, hits: np.ndarray, sims: np.ndarray,
-                tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def build_edges(content: np.ndarray, hits: np.ndarray,
+                sims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One sample's distinct retrieved triplet rows, ascending, and the
     weighted symmetric hollow adjacency over its nodes: the four content
     rows ``content`` (nodes 0-3), then one node per retrieved row.
 
-    Content-content edges: cosine similarity when above ``tau`` (negative
-    similarities never become edges, keeping weights in [0, 1]).
-    Content-commonsense edges: the similarity ``sims[a, j]`` with which
-    content row a retrieved triplet row ``hits[a, j]``, clamped to [0, 1].
-    The commonsense-commonsense block is left zero; a hybrid build fills it
-    from ``npmi_table``.
+    Content-content edges: the positive cosine similarities. Content-
+    commonsense edges: the similarity ``sims[a, j]`` with which content row a
+    retrieved triplet row ``hits[a, j]``, clamped to [0, 1]. The commonsense
+    block is left zero for ``build_dataset_graphs`` to fill from ``npmi_table``.
     """
-    if not -1.0 <= tau < 1.0:
-        raise ConfigError(f"tau must lie in [-1, 1), got {tau}")
     # Not np.unique: it imports numpy.ma (≈0.5 MB) to test for a mask.
     rows = np.array(sorted(set(hits.ravel().tolist())), dtype=np.intp)
     adjacency = np.zeros((4 + len(rows),) * 2)
     for (a, b), sim in zip(combinations(range(4), 2), pairwise_cosine(content)):
-        if sim > tau and sim > 0.0:
+        if sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
     content_nodes = np.arange(4)[:, None]
     triplet_nodes = 4 + np.searchsorted(rows, hits)
@@ -287,21 +280,14 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 # Dataset-level construction
 # ---------------------------------------------------------------------------
 
-def check_build_flags(k: int, mode: str, tau: float) -> None:
-    """The flags of a graph build, checked before any input is read: k
-    triplets retrieved per content node, a known edge mode, and the cosine
-    threshold tau in [-1, 1)."""
+def check_build_flags(k: int) -> None:
+    """k >= 1 triplets retrieved per content node, checked before any input is read."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if mode not in EDGE_MODES:
-        raise ConfigError(f"unknown edge mode '{mode}'")
-    if not -1.0 <= tau < 1.0:
-        raise ConfigError(f"tau must lie in [-1, 1), got {tau}")
 
 
 def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: int,
-                         k: int = 3, mode: str = "hybrid",
-                         tau: float = 0.0) -> list[Subgraph]:
+                         k: int = 3) -> list[Subgraph]:
     """Three passes over a validated dataset: embed, retrieve and add edges,
     then the NPMI edges. Node embeddings use the triplet store's dimension.
 
@@ -314,9 +300,9 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
        retrieved, except for the commonsense block. A sample's retrieval
        depends only on its own content nodes, so it does not matter that
        all samples were embedded first.
-    3. In mode hybrid, every sample's commonsense block from the
-       ``npmi_table`` of the training samples' retrieved rows."""
-    check_build_flags(k, mode, tau)
+    3. Every sample's commonsense block from the ``npmi_table`` of the
+       training samples' retrieved rows."""
+    check_build_flags(k)
     dim = triplet_store.dim
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
     base = 4 * len(dataset.records)
@@ -326,14 +312,13 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     built: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(len(dataset.records)):
         content = table[4 * i:4 * i + 4]
-        built.append(build_edges(content, *retrieve(content, triplet_store, k), tau=tau))
+        built.append(build_edges(content, *retrieve(content, triplet_store, k)))
     table[base:] = triplet_store.matrix
     table.flags.writeable = False
-    if mode == "hybrid":
-        npmi = npmi_table([rows for record, (rows, _) in zip(dataset.records, built)
-                           if record.split == "train"], len(triplet_store))
-        for rows, adjacency in built:
-            adjacency[4:, 4:] = npmi.block(rows)
+    npmi = npmi_table([rows for record, (rows, _) in zip(dataset.records, built)
+                       if record.split == "train"], len(triplet_store))
+    for rows, adjacency in built:
+        adjacency[4:, 4:] = npmi.block(rows)
 
     ids = triplet_store.ids
     return [Subgraph(record.sample_id, record.split, record.group, label_index[record.label],

@@ -38,6 +38,20 @@ def canonical_json(obj) -> str:
     return _CANONICAL.encode(obj)
 
 
+def canonical_json_pieces(obj: dict):
+    """``canonical_json(obj).encode("utf-8")`` for a dict with str keys, in
+    pieces: one per key, and one per item of a list value."""
+    for i, (key, value) in enumerate(sorted(obj.items())):
+        yield f'{"," if i else "{"}{canonical_json(key)}:'.encode("utf-8")
+        if not isinstance(value, list):
+            yield canonical_json(value).encode("utf-8")
+            continue
+        for j, item in enumerate(value):
+            yield f'{"," if j else "["}{canonical_json(item)}'.encode("utf-8")
+        yield b"]" if value else b"[]"
+    yield b"}" if obj else b"{}"
+
+
 def check_text(value, what: str, error: type[Exception] = FormatError) -> None:
     """Raise ``error`` naming ``what`` unless ``value`` is a str that UTF-8
     can encode: JSON's \\u escapes can spell an unpaired surrogate, which no
@@ -123,14 +137,13 @@ def write_checkpoint(path, metadata: dict,
             raise ShapeError(f"tensor '{name}' stacks pieces of widths {sorted(widths)}")
         manifest.append({"name": name, "rows": sum(int(p.shape[0]) for p in pieces),
                          "cols": widths.pop() if widths else 0})
-    meta = dict(metadata)
-    meta["tensors"] = manifest
-    meta_bytes = canonical_json(meta).encode("utf-8")
+    meta = {**metadata, "tensors": manifest}
+    # Encoded twice, once for its length: the metadata is never one string.
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
+        fh.write(struct.pack("<Q", sum(map(len, canonical_json_pieces(meta)))))
+        fh.writelines(canonical_json_pieces(meta))
         for _, pieces in parts:
             for piece in pieces:
                 fh.write(np.ascontiguousarray(piece, dtype="<f8").tobytes())

@@ -219,29 +219,28 @@ class CooccurrenceCounts:
         return min(pmi / -math.log(c12 / self.num_samples), 1.0)
 
 
-def edges_reference(content, ids, log, stats, mode="hybrid", tau=0.0):
+def edges_reference(content, ids, log, stats):
     """One sample's adjacency over its four content rows and the triplets
     ``ids``: one cosine_sim per content pair, each (kind, id, similarity)
-    hit of ``log`` clamped, and in mode hybrid one NPMI per id pair."""
+    hit of ``log`` clamped, and one NPMI per id pair."""
     ids = [*CONTENT_KINDS, *ids]
     n = len(ids)
     adjacency = np.zeros((n, n))
     for a, b in combinations(range(4), 2):
         sim = cosine_sim(content[a], content[b])
-        if sim > tau and sim > 0.0:
+        if sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
     for kind, tid, sim in log:
         a, b = ids.index(kind), ids.index(tid, 4)
         adjacency[a, b] = adjacency[b, a] = min(max(sim, 0.0), 1.0)
-    if mode == "hybrid":
-        for a, b in combinations(range(4, n), 2):
-            weight = stats.npmi(ids[a], ids[b])
-            if weight is not None:
-                adjacency[a, b] = adjacency[b, a] = weight
+    for a, b in combinations(range(4, n), 2):
+        weight = stats.npmi(ids[a], ids[b])
+        if weight is not None:
+            adjacency[a, b] = adjacency[b, a] = weight
     return adjacency
 
 
-def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau=0.0):
+def build_graphs_reference(dataset, triplet_store, seed, k=3):
     """Subgraphs of the interleaved build loop."""
     dim = triplet_store.dim
     rows = token_rows([text for r in dataset.records
@@ -260,7 +259,7 @@ def build_graphs_reference(dataset, triplet_store, seed, k=3, mode="hybrid", tau
             stats.observe(set(ids))
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
     return [make_subgraph([*CONTENT_KINDS, *ids], [*content, *commonsense],
-                          edges_reference(content, ids, log, stats, mode=mode, tau=tau),
+                          edges_reference(content, ids, log, stats),
                           label=label_index[record.label], sample_id=record.sample_id,
                           split=record.split, group=record.group)
             for record, content, ids, commonsense, log in built]

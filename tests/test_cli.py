@@ -2,20 +2,25 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphkd
 from graphkd.cli import build_parser, run
 from graphkd.datagen import SynthConfig
 from graphkd.distill import DistillConfig
 from graphkd.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION, read_store
 from graphkd.errors import FormatError
 from graphkd.evaluate import read_report
-from graphkd.graphs import COMPANION_SUFFIX, companion_path, read_graphs
+from graphkd.graphs import COMPANION_SUFFIX, companion_path, read_graphs, write_graphs
 from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, read_checkpoint,
                                    write_checkpoint)
 from graphkd.teacher import TeacherConfig
@@ -62,8 +67,8 @@ class TestUsageErrors:
         assert "gen-synth" in capsys.readouterr().out
 
     def test_bad_choice_value(self):
-        assert run(["build-graphs", "--manifest", "m", "--triplets", "t",
-                    "--edge-mode", "psychic", "--out", "o"]) == 1
+        assert run(["eval", "--model", "m", "--graphs", "g", "--split", "psychic",
+                    "--report", "r"]) == 1
 
 
 class TestDefaults:
@@ -610,8 +615,7 @@ class TestFlagsFirst:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, named", [
-        ("--k", "0", "k must be"), ("--tau", "1.5", "tau"), ("--tau", "nan", "tau"),
-        ("--dim", "1", "dim"),
+        ("--k", "0", "k must be"), ("--dim", "1", "dim"),
     ])
     def test_bad_build_flag_with_missing_inputs_exits_two_naming_the_flag(
             self, tmp_path, capsys, flag, value, named):
@@ -688,6 +692,80 @@ class TestForgedManifest:
         if target == "companion":
             assert str(forged) in err
         assert not report.exists()
+
+
+class TestGraphsEcho:
+    """A checkpoint echoes its graphs header's config, under one rule for
+    teachers and students: omitted when the header has none."""
+
+    def _checkpoints(self, graphs, tmp_path):
+        teacher, student = tmp_path / "t.ckpt", tmp_path / "s.ckpt"
+        assert run(["train-teacher", "--graphs", str(graphs), "--hidden", "8",
+                    "--epochs", "1", "--out", str(teacher)]) == 0
+        assert run(["distill", "--graphs", str(graphs), "--teacher", str(teacher),
+                    "--student", "mlp", "--hidden", "8", "--epochs", "1",
+                    "--out", str(student)]) == 0
+        return read_checkpoint(teacher)[0], read_checkpoint(student)[0]
+
+    def test_header_config_is_echoed_by_both_commands(self, trained, tmp_path):
+        graphs, _ = trained
+        _, header = read_graphs(graphs)
+        for meta in self._checkpoints(graphs, tmp_path):
+            assert meta["graph_config"] == header["config"]
+            assert meta["label_vocab"] == header["label_vocab"]
+
+    def test_library_written_graphs_without_config_are_echoed_by_neither(
+            self, trained, tmp_path):
+        subgraphs, header = read_graphs(trained[0])
+        graphs = tmp_path / "lib.graphs"
+        write_graphs(graphs, subgraphs, header["label_vocab"], None)
+        assert read_graphs(graphs)[1]["config"] is None
+        for meta in self._checkpoints(graphs, tmp_path):
+            assert "graph_config" not in meta
+            assert meta["label_vocab"] == header["label_vocab"]
+
+
+class TestEntryPoint:
+    """``python -m graphkd.cli`` in a fresh process, as the benchmark starts
+    every command: exit codes, stdout and stderr of ``main``."""
+
+    def _cli(self, *argv, cwd):
+        src = str(Path(graphkd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        return subprocess.run([sys.executable, "-m", "graphkd.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_success_exits_zero_and_prints_the_output_path(self, tmp_path):
+        done = self._cli("gen-synth", "--samples", "20", "--dim", "8", "--out", "data",
+                         cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        manifest = tmp_path / "data" / "manifest.jsonl"
+        assert manifest.is_file()
+        assert done.stdout == f"{Path('data') / 'manifest.jsonl'}\n"
+
+    def test_data_error_exits_two_with_one_error_line(self, tmp_path):
+        (tmp_path / "manifest.jsonl").write_text("not json\n", encoding="utf-8")
+        (tmp_path / "triplets.tsv").write_text("a\tb\tc\n", encoding="utf-8")
+        done = self._cli("build-graphs", "--manifest", "manifest.jsonl",
+                         "--triplets", "triplets.tsv", "--out", "g.jsonl", cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and done.stdout == ""
+        assert not (tmp_path / "g.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", [["--edge-mode", "cosine"], ["--tau", "0.3"]],
+                             ids=["edge-mode", "tau"])
+    def test_removed_build_flag_is_a_usage_error(self, tmp_path, flag):
+        """Every build makes hybrid edges at threshold 0; the two flags that
+        chose otherwise are gone."""
+        done = self._cli("build-graphs", "--manifest", "m.jsonl", "--triplets", "t.tsv",
+                         *flag, "--out", "g.jsonl", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: graphkd ")
+        assert done.stderr.endswith(f"graphkd: error: unrecognized arguments: "
+                                    f"{' '.join(flag)}\n")
+        assert "Traceback" not in done.stderr and list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

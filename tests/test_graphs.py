@@ -187,6 +187,34 @@ class TestNpmiTable:
         assert table.weights.shape == (1, 1)
         assert not table.block(np.arange(5)).any()
 
+    def test_build_wide_size_table_equals_the_reference_bitwise(self):
+        """1470 training samples over 576 triplets, each retrieving a few
+        triplets of two topics, a few others and often t0-t3, about as many
+        pairs as a build-wide build: every weight, for every pair of
+        triplets, is the reference's NPMI of its string-keyed counts, bit
+        for bit."""
+        rng = np.random.default_rng(21)
+        num_triplets = 576
+        train_rows, stats = [], CooccurrenceCounts()
+        for _ in range(1470):
+            topics = rng.choice(num_triplets // 6, size=2, replace=False)
+            chosen = {int(6 * t + j) for t in topics
+                      for j in rng.choice(6, size=int(rng.integers(2, 6)), replace=False)}
+            chosen |= set(rng.choice(num_triplets, size=int(rng.integers(2, 9))).tolist())
+            chosen |= {i for i in range(4) if rng.random() < 0.6}
+            train_rows.append(np.array(sorted(chosen)))
+            stats.observe({f"t{i}" for i in chosen})
+        want = np.zeros((num_triplets, num_triplets))
+        screened = 0
+        for a, b in stats.pair_counts:
+            weight = stats.npmi(a, b)
+            screened += weight is None
+            if weight is not None:
+                want[int(a[1:]), int(b[1:])] = want[int(b[1:]), int(a[1:])] = weight
+        assert len(stats.pair_counts) > 60_000 and screened > 2_000
+        got = npmi_table(train_rows, num_triplets).block(np.arange(num_triplets))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBuildEdges:
     def _fixture(self):
@@ -201,7 +229,7 @@ class TestBuildEdges:
 
     def test_hand_built_oracle_matrix(self):
         content, hits, sims = self._fixture()
-        rows, got = build_edges(content, hits, sims, tau=0.0)
+        rows, got = build_edges(content, hits, sims)
         assert rows.tolist() == [0, 1]
         got[4:, 4:] = npmi_table(_train_rows(2, 5, 2, 10), 3).block(rows)
         s = 0.3 / math.sqrt(0.5)          # cos(question, vl)
@@ -224,15 +252,11 @@ class TestBuildEdges:
         assert adj[0, 1] == adj[1, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_negative_cosine_never_edges(self):
-        for tau in (0.0, -0.5):
-            _, adj = build_edges(*self._fixture(), tau=tau)
-            assert adj[0, 2] == 0.0   # orthogonal pair stays disconnected
-            assert (adj >= 0.0).all()
-
-    def test_tau_thresholds_content_edges(self):
-        _, adj = build_edges(*self._fixture(), tau=0.65)
-        assert adj[0, 1] == 0.0       # cos 0.6 dropped
-        assert adj[1, 3] > 0.0        # cos 0.707 kept
+        content, hits, sims = self._fixture()
+        content[2] = -content[0]      # cos(question, visual) = -1
+        _, adj = build_edges(content, hits, sims)
+        assert adj[0, 2] == 0.0
+        assert (adj >= 0.0).all()
 
     def test_commonsense_block_is_left_zero(self):
         _, adj = build_edges(*self._fixture())
@@ -241,10 +265,6 @@ class TestBuildEdges:
     def test_retrieval_similarity_clamped(self):
         _, adj = build_edges(*self._fixture())
         assert adj[2, 5] == 0.0       # similarity -0.3 clamps to no edge
-
-    def test_bad_tau(self):
-        with pytest.raises(ConfigError):
-            build_edges(*self._fixture(), tau=1.0)
 
     def test_unseen_triplet_pairs_skip_pmi(self):
         rows, _ = build_edges(*self._fixture())
@@ -649,13 +669,10 @@ class TestNpmiTableEdges:
                    for kind, kind_rows, kind_sims in zip(CONTENT_KINDS, hits.tolist(),
                                                          sims.tolist())
                    for row, sim in zip(kind_rows, kind_sims)]
-            for mode, tau in (("hybrid", 0.0), ("hybrid", 0.3), ("cosine", -0.2)):
-                rows, got = build_edges(content, hits, sims, tau)
-                if mode == "hybrid":
-                    got[4:, 4:] = table.block(rows)
-                ids = [f"t{row}" for row in rows.tolist()]
-                want = edges_reference(content, ids, log, stats, mode, tau)
-                assert got.tobytes() == want.tobytes()
+            rows, got = build_edges(content, hits, sims)
+            got[4:, 4:] = table.block(rows)
+            ids = [f"t{row}" for row in rows.tolist()]
+            assert got.tobytes() == edges_reference(content, ids, log, stats).tobytes()
             seen["unseen"] += "t23" in ids
             for a, b in itertools.combinations(ids, 2):
                 weight = stats.npmi(a, b)
@@ -689,13 +706,12 @@ class TestBuildPassOrder:
     """Embedding every record before any retrieval gives the subgraphs of the
     interleaved loop, and no token row is alive at retrieval."""
 
-    @pytest.mark.parametrize("mode", ["cosine", "hybrid"])
-    def test_equals_the_interleaved_build(self, synth, mode):
+    def test_equals_the_interleaved_build(self, synth):
         dataset, store = synth
-        got = build_dataset_graphs(dataset, store, seed=5, k=2, mode=mode, tau=0.1)
-        want = build_graphs_reference(dataset, store, seed=5, k=2, mode=mode, tau=0.1)
+        got = build_dataset_graphs(dataset, store, seed=5, k=2)
+        want = build_graphs_reference(dataset, store, seed=5, k=2)
         assert_same_graphs((got, {}), (want, {}))
-        assert any(sg.adjacency[4:, 4:].any() for sg in got) == (mode != "cosine")
+        assert any(sg.adjacency[4:, 4:].any() for sg in got)
 
     def test_npmi_blocks_equal_the_reference_where_counts_are_sparse(self, synth):
         """Some triplets in the graphs are never retrieved on the training
@@ -762,10 +778,7 @@ class TestBuildPassOrder:
         assert sorted(derived) == sorted(counts)
         assert alive_at_retrieval == [[False] * (2 * len(tables))]
 
-    @pytest.mark.parametrize("flags, named", [
-        ({"k": 0}, "k must be"), ({"tau": 1.5}, "tau"), ({"tau": float("nan")}, "tau"),
-        ({"mode": "psychic"}, "edge mode"),
-    ])
+    @pytest.mark.parametrize("flags, named", [({"k": 0}, "k must be")])
     def test_bad_flags_are_refused_before_embedding(self, synth, monkeypatch, flags, named):
         dataset, store = synth
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from graphkd.errors import DataError, FormatError, ShapeError
-from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, canonical_json, check_text,
-                                   read_checkpoint, write_checkpoint)
+from graphkd.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION, canonical_json,
+                                   canonical_json_pieces, check_text, read_checkpoint,
+                                   write_checkpoint)
 
 
 def _raw_checkpoint(path, manifest, payload=b""):
@@ -111,6 +112,31 @@ def _traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+class TestMetadataPieces:
+    def _samples(self, n):
+        return [{"sample_id": f"s{i}", "ids": ["question", f"t{i}", "ü"], "label": i % 3,
+                 "triplet_rows": list(range(i % 5)), "x": 0.1 * i} for i in range(n)]
+
+    @pytest.mark.parametrize("meta", [
+        {}, {"a": []}, {"b": [[]], "a": {"z": 1, "y": [2, "ç"]}},
+        {"samples": [{"k": 1}], "format": "f", "header": {"config": None}, "n": 1.5,
+         "tensors": [{"name": "x", "rows": 2, "cols": 3}], "t": (1, "ü")},
+    ])
+    def test_pieces_join_to_the_canonical_json(self, meta):
+        assert b"".join(canonical_json_pieces(meta)) == canonical_json(meta).encode("utf-8")
+
+    def test_large_metadata_is_written_without_a_whole_copy(self, tmp_path):
+        meta = {"format": "x", "samples": self._samples(6000)}
+        encoded = canonical_json({**meta, "tensors": [{"name": "w", "rows": 1, "cols": 1}]})
+        assert len(encoded) > 2**19
+        path = tmp_path / "x.gkdc"
+        peak, _ = _traced_peak(write_checkpoint, path, meta, [("w", np.ones((1, 1)))])
+        assert peak < len(encoded) // 8
+        raw = path.read_bytes()
+        assert raw[16:16 + len(encoded.encode("utf-8"))] == encoded.encode("utf-8")
+        assert read_checkpoint(path)[0] == json.loads(encoded)
 
 
 class TestReadMemory:
