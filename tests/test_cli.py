@@ -730,9 +730,7 @@ class TestEntryPoint:
     every command: exit codes, stdout and stderr of ``main``."""
 
     def _cli(self, *argv, cwd):
-        src = str(Path(graphkd.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env = {**os.environ, "PYTHONPATH": str(Path(graphkd.__file__).resolve().parents[1])}
         return subprocess.run([sys.executable, "-m", "graphkd.cli", *argv], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=120)
 
@@ -740,8 +738,7 @@ class TestEntryPoint:
         done = self._cli("gen-synth", "--samples", "20", "--dim", "8", "--out", "data",
                          cwd=tmp_path)
         assert done.returncode == 0, done.stderr
-        manifest = tmp_path / "data" / "manifest.jsonl"
-        assert manifest.is_file()
+        assert (tmp_path / "data" / "manifest.jsonl").is_file()
         assert done.stdout == f"{Path('data') / 'manifest.jsonl'}\n"
 
     def test_data_error_exits_two_with_one_error_line(self, tmp_path):
