@@ -862,3 +862,17 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--seed", "0", "--eps", "1e-5"]) == 0
         out = capsys.readouterr().out
         assert out.count("max relative gradient error") == 3
+
+    @pytest.mark.parametrize("seed, expected", [
+        ("0", "teacher: max relative gradient error 7.965e-09\n"
+              "student-mlp: max relative gradient error 1.387e-10\n"
+              "student-transformer: max relative gradient error 6.500e-08\n"),
+        ("3", "teacher: max relative gradient error 9.282e-09\n"
+              "student-mlp: max relative gradient error 3.411e-09\n"
+              "student-transformer: max relative gradient error 4.276e-06\n"),
+    ], ids=["seed0", "seed3"])
+    def test_prints_the_pinned_errors(self, capsys, seed, expected):
+        """Four digits of each error: a change to a loss or to one of its
+        backward rules moves them."""
+        assert run(["gradcheck", "--seed", seed]) == 0
+        assert capsys.readouterr().out == expected
