@@ -7,14 +7,13 @@ accumulate additively when a node feeds several consumers. There is no
 broadcasting beyond row-vector bias addition and no dtype other than
 float64, which keeps the finite-difference checker meaningful.
 
-The operations are the ones the models record, and no others: ``matmul``,
-``transpose``, ``add``, ``affine``, ``relu``, ``mean_rows``, ``row_softmax``
-and ``cross_entropy``; ``reshape``, which the MLP student applies to its
-untracked input; and ``kl_to_target``, the distillation term. Given a 1 x C
-logit row z, a fixed target distribution p, a temperature T and the
-caller's entropy sum_j p_j log p_j, ``kl_to_target`` records one tape entry
-for T^2 * KL(p || softmax(z / T)), and its backward rule passes
-T * (softmax(z / T) - p) times the upstream gradient to z.
+The operations are the ones the training losses record, and no others:
+``matmul``, ``transpose``, ``add``, ``affine``, ``relu``, ``mean_rows``,
+``row_softmax``, ``cross_entropy`` and ``kl_to_target``, the distillation
+term. Given a 1 x C logit row z, a fixed target distribution p, a
+temperature T and the caller's entropy sum_j p_j log p_j, ``kl_to_target``
+records one tape entry for T^2 * KL(p || softmax(z / T)), and its backward
+rule passes T * (softmax(z / T) - p) times the upstream gradient to z.
 
 An untracked tensor may carry one leading stack axis (S x rows x cols).
 Every operation then acts on the last two axes of each slice, so a forward
@@ -247,22 +246,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(_common_tape(a, b), "add", (a.node, b.node), out, (broadcast,))
 
 
-def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """scale * a + shift, elementwise with python scalars."""
-    out = a.data * scale + shift
+def affine(a: Tensor, scale: float) -> Tensor:
+    """scale * a, elementwise with a python scalar."""
+    out = a.data * scale
     return _result(a.tape, "affine", (a.node,), out, (scale,))
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     return _result(a.tape, "relu", (a.node,), out, (a.data,))
-
-
-def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
-    if rows * cols != a.rows * a.cols:
-        raise ShapeError(f"cannot reshape {_shape(a.data)} to {rows}x{cols}")
-    out = a.data.reshape(a.data.shape[:-2] + (rows, cols)).copy()
-    return _result(a.tape, "reshape", (a.node,), out, (a.data.shape,))
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -350,11 +342,6 @@ def _bw_relu(rec: Record, g: Array, out: list):
     out.append((rec.inputs[0], g * (x > 0.0)))
 
 
-def _bw_reshape(rec: Record, g: Array, out: list):
-    (shape,) = rec.saved
-    out.append((rec.inputs[0], g.reshape(shape).copy()))
-
-
 def _bw_mean_rows(rec: Record, g: Array, out: list):
     (n,) = rec.saved
     out.append((rec.inputs[0], np.repeat(g / n, n, axis=0)))
@@ -385,7 +372,6 @@ _BACKWARD: dict[str, Callable[[Record, Array, list], None]] = {
     "add": _bw_add,
     "affine": _bw_affine,
     "relu": _bw_relu,
-    "reshape": _bw_reshape,
     "mean_rows": _bw_mean_rows,
     "row_softmax": _bw_row_softmax,
     "cross_entropy": _bw_cross_entropy,

@@ -11,7 +11,12 @@ A student is trained like the teacher: its weights are a ``teacher.Params``
 of kind ``student-mlp`` or ``student-transformer``, its config extends
 ``teacher.TrainConfig``, ``teacher.fit`` runs its epochs and
 ``teacher.model_from_checkpoint`` reads it back. This module adds the
-student bodies, the soft labels and the distillation loss.
+student bodies, the soft labels, the distillation term and
+``student_loss``, the one student loss that training minimizes and the
+``gradcheck`` command checks. Training calls this module's own
+``backward``, ``optimizer_step`` and ``normalize_adjacency``, and the loss
+its ``student_forward`` and ``kd_loss``, so that rebinding these names
+here times every call.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tape, Tensor, add, affine, backward, cross_entropy, glorot_uniform,
-                       kl_to_target, matmul, mean_rows, optimizer_step, relu, reshape,
-                       row_softmax, transpose)
+                       kl_to_target, matmul, mean_rows, optimizer_step, relu, row_softmax,
+                       transpose)
 from .errors import ConfigError, DataError, NumericError, ShapeError, check_finite
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
@@ -79,16 +84,16 @@ def init_student(config: DistillConfig, rng: np.random.Generator) -> Params:
 # Student forward passes
 # ---------------------------------------------------------------------------
 
-def student_forward(kind: str, params: list[Tensor], content: Tensor,
-                    internals: dict | None = None) -> Tensor:
+def student_forward(kind: str, params: list[Tensor], content: Tensor) -> Tensor:
     """Logits for one sample from its 4 x dim content embeddings (fixed kind
-    order), or for an untracked stack of samples. Pass a dict as
-    ``internals`` to capture the attention weights."""
+    order), or for an untracked stack of samples. ``content`` is never
+    tracked."""
     if content.rows != 4:
         raise ShapeError(f"students take exactly 4 content rows, got {content.rows}")
     if kind == "mlp":
         w1, b1, w2, b2 = params
-        flat = reshape(content, 1, 4 * content.cols)
+        # The content is data, so its rows are flattened outside the tape.
+        flat = Tensor._wrap(content.data.reshape(content.data.shape[:-2] + (1, -1)), None, None)
         hidden = relu(add(matmul(flat, w1), b1))
         return add(matmul(hidden, w2), b2)
     if kind == "transformer":
@@ -98,8 +103,6 @@ def student_forward(kind: str, params: list[Tensor], content: Tensor,
         k = matmul(x, wk)
         v = matmul(x, wv)
         attn = row_softmax(affine(matmul(q, transpose(k)), 1.0 / math.sqrt(content.cols)))
-        if internals is not None:
-            internals["attention"] = attn.data
         mixed = matmul(attn, v)
         ff = add(matmul(relu(add(matmul(mixed, ff_w1), ff_b1)), ff_w2), ff_b2)
         pooled = mean_rows(ff)
@@ -165,6 +168,24 @@ def combined_loss(l_sce: Tensor, l_kd: Tensor | None, kd_weight: float) -> Tenso
     return add(l_sce, affine(l_kd, kd_weight))
 
 
+def student_loss(config: DistillConfig, graphs: list[Subgraph], targets: list[SoftTarget]):
+    """A student's training loss, which ``train_student`` minimizes and
+    ``verification`` gradchecks: ``loss(params, i)`` is the cross-entropy
+    of graph i, plus ``config.kd_weight`` times its distillation term
+    towards ``targets[i]`` when there are targets, as a 1 x 1 tensor."""
+    content = [Tensor(sg.content_features()) for sg in graphs]
+
+    def loss(params: list[Tensor], i: int) -> Tensor:
+        logits = student_forward(config.student, params, content[i])
+        out = cross_entropy(logits, graphs[i].label)
+        if targets:
+            out = combined_loss(out, kd_loss(targets[i], logits, config.temperature),
+                                config.kd_weight)
+        return out
+
+    return loss
+
+
 # ---------------------------------------------------------------------------
 # Student training
 # ---------------------------------------------------------------------------
@@ -220,16 +241,11 @@ def train_student(train: list[Subgraph], val: list[Subgraph], config: DistillCon
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_student(config, rng)
-    content = [Tensor(sg.content_features()) for sg in train]
+    loss_of = student_loss(config, train, targets)
 
     def step(state, vector, idx):
         tape = Tape()
-        tracked = [tape.watch(p) for p in vector.tensors]
-        logits = student_forward(config.student, tracked, content[idx])
-        loss = cross_entropy(logits, train[idx].label)
-        if use_kd:
-            loss = combined_loss(loss, kd_loss(targets[idx], logits, config.temperature),
-                                 config.kd_weight)
+        loss = loss_of([tape.watch(p) for p in vector.tensors], idx)
         optimizer_step(state, vector, backward(tape, loss))
         return loss.item()
 

@@ -1,5 +1,7 @@
 """Two-layer GCN teacher: degree-normalized propagation, average pooling,
-an MLP head, and per-sample cross-entropy training.
+an MLP head, and per-sample cross-entropy training. ``teacher_loss`` is
+the one teacher loss: training minimizes it and the ``gradcheck`` command
+checks it.
 
 What the teacher shares with the students of ``distill`` lives here too:
 the parameter holder ``Params`` of every model kind, with ``PARAM_NAMES``
@@ -118,15 +120,13 @@ def teacher_forward(params: list[Tensor], a_hat: Tensor,
     return pooled, add(matmul(hidden, head_w2), head_b2)
 
 
-def graph_stacks(subgraphs: list[Subgraph],
-                 a_hats: list[np.ndarray] | None = None) -> list[list[int]]:
+def graph_stacks(subgraphs: list[Subgraph]) -> list[list[int]]:
     """The indices of ``subgraphs`` in stacks for untracked forward passes:
-    graphs of one node count (one Â shape, when ``a_hats`` are given) in
-    sample order, at most ``MAX_STACK`` of them per stack."""
+    graphs of one node count in sample order, at most ``MAX_STACK`` of them
+    per stack."""
     groups: dict[tuple, list[int]] = {}
     for i, sg in enumerate(subgraphs):
-        shape = np.shape(sg.adjacency if a_hats is None else a_hats[i])
-        groups.setdefault((shape, sg.size), []).append(i)
+        groups.setdefault((np.shape(sg.adjacency), sg.size), []).append(i)
     return [members[start:start + MAX_STACK] for members in groups.values()
             for start in range(0, len(members), MAX_STACK)]
 
@@ -142,7 +142,7 @@ def teacher_logits(params: Params, subgraphs: list[Subgraph],
     graphs are stacked."""
     tensors = [Tensor(a) for a in params.tensors]
     out = np.empty((len(subgraphs), tensors[-1].cols))
-    for members in graph_stacks(subgraphs, a_hats):
+    for members in graph_stacks(subgraphs):
         if a_hats is None:
             stacked = np.stack([normalize_adjacency(subgraphs[i].adjacency) for i in members])
         else:
@@ -156,6 +156,22 @@ def teacher_logits(params: Params, subgraphs: list[Subgraph],
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+def teacher_loss(graphs: list[Subgraph], a_hats: list[Tensor]):
+    """The teacher's training loss, which ``train_teacher`` minimizes and
+    ``verification`` gradchecks: ``loss(params, i)`` is the cross-entropy
+    of graph i, whose Â is ``a_hats[i]``, as a 1 x 1 tensor."""
+
+    def loss(params: list[Tensor], i: int) -> Tensor:
+        # Rows gathered per call, so a split is never copied as a whole. The
+        # first matmul checks its product for non-finite values, so the
+        # gathered rows need no check of their own.
+        features = Tensor._wrap(graphs[i].features(), None, None)
+        _, logits = teacher_forward(params, a_hats[i], features)
+        return cross_entropy(logits, graphs[i].label)
+
+    return loss
+
 
 def check_dataset(subgraphs: list[Subgraph], config: TrainConfig,
                   what: str = "sample") -> None:
@@ -208,19 +224,12 @@ def train_teacher(train: list[Subgraph], val: list[Subgraph],
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_teacher(config, rng)
-    # Each step gathers its sample's features from the shared node table, so
-    # the train split's rows are never copied as a whole.
-    a_hats = [Tensor(normalize_adjacency(sg.adjacency)) for sg in train]
+    loss_of = teacher_loss(train, [Tensor(normalize_adjacency(sg.adjacency)) for sg in train])
     val_a_hats = [normalize_adjacency(sg.adjacency) for sg in val]
 
     def step(state, vector, idx):
         tape = Tape()
-        tracked = [tape.watch(p) for p in vector.tensors]
-        # The first matmul checks its product for non-finite values, so the
-        # gathered rows need no check of their own.
-        features = Tensor._wrap(train[idx].features(), None, None)
-        _, logits = teacher_forward(tracked, a_hats[idx], features)
-        loss = cross_entropy(logits, train[idx].label)
+        loss = loss_of([tape.watch(p) for p in vector.tensors], idx)
         optimizer_step(state, vector, backward(tape, loss))
         return loss.item()
 

@@ -1,7 +1,8 @@
-"""Finite-difference verification of the full training losses.
+"""Finite-difference verification of the training losses.
 
-Builds a small fixed subgraph fixture and checks analytic gradients of the
-teacher loss and of both student losses (supervised + distillation term)
+Builds a small fixed subgraph fixture and checks the analytic gradients of
+the losses that training minimizes -- ``teacher.teacher_loss`` and, for
+both student kinds, ``distill.student_loss`` with its distillation term --
 against central differences. Backs the ``gradcheck`` CLI subcommand; the
 test suite reuses the same fixtures.
 """
@@ -10,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy, gradcheck
-from .distill import (DistillConfig, combined_loss, init_student, kd_loss, soft_target,
-                      student_forward)
+from .autodiff import Tensor, gradcheck
+from .distill import DistillConfig, init_student, soft_target, student_loss
 from .graphs import CONTENT_KINDS, Subgraph, normalize_adjacency
-from .teacher import TeacherConfig, init_teacher, teacher_forward
+from .teacher import TeacherConfig, init_teacher, teacher_loss
 
 FIXTURE_DIM = 6
 FIXTURE_CLASSES = 3
@@ -46,35 +46,21 @@ def teacher_loss_error(seed: int = 0, eps: float = 1e-5) -> float:
                            hidden=5, head_hidden=4, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     params = init_teacher(config, rng)
-    a_hat = Tensor(normalize_adjacency(sg.adjacency))
-    features = Tensor(sg.features())
-
-    def loss(tracked):
-        _, logits = teacher_forward(tracked, a_hat, features)
-        return cross_entropy(logits, sg.label)
-
-    return gradcheck(loss, [Tensor(a) for a in params.tensors], eps=eps)
+    loss = teacher_loss([sg], [Tensor(normalize_adjacency(sg.adjacency))])
+    return gradcheck(lambda t: loss(t, 0), [Tensor(a) for a in params.tensors], eps=eps)
 
 
 def student_loss_error(kind: str, seed: int = 0, eps: float = 1e-5) -> float:
-    """Max relative gradient error of the combined student loss (supervised
-    cross-entropy plus the distillation term) on the fixture."""
+    """Max relative gradient error of the student loss at kd weight 1
+    (supervised cross-entropy plus the distillation term) on the fixture."""
     config = DistillConfig(student=kind, dim=FIXTURE_DIM,
                            num_classes=FIXTURE_CLASSES, hidden=4, seed=seed)
     config.validate()
     sg = fixture_subgraph(seed)
     rng = np.random.Generator(np.random.PCG64(seed + 2))
     params = init_student(config, rng)
-    content = Tensor(sg.content_features())
-    soft = soft_target(rng.dirichlet(np.ones(FIXTURE_CLASSES)))
-
-    def loss(tracked):
-        logits = student_forward(kind, tracked, content)
-        sce = cross_entropy(logits, sg.label)
-        kd = kd_loss(soft, logits, temperature=1.0)
-        return combined_loss(sce, kd, 1.0)
-
-    return gradcheck(loss, [Tensor(a) for a in params.tensors], eps=eps)
+    loss = student_loss(config, [sg], [soft_target(rng.dirichlet(np.ones(FIXTURE_CLASSES)))])
+    return gradcheck(lambda t: loss(t, 0), [Tensor(a) for a in params.tensors], eps=eps)
 
 
 def run_all(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from graphkd import autodiff
-from graphkd.autodiff import Tape, Tensor, cross_entropy
+from graphkd.autodiff import Tape, Tensor
 from graphkd.distill import (STUDENT_KINDS, DistillConfig, combined_loss, compute_soft_labels,
                              init_student, kd_loss, load_model, load_predictor, load_student,
                              save_student, soft_target, student_forward, student_logits,
-                             train_student)
+                             student_loss, train_student)
 from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
 from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
 from graphkd.teacher import (TEACHER_MODEL_KIND, Params, TeacherConfig, init_teacher,
-                             save_teacher, teacher_forward, teacher_logits, train_teacher)
+                             save_teacher, teacher_logits, teacher_loss, train_teacher)
 from graphkd.verification import student_loss_error
 from reference import (kd_chain_reference, make_subgraph, soft_label_row, student_row,
                        teacher_row, train_student_reference)
@@ -237,15 +237,17 @@ class TestStudentForward:
         np.testing.assert_allclose(out.data, [[3.0, -1.5]], atol=1e-12)
 
     def test_transformer_equal_rows_uniform_attention(self):
+        """Equal content rows get equal attention scores, so attention is
+        uniform whatever the query and key weights: random ``wq`` and ``wk``
+        leave the logits unchanged."""
         rng = np.random.default_rng(3)
         config = DistillConfig(student="transformer", dim=6, num_classes=3, hidden=4)
-        params = init_student(config, rng)
-        row = rng.normal(0, 1, 6)
-        internals = {}
-        student_forward("transformer", [Tensor(a) for a in params.tensors],
-                        Tensor(np.tile(row, (4, 1))), internals=internals)
-        np.testing.assert_allclose(internals["attention"], np.full((4, 4), 0.25),
-                                   atol=1e-12)
+        tensors = [Tensor(a) for a in init_student(config, rng).tensors]
+        content = Tensor(np.tile(rng.normal(0, 1, 6), (4, 1)))
+        want = student_forward("transformer", tensors, content).data
+        tensors[1:3] = [Tensor(rng.normal(0, 1, (6, 6))) for _ in range(2)]
+        got = student_forward("transformer", tensors, content).data
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_wrong_row_count(self):
         config = DistillConfig(student="mlp", dim=4, num_classes=2)
@@ -266,26 +268,22 @@ class TestStudentForward:
         assert student_loss_error("transformer", seed=0, eps=1e-5) <= 1e-4
 
     def test_training_steps_record_every_op_with_a_backward_rule(self):
-        """The kernel keeps only the ops the models record. ``reshape`` is
-        the exception: the MLP student applies it to untracked input."""
+        """The kernel keeps only the ops the models record: the training
+        losses of the teacher and of both students with KD record every op
+        that has a backward rule, and no other."""
         sg = _subgraphs(1)[0]
-        recorded = set()
-        tape = Tape()
-        tracked = [tape.watch(Tensor(a)) for a in _teacher().tensors]
-        _, logits = teacher_forward(tracked, Tensor(normalize_adjacency(sg.adjacency)),
-                                    Tensor(sg.features()))
-        cross_entropy(logits, sg.label)
-        recorded |= {rec.op for rec in tape.records}
+        losses = [(_teacher().tensors,
+                   teacher_loss([sg], [Tensor(normalize_adjacency(sg.adjacency))]))]
         for kind in STUDENT_KINDS:
-            config = DistillConfig(student=kind, dim=8, num_classes=3, hidden=4)
+            config = DistillConfig(student=kind, dim=8, num_classes=3, hidden=4, kd_weight=0.5)
+            losses.append((init_student(config, np.random.default_rng(0)).tensors,
+                           student_loss(config, [sg], [soft_target(np.array([0.2, 0.3, 0.5]))])))
+        recorded = set()
+        for arrays, loss in losses:
             tape = Tape()
-            tracked = [tape.watch(Tensor(a)) for a in
-                       init_student(config, np.random.default_rng(0)).tensors]
-            logits = student_forward(kind, tracked, Tensor(sg.content_features()))
-            combined_loss(cross_entropy(logits, sg.label),
-                          kd_loss(soft_target(np.array([0.2, 0.3, 0.5])), logits), 0.5)
+            loss([tape.watch(Tensor(a)) for a in arrays], 0)
             recorded |= {rec.op for rec in tape.records}
-        assert recorded == set(autodiff._BACKWARD) - {"reshape"}
+        assert recorded == set(autodiff._BACKWARD)
 
 
 class TestTrainStudent:
