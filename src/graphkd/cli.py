@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-prob", type=float, default=defaults.mask_prob)
     p.add_argument("--triplets-per-class", type=int, default=defaults.triplets_per_class)
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.set_defaults(func=cmd_gen_synth)
+    p.set_defaults(func=cmd_gen_synth, parser=p)
 
     p = sub.add_parser("build-graphs", help="build per-sample graphs (cosine, retrieval, NPMI)")
     p.add_argument("--manifest", required=True)
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, help="triplets retrieved per content node")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_graphs)
+    p.set_defaults(func=cmd_build_graphs, parser=p)
 
     defaults = teacher.TeacherConfig
     p = sub.add_parser("train-teacher", help="train the GCN teacher")
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 0.001 for adam, 0.01 for sgd")
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_teacher)
+    p.set_defaults(func=cmd_train_teacher, parser=p)
 
     defaults = distill.DistillConfig
     p = sub.add_parser("distill", help="distill teachers into a student")
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=defaults.learning_rate)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_distill)
+    p.set_defaults(func=cmd_distill, parser=p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--model", required=True)
@@ -285,18 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test", "all"),
                    default="test")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, parser=p)
 
     p = sub.add_parser("compare", help="baseline-vs-treated comparison report")
     p.add_argument("--baseline", required=True)
     p.add_argument("--treated", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, parser=p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, parser=p)
 
     return parser
 
@@ -304,7 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # Reported by the subcommand's parser, whose usage lists its flags.
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -755,12 +755,13 @@ class TestEntryPoint:
                              ids=["edge-mode", "tau"])
     def test_removed_build_flag_is_a_usage_error(self, tmp_path, flag):
         """Every build makes hybrid edges at threshold 0; the two flags that
-        chose otherwise are gone."""
+        chose otherwise are gone. The error shows the usage of build-graphs,
+        which lists the flags it does take."""
         done = self._cli("build-graphs", "--manifest", "m.jsonl", "--triplets", "t.tsv",
                          *flag, "--out", "g.jsonl", cwd=tmp_path)
         assert done.returncode == 1
-        assert done.stderr.startswith("usage: graphkd ")
-        assert done.stderr.endswith(f"graphkd: error: unrecognized arguments: "
+        assert done.stderr.startswith("usage: graphkd build-graphs ")
+        assert done.stderr.endswith(f"graphkd build-graphs: error: unrecognized arguments: "
                                     f"{' '.join(flag)}\n")
         assert "Traceback" not in done.stderr and list(tmp_path.iterdir()) == []
 
