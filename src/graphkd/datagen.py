@@ -30,7 +30,7 @@ learnability gap is what the distillation experiment measures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,19 +84,6 @@ class SynthConfig:
             raise ConfigError("need at least one triplet per class")
         if len(self.split_fractions) != 3 or not abs(sum(self.split_fractions) - 1.0) <= 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {self.split_fractions}")
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "classes": self.classes,
-            "dim": self.dim,
-            "noise": self.noise,
-            "mask_prob": self.mask_prob,
-            "label_noise": self.label_noise,
-            "triplets_per_class": self.triplets_per_class,
-            "split_fractions": list(self.split_fractions),
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -294,7 +281,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
         for entry in ground_truth:
             fh.write(canonical_json(entry) + "\n")
     with open(paths["config"], "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(config.to_dict()) + "\n")
+        fh.write(canonical_json(asdict(config)) + "\n")
     return paths
 
 

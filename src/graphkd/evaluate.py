@@ -9,7 +9,7 @@ share one code path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,25 +53,6 @@ class EvalReport:
     confusion: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
     seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "num_samples": self.num_samples,
-            "accuracy": self.accuracy,
-            "micro_f1": self.micro_f1,
-            "per_class": self.per_class,
-            "per_group": self.per_group,
-            "confusion": self.confusion,
-            "config": self.config,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalReport":
-        return cls(**{k: doc.get(k) for k in (
-            "split", "num_samples", "accuracy", "micro_f1", "per_class",
-            "per_group", "confusion", "config", "seed")})
 
 
 def build_report(predictions: Sequence[int], labels: Sequence[int],
@@ -145,7 +126,7 @@ def evaluate_model(predict: Callable[[list[Subgraph]], np.ndarray],
 
 def write_report(path, report: EvalReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2,
+        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2,
                             ensure_ascii=False) + "\n")
 
 
@@ -174,7 +155,7 @@ def read_report(path) -> EvalReport:
                                   f"object, got {type(entry).__name__}")
             if entry.get("micro_f1") is not None:
                 _check_score(entry["micro_f1"], f"per_group {group!r} micro_f1", path)
-    return EvalReport.from_dict(doc)
+    return EvalReport(**{f.name: doc.get(f.name) for f in fields(EvalReport)})
 
 
 def _check_score(value, what: str, path) -> None:
@@ -192,9 +173,6 @@ def _check_score(value, what: str, path) -> None:
 class ComparisonReport:
     groups: list[str]
     rows: list[dict]
-
-    def to_dict(self) -> dict:
-        return {"groups": self.groups, "rows": self.rows}
 
 
 def comparison_report(runs: list[tuple[str, EvalReport]],
@@ -270,5 +248,5 @@ def render_comparison_text(report: ComparisonReport) -> str:
 
 def write_comparison(path, report: ComparisonReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2,
+        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2,
                             ensure_ascii=False) + "\n")

@@ -137,7 +137,7 @@ class TestEvaluateModel:
     def test_deterministic(self):
         a = evaluate_model(_predict, _graphs(), "test", ["a", "b", "c"])
         b = evaluate_model(_predict, _graphs(), "test", ["a", "b", "c"])
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_model_wider_than_vocab_rejected(self):
         # Even when every prediction would land inside the vocabulary.
@@ -159,7 +159,7 @@ class TestReportFile:
         path = tmp_path / "r.json"
         write_report(path, report)
         loaded = read_report(path)
-        assert loaded.to_dict() == report.to_dict()
+        assert loaded == report
 
     def test_write_twice_identical(self, tmp_path):
         report = evaluate_model(_predict, _graphs(), "test", ["a", "b", "c"])
