@@ -7,10 +7,9 @@ as a 64-bit integer, then numpy's ``SeedSequence`` words for that integer,
 then a ``PCG64`` seeded with those words, then ``standard_normal(dim)``.
 ``token_rows`` derives the rows of all distinct tokens of a set of texts in
 one pass, with the ``SeedSequence`` words computed as arrays, one chunk of
-``TOKEN_ROW_CHUNK`` tokens at a time. A graph build embeds its records a
-chunk at a time through ``TokenRowChunks``: the rows of tokens that recur
-are kept, the rows of tokens that occur once live only with their chunk.
-Either way each distinct token's row is computed once per build.
+``TOKEN_ROW_CHUNK`` tokens at a time. A row depends only on (seed, token),
+so a graph build makes one table per chunk of records: a token that recurs
+across chunks has its row derived again, with the same values.
 
 The on-disk embedding format (``GEMB``) stores vectors as f32 little-endian;
 in memory everything is float64. A store is made once, from all its ids and
@@ -125,27 +124,15 @@ class _SeedWords:
 
 @dataclass(frozen=True)
 class TokenRows:
-    """One Gaussian row per distinct token, for one (dim, seed):
-    ``rows[index[token]]``. ``picks`` holds each text the table was made
-    for, with its tokens' rows in token order, so that embedding one of
-    those texts does not tokenize it again."""
+    """One Gaussian row per distinct token of some texts, for one (dim,
+    seed), numbered in order of first occurrence. ``picks`` holds each of
+    those texts with its tokens' row numbers in token order, so embedding
+    one of them does not tokenize it again."""
 
     dim: int
     seed: int
-    index: dict[str, int]
     rows: np.ndarray
     picks: dict[str, list[int]]
-
-
-def _token_index(texts) -> tuple[dict[str, int], dict[str, list[int]]]:
-    """Each distinct token of ``texts`` numbered in order of first
-    occurrence, and each distinct text's token numbers."""
-    index: dict[str, int] = {}
-    picks: dict[str, list[int]] = {}
-    for text in texts:
-        if text not in picks:
-            picks[text] = [index.setdefault(token, len(index)) for token in tokenize(text)]
-    return index, picks
 
 
 def _derive_rows(tokens, seed: int, out) -> None:
@@ -164,60 +151,23 @@ def _derive_rows(tokens, seed: int, out) -> None:
 
 def token_rows(texts, dim: int, seed: int) -> TokenRows:
     """The row of every distinct token in ``texts``, each computed once, in
-    one table.
+    one table that embeds exactly those texts.
 
     A token's row is ``Generator(PCG64(s)).standard_normal(dim)``, where
     ``s`` is the little-endian 64-bit blake2b digest of ``"{seed}:{token}"``.
     The PCG64 is seeded with ``SeedSequence(s)``'s words, derived by
-    ``seed_sequence_words``. A graph build holds its rows a chunk of records
-    at a time instead (see ``TokenRowChunks``)."""
+    ``seed_sequence_words``."""
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
-    index, picks = _token_index(texts)
+    index: dict[str, int] = {}
+    picks: dict[str, list[int]] = {}
+    for text in texts:
+        if text not in picks:
+            picks[text] = [index.setdefault(token, len(index)) for token in tokenize(text)]
     rows = np.empty((len(index), dim))
     _derive_rows(index, seed, rows)
     rows.flags.writeable = False
-    return TokenRows(dim, seed, index, rows, picks)
-
-
-class TokenRowChunks:
-    """Token rows for texts that are embedded one chunk at a time. A token
-    that occurs more than once in ``texts`` keeps its row from the first
-    chunk that holds it on; any other token's row lives only in its own
-    chunk's table. So each distinct token's row is derived once, and what
-    is alive is the recurring rows plus one chunk's table.
-
-    Occurrences are counted by ``hash`` of the token, so no token string
-    outlives its text. Tokens that share a hash count together, which can
-    only keep a row that was not needed again."""
-
-    def __init__(self, texts, dim: int, seed: int):
-        if dim < 2:
-            raise DataError(f"embedding dim must be >= 2, got {dim}")
-        self.dim, self.seed = dim, seed
-        hashes = np.fromiter((hash(token) for text in texts for token in tokenize(text)),
-                             dtype=np.int64)
-        values, counts = np.unique(hashes, return_counts=True)
-        self._recurring = set(values[counts > 1].tolist())
-        self._kept: dict[str, np.ndarray] = {}
-
-    def table(self, texts) -> TokenRows:
-        """One chunk's table: the row of every distinct token of ``texts``,
-        derived here unless an earlier chunk kept it."""
-        index, picks = _token_index(texts)
-        rows = np.empty((len(index), self.dim))
-        fresh = []
-        for token, i in index.items():
-            if token in self._kept:
-                rows[i] = self._kept[token]
-            else:
-                fresh.append(token)
-        _derive_rows(fresh, self.seed, (rows[index[token]] for token in fresh))
-        for token in fresh:
-            if hash(token) in self._recurring:
-                self._kept[token] = rows[index[token]].copy()
-        rows.flags.writeable = False
-        return TokenRows(self.dim, self.seed, index, rows, picks)
+    return TokenRows(dim, seed, rows, picks)
 
 
 def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> np.ndarray:
@@ -227,11 +177,10 @@ def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> 
     -> ``standard_normal(dim)`` (see ``token_rows``). Text with no tokens
     maps to the first basis vector e1 (the documented empty-text sentinel).
 
-    ``rows`` is a token-row table for the same dim and seed that holds every
-    token of ``text``; a text it was made for is not tokenized again. A
-    graph build passes one table per chunk of records, so each distinct
-    token's row is computed once per build. Without ``rows``, the rows of
-    this text's tokens are computed for this call."""
+    ``rows`` is a ``token_rows`` table for the same dim and seed that was
+    made for ``text``, among others; a graph build passes one table per
+    chunk of records. Without ``rows``, the rows of this text's tokens are
+    computed for this call."""
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
     if rows is None:
@@ -241,10 +190,7 @@ def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> 
                         f"embed at dim {dim} and seed {seed}")
     picked = rows.picks.get(text)
     if picked is None:
-        try:
-            picked = [rows.index[token] for token in tokenize(text)]
-        except KeyError as exc:
-            raise DataError(f"token {exc} has no row in the token-row table") from exc
+        raise DataError(f"the token-row table was not made for the text {text!r}")
     total = np.zeros(dim)
     for i in picked:
         total += rows.rows[i]

@@ -82,8 +82,8 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SPLITS, Dataset, ManifestRecord
-from .embeddings import (EmbeddingStore, TokenRowChunks, TokenRows, TripletStore,
-                         pairwise_cosine, top_k_triplets, toy_embed)
+from .embeddings import (EmbeddingStore, TokenRows, TripletStore, pairwise_cosine,
+                         token_rows, top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .serialization import (canonical_json, check_text, read_checkpoint, utf8_lines,
                             write_checkpoint)
@@ -96,8 +96,8 @@ COMPANION_SUFFIX = ".gkdc"
 COMPANION_FORMAT = "graphkd-graphs-companion"
 COMPANION_VERSION = 1
 HASH_CHUNK_BYTES = 1 << 20
-# Records embedded from one token-row table: a build holds the rows of the
-# tokens that recur plus those of one such chunk's single-use tokens.
+# Records embedded from one token-row table: a build holds the rows of one
+# such chunk's tokens at a time.
 TOKEN_CHUNK_RECORDS = 128
 
 
@@ -292,10 +292,9 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     then the NPMI edges. Node embeddings use the triplet store's dimension.
 
     1. Every record's content nodes are embedded, ``TOKEN_CHUNK_RECORDS``
-       records from one ``TokenRowChunks`` table at a time. Each distinct
-       token of the dataset's texts gets its row once; a token that occurs
-       once has its row only while its chunk is embedded. Nothing after
-       this pass embeds, so retrieval and edges hold no token rows.
+       records from one ``token_rows`` table at a time, made for those
+       records' texts and dropped before the next. Nothing after this pass
+       embeds, so retrieval and edges hold no token rows.
     2. Retrieval, in record order, and each sample's edges as soon as it is
        retrieved, except for the commonsense block. A sample's retrieval
        depends only on its own content nodes, so it does not matter that
@@ -336,10 +335,9 @@ def _texts(records):
 
 def _embed_content(dataset: Dataset, dim: int, seed: int, table: np.ndarray) -> None:
     """Write record i's four content rows to rows 4i..4i+3 of ``table``."""
-    chunks = TokenRowChunks(_texts(dataset.records), dim, seed)
     for start in range(0, len(dataset.records), TOKEN_CHUNK_RECORDS):
         records = dataset.records[start:start + TOKEN_CHUNK_RECORDS]
-        rows = chunks.table(_texts(records))
+        rows = token_rows(_texts(records), dim, seed)
         for i, record in enumerate(records, start):
             table[4 * i:4 * i + 4] = build_content_nodes(record, dim, seed,
                                                          dataset.visual_store, rows)

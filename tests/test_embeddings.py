@@ -98,10 +98,18 @@ class TestTokenRows:
         got = seed_sequence_words(np.array(seeds, dtype=np.uint64))
         np.testing.assert_array_equal(got, self._numpy_words(seeds))
 
+    @staticmethod
+    def _row_of(rows):
+        """Each token's row number, read off the texts the table was made for."""
+        return {token: i for text, picked in rows.picks.items()
+                for token, i in zip(tokenize(text), picked, strict=True)}
+
     def test_rows_equal_integer_seeded_generator(self, texts):
         rows = token_rows(texts, 16, 2)
-        assert len(rows.index) == len({t for text in texts for t in tokenize(text)})
-        for token, i in rows.index.items():
+        row_of = self._row_of(rows)
+        assert len(row_of) == len({t for text in texts for t in tokenize(text)})
+        assert sorted(row_of.values()) == list(range(len(rows.rows)))
+        for token, i in row_of.items():
             assert rows.rows[i].tobytes() == _reference_row(token, 16, 2).tobytes(), token
 
     def test_embeddings_equal_the_sequential_sum(self, texts):
@@ -118,15 +126,16 @@ class TestTokenRows:
         whole = token_rows(texts, 16, 2)
         monkeypatch.setattr(embeddings, "TOKEN_ROW_CHUNK", chunk)
         rows = token_rows(texts, 16, 2)
-        assert len(rows.index) == 2422
-        assert rows.index == whole.index
+        row_of = self._row_of(rows)
+        assert len(row_of) == len(rows.rows) == 2422
+        assert rows.picks == whole.picks
         assert rows.rows.tobytes() == whole.rows.tobytes()
-        for token, i in rows.index.items():
+        for token, i in row_of.items():
             assert rows.rows[i].tobytes() == _reference_row(token, 16, 2).tobytes(), token
 
     def test_no_texts_give_an_empty_table(self):
         rows = token_rows(["", "!!"], 8, 0)
-        assert rows.index == {} and rows.rows.shape == (0, 8)
+        assert rows.picks == {"": [], "!!": []} and rows.rows.shape == (0, 8)
 
     def test_table_of_other_dim_or_seed_refused(self):
         rows = token_rows(["cat sat"], 16, 7)
@@ -135,8 +144,13 @@ class TestTokenRows:
                 toy_embed("cat sat", dim, seed, rows)
 
     def test_token_missing_from_table_refused(self):
-        with pytest.raises(DataError, match="'dog' has no row"):
-            toy_embed("cat dog", 16, 7, token_rows(["cat sat"], 16, 7))
+        rows = token_rows(["cat sat"], 16, 7)
+        # A text the table was not made for is refused, even when the
+        # table holds every one of its tokens.
+        for text in ("cat dog", "sat cat"):
+            with pytest.raises(DataError,
+                               match=f"table was not made for the text '{text}'"):
+                toy_embed(text, 16, 7, rows)
 
 
 class TestCosine:

@@ -1,7 +1,6 @@
 """Subgraph construction: content nodes, retrieval, edges, the NPMI table,
 adjacency normalization, and the graphs file."""
 
-import collections
 import dataclasses
 import gc
 import hashlib
@@ -733,50 +732,54 @@ class TestBuildPassOrder:
     @pytest.mark.parametrize("chunk", [7, 60])
     def test_each_token_row_is_derived_once_and_released_before_retrieval(
             self, synth, monkeypatch, chunk):
-        """Every distinct token's row is derived exactly once per build. While
-        a chunk is embedded, what is alive is the kept rows (at most the
-        recurring tokens) plus that chunk's table (exactly its own tokens);
-        no earlier table survives, and nothing is alive at retrieval."""
+        """Each chunk of records gets one table, made for exactly that
+        chunk's distinct tokens, each derived once in it; together the
+        chunks derive every distinct token. No earlier table survives the
+        making of the next, and none is alive at retrieval."""
         dataset, store = synth
         monkeypatch.setattr(graphs, "TOKEN_CHUNK_RECORDS", chunk)
-        derived, tables, sources, alive_at_retrieval = [], [], [], []
-        real_derive, real_table = embeddings._derive_rows, embeddings.TokenRowChunks.table
+        derived, tables, held, alive_at_retrieval = [], [], [], []
+        real_derive, real_token_rows = embeddings._derive_rows, graphs.token_rows
         real_top_k = graphs.top_k_triplets
 
         def derive(tokens, seed, out):
             tokens = list(tokens)
-            derived.extend(tokens)
+            derived[-1].extend(tokens)
             real_derive(tokens, seed, out)
 
-        def table(self, texts):
-            texts = list(texts)
+        def token_rows(texts, dim, seed):
             gc.collect()
             assert all(ref() is None for ref in tables)
-            rows = real_table(self, texts)
-            assert rows.rows.shape[0] == len({t for text in texts for t in tokenize(text)})
-            assert len(self._kept) <= len(recurring)
+            derived.append([])
+            rows = real_token_rows(texts, dim, seed)
+            assert rows.rows.shape[0] == len(derived[-1])
+            held.append({t for text in rows.picks for t in tokenize(text)})
             tables.append(weakref.ref(rows))
-            sources.append(weakref.ref(self))
             return rows
 
         def top_k(*args, **kwargs):
             if not alive_at_retrieval:
                 gc.collect()
-                alive_at_retrieval.append([ref() is not None for ref in tables + sources])
+                alive_at_retrieval.append([ref() is not None for ref in tables])
             return real_top_k(*args, **kwargs)
 
-        texts = [text for r in dataset.records
-                 for text in (r.question, r.language_context, r.visual_text or "")]
-        counts = collections.Counter(t for text in texts for t in tokenize(text))
-        recurring = [t for t, n in counts.items() if n > 1]
-        assert 0 < len(recurring) < len(counts)
+        def tokens_of(records):
+            return {t for r in records
+                    for text in (r.question, r.language_context, r.visual_text or "")
+                    for t in tokenize(text)}
+
+        chunks = [dataset.records[start:start + chunk]
+                  for start in range(0, len(dataset.records), chunk)]
         monkeypatch.setattr(embeddings, "_derive_rows", derive)
-        monkeypatch.setattr(embeddings.TokenRowChunks, "table", table)
+        monkeypatch.setattr(graphs, "token_rows", token_rows)
         monkeypatch.setattr(graphs, "top_k_triplets", top_k)
         build_dataset_graphs(dataset, store, seed=5, k=2)
-        assert len(tables) == math.ceil(len(dataset.records) / chunk)
-        assert sorted(derived) == sorted(counts)
-        assert alive_at_retrieval == [[False] * (2 * len(tables))]
+        assert len(tables) == len(chunks) == math.ceil(len(dataset.records) / chunk)
+        for records, tokens, own in zip(chunks, derived, held):
+            assert own == tokens_of(records)
+            assert sorted(tokens) == sorted(own)
+        assert set().union(*derived) == tokens_of(dataset.records)
+        assert alive_at_retrieval == [[False] * len(tables)]
 
     @pytest.mark.parametrize("flags, named", [({"k": 0}, "k must be")])
     def test_bad_flags_are_refused_before_embedding(self, synth, monkeypatch, flags, named):
