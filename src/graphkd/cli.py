@@ -303,10 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, extra = parser.parse_known_args(argv)
+        # The top-level parser takes nothing but -h before the subcommand's
+        # name, so each argument there is a leftover of its own; the rest are
+        # reported by the subcommand's parser, whose usage lists its flags.
+        if before := argv.index(args.command):
+            parser.error(f"unrecognized arguments: {' '.join(extra[:before])}")
         if extra:
-            # Reported by the subcommand's parser, whose usage lists its flags.
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

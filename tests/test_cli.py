@@ -765,6 +765,13 @@ class TestEntryPoint:
                                     f"{' '.join(flag)}\n")
         assert "Traceback" not in done.stderr and list(tmp_path.iterdir()) == []
 
+    def test_unknown_flag_before_the_subcommand_is_the_top_level_usage_error(self, tmp_path):
+        done = self._cli("--wat", "gen-synth", "--out", "d", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: graphkd [-h]")
+        assert done.stderr.endswith("graphkd: error: unrecognized arguments: --wat\n")
+        assert "Traceback" not in done.stderr and list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_gen_synth_twice_identical(self, tmp_path):
