@@ -265,12 +265,6 @@ def save_student(path, params: Params, metadata: dict) -> None:
     write_checkpoint(path, metadata, list(zip(PARAM_NAMES[params.kind], params.tensors)))
 
 
-def load_student(path) -> tuple[Params, dict]:
-    metadata, tensors = read_checkpoint(path)
-    students = [kind for kind in PARAM_NAMES if kind != TEACHER_MODEL_KIND]
-    return model_from_checkpoint(path, metadata, tensors, students, "a student"), metadata
-
-
 def load_model(path):
     """Open any checkpoint, reading it once, and return (logits(subgraphs)
     -> n x C array, metadata). Teachers consume the full subgraphs,

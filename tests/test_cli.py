@@ -850,8 +850,7 @@ class TestPipeline:
         assert run(["distill", "--graphs", str(graphs),
                     "--teacher", f"{t1},{t2}", "--student", "transformer",
                     "--epochs", "1", "--seed", "0", "--out", str(out)]) == 0
-        from graphkd.distill import load_student
-        _, meta = load_student(out)
+        meta, _ = read_checkpoint(out)
         assert len(meta["teachers"]) == 2
 
     def test_build_graphs_embeds_triplet_surfaces_when_no_store(self, tmp_path):

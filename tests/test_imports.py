@@ -1,12 +1,14 @@
-"""Every module-level import in the package is used. No linter ships with
-the project, so this walks each module's syntax tree with ``ast``."""
+"""Every module-level import in the package is used, and so is every
+top-level function and class. No linter ships with the project, so this
+walks each module's syntax tree with ``ast``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphkd"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "graphkd"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -33,3 +35,52 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _names_read(node) -> set[str]:
+    """Every name ``node`` can reach a definition by: identifiers, attribute
+    names, imported names, and strings that are identifiers (the benchmark's
+    tracer rebinds functions by module and name)."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)
+    return names
+
+
+def unreferenced_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
+    """Top-level functions and classes of ``modules`` (name -> source) that
+    nothing refers to outside their own definition: no other top-level
+    statement of ``modules`` and nothing in ``users`` (sources)."""
+    statements = [(name, node) for name, source in modules.items()
+                  for node in ast.parse(source).body]
+    reads = [_names_read(node) for _, node in statements]
+    outside = set().union(*(_names_read(ast.parse(source)) for source in users))
+    return [f"{name}.{node.name}" for i, (name, node) in enumerate(statements)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in outside
+            and not any(node.name in read for j, read in enumerate(reads) if j != i)]
+
+
+def test_finds_a_dead_definition():
+    modules = {"a": "def used():\n    pass\n\n"
+                    "def dead():\n    dead()\n\n"
+                    "class Kept:\n    pass\n\n"
+                    "def named():\n    pass\n",
+               "b": "from .a import used\nused()\n"}
+    users = ["WRAPPED = [('a', 'named')]\nimport a\na.Kept()\n"]
+    assert unreferenced_definitions(modules, users) == ["a.dead"]
+
+
+def test_no_dead_top_level_definition():
+    """A definition that only tests reach is dead: the package, its
+    ``__init__`` exports and the benchmark are the only users that count."""
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unreferenced_definitions(modules, users) == []
