@@ -5,6 +5,14 @@ byte-identical output files. Exit codes: 0 success, 1 usage error, 2
 data/format error or an allocation that failed, 3 numeric invariant
 violation. Flags are checked before any input file is read. Diagnostics go
 to stderr; results go to files and stdout.
+
+A command loads only the modules it runs: each handler imports its own,
+and the parser takes its defaults from the numpy-free ``config``, so
+``compare`` and ``--help`` never import numpy, the model commands skip
+``datagen`` and ``verification``, and ``gen-synth`` and ``build-graphs``
+skip the models and ``evaluate``. Handlers call into a module through its
+name (``graphs.read_graphs``), so a function rebound on the module is the
+one that runs.
 """
 
 from __future__ import annotations
@@ -14,8 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import datagen, distill, evaluate, graphs, teacher, verification
-from .embeddings import TripletStore, read_store, read_triplets_tsv
+from .config import STUDENT_KINDS, DistillConfig, SynthConfig, TeacherConfig
 from .errors import (ConfigError, DataError, FormatError, GraphKDError,
                      NumericError)
 
@@ -31,7 +38,9 @@ def _log(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synth(args) -> int:
-    config = datagen.SynthConfig(
+    from . import datagen
+
+    config = SynthConfig(
         samples=args.samples, classes=args.classes, dim=args.dim,
         noise=args.noise, mask_prob=args.mask_prob,
         triplets_per_class=args.triplets_per_class, seed=args.seed)
@@ -42,6 +51,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_build_graphs(args) -> int:
+    from . import datagen, graphs
+    from .embeddings import TripletStore, read_store, read_triplets_tsv
+
     graphs.check_build_flags(args.k)
     if not args.triplet_embeddings and args.dim < 2:
         raise ConfigError(f"dim must be >= 2 to embed triplet texts, got {args.dim}")
@@ -77,6 +89,8 @@ def cmd_build_graphs(args) -> int:
 
 
 def _load_graphs(path):
+    from . import graphs
+
     subgraphs, header = graphs.read_graphs(path)
     return subgraphs, header, header["label_vocab"], subgraphs[0].dim
 
@@ -124,9 +138,11 @@ def _splits(subgraphs):
 
 
 def cmd_train_teacher(args) -> int:
+    from . import teacher
+
     # The flags are checked before the graphs file is read; the dim and the
     # class count come from it.
-    config = teacher.TeacherConfig(
+    config = TeacherConfig(
         dim=0, num_classes=0, hidden=args.hidden, head_hidden=args.head_hidden,
         epochs=args.epochs, optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
     config.validate()
@@ -142,8 +158,10 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    from . import distill, teacher
+
     # The flags are checked before the graphs file or any teacher is read.
-    config = distill.DistillConfig(
+    config = DistillConfig(
         student=args.student, dim=0, num_classes=0, hidden=args.hidden,
         kd_weight=args.kd_weight, temperature=args.temperature, epochs=args.epochs,
         optimizer=args.optimizer, learning_rate=args.lr, seed=args.seed)
@@ -170,6 +188,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import distill, evaluate
+
     subgraphs, header, label_vocab, dim = _load_graphs(args.graphs)
     predict, metadata = distill.load_model(args.model)
     model_config = _checked_config(args.model, metadata, label_vocab, dim)
@@ -188,6 +208,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import evaluate
+
     baseline = evaluate.read_report(args.baseline)
     treated = evaluate.read_report(args.treated)
     baseline_name = Path(args.baseline).stem
@@ -204,6 +226,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import verification
+
     results = verification.run_all(seed=args.seed, eps=args.eps)
     worst = max(results.values())
     for name, err in results.items():
@@ -224,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph teacher training and soft-label distillation pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = datagen.SynthConfig
+    defaults = SynthConfig
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=int, default=defaults.samples)
@@ -250,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_graphs, parser=p)
 
-    defaults = teacher.TeacherConfig
+    defaults = TeacherConfig
     p = sub.add_parser("train-teacher", help="train the GCN teacher")
     p.add_argument("--graphs", required=True)
     p.add_argument("--hidden", type=int, default=defaults.hidden)
@@ -263,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_teacher, parser=p)
 
-    defaults = distill.DistillConfig
+    defaults = DistillConfig
     p = sub.add_parser("distill", help="distill teachers into a student")
     p.add_argument("--graphs", required=True)
     p.add_argument("--teacher", required=True,
                    help="comma-separated teacher checkpoints")
-    p.add_argument("--student", choices=distill.STUDENT_KINDS, required=True)
+    p.add_argument("--student", choices=STUDENT_KINDS, required=True)
     p.add_argument("--kd-weight", type=float, default=defaults.kd_weight)
     p.add_argument("--temperature", type=float, default=defaults.temperature)
     p.add_argument("--hidden", type=int, default=defaults.hidden)

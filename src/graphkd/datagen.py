@@ -35,55 +35,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SIGNATURE_TOKENS, SPLITS, SynthConfig
 from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, triplet_id,
                          write_store, write_triplets_tsv)
-from .errors import ConfigError, DataError, check_finite
+from .errors import DataError
 from .serialization import canonical_json, check_text, utf8_lines
 
-SPLITS = ("train", "val", "test")
 NUM_GROUPS = 3
-SIGNATURE_TOKENS = 8
 NOISE_TOKENS = 16
 TRIPLET_JITTER = 0.1
 CLASS_MIX = 1.0
 TRIPLETS_PER_TOPIC = 6
 FILLER_TRIPLETS = 192
-
-
-@dataclass
-class SynthConfig:
-    samples: int = 2000
-    classes: int = 4
-    dim: int = 64
-    noise: float = 0.6
-    mask_prob: float = 0.5
-    label_noise: float = 0.25
-    triplets_per_class: int = 8
-    split_fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    seed: int = 7
-
-    def validate(self) -> None:
-        if self.classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.classes}")
-        if self.samples < self.classes:
-            raise ConfigError(f"need at least {self.classes} samples, got {self.samples}")
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        check_finite(self, "noise")
-        if self.noise < 0:
-            raise ConfigError(f"noise scale must be >= 0, got {self.noise}")
-        # generate_synthetic draws each confuser count from [0, this] as an int64.
-        if round(2 * self.noise * SIGNATURE_TOKENS) >= np.iinfo(np.int64).max:
-            raise ConfigError(f"noise scale {self.noise} is too large: its confuser count "
-                              f"overflows int64")
-        if not 0.0 <= self.mask_prob <= 1.0:
-            raise ConfigError(f"mask probability must be in [0, 1], got {self.mask_prob}")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ConfigError(f"label noise must be in [0, 1), got {self.label_noise}")
-        if self.triplets_per_class < 1:
-            raise ConfigError("need at least one triplet per class")
-        if len(self.split_fractions) != 3 or not abs(sum(self.split_fractions) - 1.0) <= 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {self.split_fractions}")
 
 
 @dataclass

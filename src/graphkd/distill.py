@@ -9,7 +9,7 @@ block over the four embeddings as a token sequence.
 
 A student is trained like the teacher: its weights are a ``teacher.Params``
 of kind ``student-mlp`` or ``student-transformer``, its config extends
-``teacher.TrainConfig``, ``teacher.fit`` runs its epochs and
+``config.TrainConfig``, ``teacher.fit`` runs its epochs and
 ``teacher.model_from_checkpoint`` reads it back. This module adds the
 student bodies, the soft labels, the distillation term and
 ``student_loss``, the one student loss that training minimizes and the
@@ -29,30 +29,12 @@ import numpy as np
 from .autodiff import (Tape, Tensor, add, affine, backward, cross_entropy, glorot_uniform,
                        kl_to_target, matmul, mean_rows, optimizer_step, relu, row_softmax,
                        transpose)
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_finite
+from .config import DistillConfig
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
-from .teacher import (PARAM_NAMES, TEACHER_MODEL_KIND, Params, TrainConfig, check_dataset,
-                      fit, graph_stacks, model_from_checkpoint, teacher_logits)
-
-STUDENT_KINDS = ("mlp", "transformer")
-
-
-@dataclass(kw_only=True)
-class DistillConfig(TrainConfig):
-    student: str
-    kd_weight: float = 1.0
-    temperature: float = 1.0
-
-    def validate(self) -> None:
-        if self.student not in STUDENT_KINDS:
-            raise ConfigError(f"unknown student kind '{self.student}'")
-        check_finite(self, "kd_weight", "temperature")
-        if self.kd_weight < 0:
-            raise ConfigError(f"kd weight must be >= 0, got {self.kd_weight}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        super().validate()
+from .teacher import (PARAM_NAMES, TEACHER_MODEL_KIND, Params, check_dataset, fit,
+                      graph_stacks, model_from_checkpoint, teacher_logits)
 
 
 def init_student(config: DistillConfig, rng: np.random.Generator) -> Params:

@@ -202,14 +202,10 @@ def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> 
     return total / norm
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|), clamped to [-1, 1] to absorb rounding."""
-    return pairwise_cosine([u, v])[0]
-
-
 def pairwise_cosine(vectors: list[np.ndarray]) -> list[float]:
-    """``cosine_sim`` of every pair (i, j), i < j, in ``combinations`` order,
-    with each vector's norm computed once."""
+    """u.v / (|u||v|) of every pair (u, v) = (i, j), i < j, in
+    ``combinations`` order, clamped to [-1, 1] to absorb rounding, with each
+    vector's norm computed once."""
     flat = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
     for v in flat[1:]:
         if v.shape != flat[0].shape:

@@ -3,20 +3,23 @@ reports.
 
 This module knows nothing about specific model kinds: evaluation takes a
 ``predict(subgraphs) -> n x C logits`` callable, so teachers and students
-share one code path.
+share one code path. It imports neither numpy nor the graph code, so
+``compare`` reads and compares reports without loading them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DataError, FormatError, NumericError
-from .graphs import Subgraph
 from .serialization import check_text, utf8_lines
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from .graphs import Subgraph
 
 
 def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -30,7 +33,7 @@ def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
     # Single-label pooling: every correct prediction is a true positive of
     # its class, every wrong one a false positive of the predicted class and
     # a false negative of the true one.
-    tp = int((np.asarray(predictions) == np.asarray(labels)).sum())
+    tp = _correct(predictions, labels)
     fp = fn = len(labels) - tp
     return 2 * tp / (2 * tp + fp + fn)
 
@@ -38,8 +41,12 @@ def micro_f1(predictions: Sequence[int], labels: Sequence[int]) -> float:
 def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
     if len(predictions) != len(labels) or len(labels) == 0:
         raise DataError("accuracy needs equal-length, non-empty inputs")
-    correct = int((np.asarray(predictions) == np.asarray(labels)).sum())
-    return correct / len(labels)
+    return _correct(predictions, labels) / len(labels)
+
+
+def _correct(predictions: Sequence[int], labels: Sequence[int]) -> int:
+    """How many predictions equal their labels, counted in plain ints."""
+    return sum(int(p == l) for p, l in zip(predictions, labels))
 
 
 @dataclass
@@ -76,18 +83,19 @@ def build_report(predictions: Sequence[int], labels: Sequence[int],
     for p, l in zip(predictions, labels):
         confusion[l][p] += 1
 
+    # Class c's counts from the confusion matrix: its row holds the samples
+    # labelled c, its column those predicted c, its diagonal both.
     per_class = {}
-    preds = np.asarray(predictions)
-    labs = np.asarray(labels)
     for c, name in enumerate(label_vocab):
-        tp = int(((preds == c) & (labs == c)).sum())
-        fp = int(((preds == c) & (labs != c)).sum())
-        fn = int(((preds != c) & (labs == c)).sum())
+        support = sum(confusion[c])
+        tp = confusion[c][c]
+        fp = sum(row[c] for row in confusion) - tp
+        fn = support - tp
         per_class[name] = {
             "precision": tp / (tp + fp) if tp + fp else 0.0,
             "recall": tp / (tp + fn) if tp + fn else 0.0,
             "f1": 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0,
-            "support": int((labs == c).sum()),
+            "support": support,
         }
 
     per_group = {}

@@ -52,9 +52,12 @@ graphs give the same companion bytes.
 ``read_graphs`` uses the companion only when the sha256 in it matches the
 graphs file as it is on disk; otherwise, or when there is no companion, it
 parses the JSON. A companion that exists but cannot be read is a format
-error. Either reader's table is the companion's ``rows``, then its
-``triplets``; the JSON reader lays its records out as the writer does, so
-both give bitwise-equal subgraphs.
+error. Either reader's table is the companion's ``triplets``, then its
+``rows``: the companion reader's is a view of the one array it reads both
+tensors into, and the JSON reader lays its records out as the writer does,
+so both give bitwise-equal subgraphs. The staleness check hashes every
+byte of the graphs file, since a size, time or sampled check would let a
+stale companion through.
 
 Record rule: a graphs file holds one or more records. In each, the sample
 id, group and node ids are strings that UTF-8 can encode; the split is one
@@ -78,15 +81,19 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datagen import SPLITS, Dataset, ManifestRecord
+from .config import SPLITS
 from .embeddings import (EmbeddingStore, TokenRows, TripletStore, pairwise_cosine,
                          token_rows, top_k_triplets, toy_embed)
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .serialization import (canonical_json, check_text, read_checkpoint, utf8_lines,
+from .serialization import (canonical_json, check_text, read_checkpoint_data, utf8_lines,
                             write_checkpoint)
+
+if TYPE_CHECKING:  # annotations only: reading graphs needs no dataset code
+    from .datagen import Dataset, ManifestRecord
 
 CONTENT_KINDS = ("question", "language_context", "visual_context", "vl")
 COMMONSENSE_KIND = "commonsense"
@@ -445,10 +452,15 @@ def _companion_parts(subgraphs: list[Subgraph]):
 
 
 def _file_sha256(path) -> str:
+    """The sha256 of the whole file, read through one reused buffer. A
+    memory map hashes a little faster but counts the whole file in the
+    process's resident size."""
     digest = hashlib.sha256()
+    buffer = bytearray(HASH_CHUNK_BYTES)
+    view = memoryview(buffer)
     with open(path, "rb") as fh:
-        while chunk := fh.read(HASH_CHUNK_BYTES):
-            digest.update(chunk)
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -512,13 +524,15 @@ def _checked_subgraphs(records, label_vocab: list[str], source: str,
 
 def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None:
     """Subgraphs and header from the companion, or None when it was written
-    for other bytes than the graphs file now holds."""
+    for other bytes than the graphs file now holds. The node table is a
+    view of the tensor data read from it: its ``triplets``, then its
+    ``rows``."""
     def broken(reason: str) -> FormatError:
         return FormatError(f"graphs companion {companion} is unreadable ({reason}); "
                            f"delete it to read {path} alone")
 
     try:
-        meta, tensors = read_checkpoint(companion)
+        meta, data = read_checkpoint_data(companion)
     except FormatError as exc:
         raise broken(str(exc)) from exc
     if meta.get("format") != COMPANION_FORMAT or meta.get("version") != COMPANION_VERSION:
@@ -528,11 +542,15 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
     header = meta.get("header")
     _check_header(header, path)
 
+    names = [entry["name"] for entry in meta["tensors"]]
+    if names != ["triplets", "rows", "adjacency"]:
+        raise broken(f"tensors {names}, expected triplets, rows and adjacency")
+    triplets, rows, _ = meta["tensors"]
+    nodes = triplets["rows"] * triplets["cols"] + rows["rows"] * rows["cols"]
     try:
-        rows = tensors["rows"]
-        table = np.concatenate((rows, tensors["triplets"].reshape(-1, rows.shape[1])))
         subgraphs = _checked_subgraphs(
-            _table_records(meta["samples"], table, len(rows), tensors["adjacency"].reshape(-1)),
+            _table_records(meta["samples"], data[:nodes].reshape(-1, rows["cols"]),
+                           rows["rows"], data[nodes:]),
             header["label_vocab"], f"graphs companion {companion}", FormatError)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise broken(f"malformed metadata: {exc}") from exc
@@ -542,23 +560,24 @@ def _read_companion(path, companion: Path) -> tuple[list[Subgraph], dict] | None
 def _table_records(samples: list[dict], table: np.ndarray, content_rows: int,
                    adjacency: np.ndarray):
     """Records of the companion's ``samples`` over one table, made read-only:
-    ``content_rows`` content rows, then the rows ``triplet_rows`` index, and
+    the rows ``triplet_rows`` index, then ``content_rows`` content rows, and
     each flattened matrix of ``adjacency`` in turn; a misfit is a ValueError."""
     table.flags.writeable = False
+    triplets = len(table) - content_rows
     next_row = next_adj = 0
     for doc in samples:
         kinds, refs = doc["kinds"], doc["triplet_rows"]
         if kinds.count(COMMONSENSE_KIND) != len(refs):
             raise ValueError(f"{len(refs)} triplet rows for {kinds!r}")
         for ref in refs:
-            if type(ref) is not int or not 0 <= ref < len(table) - content_rows:
+            if type(ref) is not int or not 0 <= ref < triplets:
                 raise ValueError(f"bad triplet row {ref!r}")
         n, content = len(kinds), len(kinds) - len(refs)
         # Content rows come first and commonsense rows after; the record
         # rule rejects any other order of kinds.
         yield (doc["sample_id"], doc["split"], doc["group"], doc["label"], kinds, doc["ids"],
-               table, np.array([*range(next_row, next_row + content),
-                                *(content_rows + ref for ref in refs)], dtype=np.intp),
+               table, np.array([*range(triplets + next_row, triplets + next_row + content),
+                                *refs], dtype=np.intp),
                adjacency[next_adj:next_adj + n * n])
         next_row += content
         next_adj += n * n
@@ -618,6 +637,6 @@ def _parse_graphs(path) -> tuple[list[Subgraph], dict]:
     samples, _, triplets, rows, adjacency = _companion_parts(
         _checked_subgraphs(records(), header["label_vocab"], source, FormatError))
     return _checked_subgraphs(
-        _table_records(samples, np.concatenate(rows + triplets), 4 * len(samples),
+        _table_records(samples, np.concatenate(triplets + rows), 4 * len(samples),
                        np.concatenate(adjacency).reshape(-1)),
         header["label_vocab"], source, FormatError), header

@@ -13,7 +13,8 @@ embedding store format of ``embeddings``.
 Writers are canonical: the same logical content always produces the same
 bytes, so write -> read -> write is byte-identical. ``utf8_lines`` is how
 the text readers read their files, and ``check_text`` how they check a
-string they read.
+string they read. Only the tensor reader and writer import numpy, so the
+text helpers cost a command that reads no tensor nothing more.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, ShapeError
+
+if TYPE_CHECKING:  # numpy is imported where tensors are read and written
+    import numpy as np
 
 CHECKPOINT_MAGIC = b"GKDC"
 FORMAT_VERSION = 1
@@ -128,6 +131,8 @@ def write_checkpoint(path, metadata: dict,
     A tensor given as a list of 2-D arrays with equal column counts is their
     row-wise stack (an empty list is 0 x 0). It is written piece by piece,
     so a large tensor never has to exist as one array."""
+    import numpy as np
+
     parts = [(name, [value] if isinstance(value, np.ndarray) else value)
              for name, value in tensors]
     manifest = []
@@ -160,12 +165,15 @@ def _check_manifest_entry(entry, at: int) -> None:
                               f"expected a non-negative integer", offset=at)
 
 
-def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Metadata and tensors of the checkpoint at ``path``. The manifest is
-    checked, and its sizes against the file's size, before any tensor is
-    allocated, so a forged size is a ``FormatError`` that costs nothing.
-    Each tensor is then read straight from the file into its own writable
-    array: one copy of its bytes, never the whole file at once."""
+def read_checkpoint_data(path) -> tuple[dict, np.ndarray]:
+    """Metadata of the checkpoint at ``path``, and all its tensors as one
+    flat f64 array in manifest order. The manifest is checked, and its
+    sizes against the file's size, before the array is allocated, so a
+    forged size is a ``FormatError`` that costs nothing. The tensors are
+    then read straight from the file into the array: one copy of their
+    bytes, never the whole file at once."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         reader = _Reader(fh.read(16), "checkpoint")
@@ -182,24 +190,38 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = metadata.get("tensors") if isinstance(metadata, dict) else None
         if not isinstance(manifest, list):
             raise FormatError("checkpoint metadata lacks a tensor manifest", offset=at)
-        starts = []
-        end = at + meta_len
+        start = end = at + meta_len
         for entry in manifest:
             _check_manifest_entry(entry, at)
             wanted = entry["rows"] * entry["cols"] * 8
             if wanted > size - end:
                 raise FormatError(f"truncated checkpoint: wanted {wanted} bytes", offset=end)
-            starts.append(end)
             end += wanted
         if end != size:
             raise FormatError(f"{size - end} trailing bytes in checkpoint", offset=end)
-        tensors: dict[str, np.ndarray] = {}
-        for entry, start in zip(manifest, starts):
-            tensor = np.empty((entry["rows"], entry["cols"]), dtype="<f8")
-            if fh.readinto(tensor.reshape(-1).view(np.uint8)) != tensor.nbytes:
-                raise FormatError(f"checkpoint {path} changed while it was read", offset=start)
-            if not np.isfinite(tensor).all():
-                raise FormatError(f"checkpoint tensor '{entry['name']}' holds non-finite values",
-                                  offset=start)
-            tensors[entry["name"]] = tensor
-    return metadata, tensors
+        data = np.empty((end - start) // 8, dtype="<f8")
+        if fh.readinto(data.view(np.uint8)) != data.nbytes:
+            raise FormatError(f"checkpoint {path} changed while it was read", offset=start)
+    for entry, (first, stop) in zip(manifest, _spans(manifest)):
+        if not np.isfinite(data[first:stop]).all():
+            raise FormatError(f"checkpoint tensor '{entry['name']}' holds non-finite values",
+                              offset=start + 8 * first)
+    return metadata, data
+
+
+def _spans(manifest: list[dict]):
+    """Each tensor's (first, stop) values of the flat tensor data."""
+    at = 0
+    for entry in manifest:
+        yield at, at + entry["rows"] * entry["cols"]
+        at += entry["rows"] * entry["cols"]
+
+
+def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Metadata and tensors of the checkpoint at ``path``, read by
+    ``read_checkpoint_data``: each tensor is a writable rows x cols view of
+    its span of the one flat array."""
+    metadata, data = read_checkpoint_data(path)
+    manifest = metadata["tensors"]
+    return metadata, {entry["name"]: data[first:stop].reshape(entry["rows"], entry["cols"])
+                      for entry, (first, stop) in zip(manifest, _spans(manifest))}

@@ -5,24 +5,24 @@ checks it.
 
 What the teacher shares with the students of ``distill`` lives here too:
 the parameter holder ``Params`` of every model kind, with ``PARAM_NAMES``
-naming each kind's tensors; the config base ``TrainConfig``; the training
-loop ``fit``; and the checkpoint reader ``model_from_checkpoint``."""
+naming each kind's tensors; the training loop ``fit``, which runs a
+``config.TrainConfig``; and the checkpoint reader ``model_from_checkpoint``."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (OptimizerState, ParameterVector, Tape, Tensor, add, backward,
                        cross_entropy, glorot_uniform, matmul, mean_rows, optimizer_step,
                        relu)
-from .errors import ConfigError, DataError, check_finite
+from .config import TeacherConfig, TrainConfig, resolved_learning_rate
+from .errors import ConfigError, DataError
 from .evaluate import micro_f1
 from .graphs import Subgraph, normalize_adjacency
 from .serialization import read_checkpoint, write_checkpoint
 
-DEFAULT_LEARNING_RATE = {"adam": 0.001, "sgd": 0.01}
 TEACHER_MODEL_KIND = "gcn-teacher"
 # Each model kind, the "model" string of its checkpoints, and its tensors in
 # the order its forward pass takes them.
@@ -35,49 +35,6 @@ PARAM_NAMES = {
 # The most graphs one untracked forward pass stacks: enough to amortise the
 # per-call cost, few enough that a stack's intermediates stay a few MB.
 MAX_STACK = 128
-
-
-def resolved_learning_rate(config: TrainConfig) -> float:
-    """The configured learning rate, else the optimizer's default."""
-    if config.learning_rate is not None:
-        return config.learning_rate
-    return DEFAULT_LEARNING_RATE[config.optimizer]
-
-
-@dataclass
-class TrainConfig:
-    """The fields a teacher's and a student's training run share. ``SIZES``
-    names the fields that must be at least 1."""
-
-    dim: int
-    num_classes: int
-    hidden: int = 64
-    epochs: int = 30
-    optimizer: str = "adam"
-    learning_rate: float | None = None
-    seed: int = 0
-    SIZES = ("hidden", "epochs")
-
-    def validate(self) -> None:
-        """The flags of a run, checked before any input is read."""
-        if self.optimizer not in DEFAULT_LEARNING_RATE:
-            raise ConfigError(f"unknown optimizer '{self.optimizer}'")
-        check_finite(self, "learning_rate")
-        if self.learning_rate is not None and self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        for name in self.SIZES:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        """Every field, with the learning rate resolved: a checkpoint's echo."""
-        return {**asdict(self), "learning_rate": resolved_learning_rate(self)}
-
-
-@dataclass
-class TeacherConfig(TrainConfig):
-    head_hidden: int = 64
-    SIZES = ("hidden", "head_hidden", "epochs")
 
 
 @dataclass
@@ -251,8 +208,13 @@ def model_from_checkpoint(path, metadata: dict, tensors: dict, kinds,
                           expected: str) -> Params:
     """The model in a checkpoint already read from ``path``. Its "model"
     string must be one of ``kinds`` (else the ``ConfigError`` says what was
-    ``expected``), and it must hold every tensor that kind has."""
+    ``expected``, and names the metadata's "format" if the file records no
+    model), and it must hold every tensor that kind has."""
     kind = metadata.get("model")
+    if kind is None:
+        fmt = metadata.get("format")
+        what = f"a {fmt!r} file" if isinstance(fmt, str) else "the file"
+        raise ConfigError(f"{path} records no model kind ({what}), expected {expected}")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{path} holds a '{kind}' model, expected {expected}")
     missing = [name for name in PARAM_NAMES[kind] if name not in tensors]

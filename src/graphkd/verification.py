@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, gradcheck
-from .distill import DistillConfig, init_student, soft_target, student_loss
+from .config import DistillConfig, TeacherConfig
+from .distill import init_student, soft_target, student_loss
 from .graphs import CONTENT_KINDS, Subgraph, normalize_adjacency
-from .teacher import TeacherConfig, init_teacher, teacher_loss
+from .teacher import init_teacher, teacher_loss
 
 FIXTURE_DIM = 6
 FIXTURE_CLASSES = 3

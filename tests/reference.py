@@ -11,7 +11,7 @@ taken again at every step. ``build_graphs_reference`` is the graph build as
 it was before it ran in three passes: embed and retrieve one record at a
 time with the token-row table alive throughout, each commonsense node a
 copy of its store vector in a table of the sample's own. Its edges are
-``edges_reference``: one ``cosine_sim`` per content pair, a retrieval log of
+``edges_reference``: one ``pairwise_cosine`` per content pair, a retrieval log of
 (content kind, triplet id, similarity) hits, and one NPMI per commonsense
 pair from the string-keyed training-split counts of ``CooccurrenceCounts``.
 The package must reproduce them bit for bit. ``make_subgraph`` is how the
@@ -25,7 +25,7 @@ import numpy as np
 
 from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, kl_to_target, split_flat
 from graphkd.distill import combined_loss, init_student, student_forward
-from graphkd.embeddings import cosine_sim, token_rows, top_k_triplets
+from graphkd.embeddings import pairwise_cosine, token_rows, top_k_triplets
 from graphkd.graphs import CONTENT_KINDS, Subgraph, build_content_nodes, normalize_adjacency
 from graphkd.teacher import init_teacher, resolved_learning_rate, teacher_forward
 
@@ -221,13 +221,13 @@ class CooccurrenceCounts:
 
 def edges_reference(content, ids, log, stats):
     """One sample's adjacency over its four content rows and the triplets
-    ``ids``: one cosine_sim per content pair, each (kind, id, similarity)
+    ``ids``: one cosine per content pair, each (kind, id, similarity)
     hit of ``log`` clamped, and one NPMI per id pair."""
     ids = [*CONTENT_KINDS, *ids]
     n = len(ids)
     adjacency = np.zeros((n, n))
     for a, b in combinations(range(4), 2):
-        sim = cosine_sim(content[a], content[b])
+        sim = pairwise_cosine([content[a], content[b]])[0]
         if sim > 0.0:
             adjacency[a, b] = adjacency[b, a] = sim
     for kind, tid, sim in log:

@@ -467,6 +467,20 @@ class TestDataErrors:
         assert err == f"error: checkpoint {more} has 5 classes, the graphs have 4\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    def test_graphs_companion_as_a_model_exits_two_naming_its_format(
+            self, trained, tmp_path, capsys, command):
+        graphs, _ = trained
+        companion = companion_path(graphs)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(self._use_argv(command, companion, graphs, out)) == 2
+        expected = "a teacher or a student" if command == "eval" else "a teacher"
+        assert capsys.readouterr().err == (
+            f"error: {companion} records no model kind (a 'graphkd-graphs-companion' file), "
+            f"expected {expected}\n")
+        assert not out.exists()
+
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         data = _gen(tmp_path / "d")
         graphs = tmp_path / "d.graphs"
@@ -771,6 +785,54 @@ class TestEntryPoint:
         assert done.stderr.startswith("usage: graphkd [-h]")
         assert done.stderr.endswith("graphkd: error: unrecognized arguments: --wat\n")
         assert "Traceback" not in done.stderr and list(tmp_path.iterdir()) == []
+
+
+class TestModulesLoaded:
+    """What a fresh ``python -m graphkd.cli`` process imports for each
+    command, read from ``-X importtime``: a command loads only what it runs."""
+
+    MODELS = {"graphkd.autodiff", "graphkd.teacher", "graphkd.distill", "graphkd.evaluate"}
+
+    @staticmethod
+    def _loaded(*argv, cwd) -> set[str]:
+        env = {**os.environ, "PYTHONPATH": str(Path(graphkd.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    def test_importing_the_package_loads_no_module_of_it(self, tmp_path):
+        loaded = self._loaded("-c", "import graphkd", cwd=tmp_path)
+        assert "graphkd" in loaded
+        assert {m for m in loaded if m.startswith("graphkd.")} == set()
+
+    def test_help_loads_no_numpy(self, tmp_path):
+        loaded = self._loaded("-m", "graphkd.cli", "--help", cwd=tmp_path)
+        assert "graphkd.config" in loaded and "numpy" not in loaded
+
+    def test_compare_loads_no_numpy(self, report, tmp_path):
+        loaded = self._loaded("-m", "graphkd.cli", "compare", "--baseline", str(report),
+                              "--treated", str(report), "--out", "c.json", cwd=tmp_path)
+        assert "graphkd.evaluate" in loaded and "numpy" not in loaded
+
+    def test_eval_loads_neither_datagen_nor_verification(self, trained, tmp_path):
+        graphs, teacher = trained
+        loaded = self._loaded("-m", "graphkd.cli", "eval", "--model", str(teacher),
+                              "--graphs", str(graphs), "--report", "r.json", cwd=tmp_path)
+        assert "graphkd.distill" in loaded
+        assert not loaded & {"graphkd.datagen", "graphkd.verification"}
+
+    def test_gen_synth_and_build_graphs_load_no_model(self, tmp_path):
+        loaded = self._loaded("-m", "graphkd.cli", "gen-synth", "--samples", "20", "--dim", "8",
+                              "--out", "data", cwd=tmp_path)
+        assert "graphkd.datagen" in loaded and not loaded & self.MODELS
+        loaded = self._loaded("-m", "graphkd.cli", "build-graphs",
+                              "--manifest", "data/manifest.jsonl",
+                              "--embeddings", "data/visual.gemb", "--triplets", "data/triplets.tsv",
+                              "--triplet-embeddings", "data/triplets.gemb", "--out", "g.jsonl",
+                              cwd=tmp_path)
+        assert "graphkd.graphs" in loaded and not loaded & self.MODELS
 
 
 class TestDeterminism:

@@ -8,10 +8,10 @@ import pytest
 
 from graphkd import autodiff
 from graphkd.autodiff import Tape, Tensor
-from graphkd.distill import (STUDENT_KINDS, DistillConfig, combined_loss, compute_soft_labels,
-                             init_student, kd_loss, load_model, load_predictor, save_student,
-                             soft_target, student_forward, student_logits, student_loss,
-                             train_student)
+from graphkd.config import STUDENT_KINDS
+from graphkd.distill import (DistillConfig, combined_loss, compute_soft_labels, init_student,
+                             kd_loss, load_model, load_predictor, save_student, soft_target,
+                             student_forward, student_logits, student_loss, train_student)
 from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
 from graphkd.graphs import CONTENT_KINDS, normalize_adjacency
 from graphkd.serialization import read_checkpoint

@@ -7,11 +7,16 @@ import pytest
 
 from graphkd import embeddings
 from graphkd.datagen import SynthConfig, generate_synthetic, ingest_manifest
-from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, cosine_sim,
+from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, pairwise_cosine,
                                 read_store, read_triplets_tsv, seed_sequence_words, tokenize,
                                 token_rows, top_k_triplets, toy_embed, write_store,
                                 write_triplets_tsv)
 from graphkd.errors import DataError, FormatError, ShapeError
+
+
+def cosine_sim(u, v) -> float:
+    """The cosine of one pair, as ``pairwise_cosine`` gives it."""
+    return pairwise_cosine([u, v])[0]
 
 
 class TestToyEmbed:

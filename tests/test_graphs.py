@@ -430,9 +430,28 @@ class TestGraphsCompanion:
         companion_path(path).unlink()
         from_json = read_graphs(path)
         assert_same_graphs(from_companion, from_json)
-        # Both readers lay the table out alike: content rows, then each
-        # distinct commonsense row.
+        # Both readers lay the table out alike: each distinct commonsense
+        # row, then the content rows.
         assert from_companion[0][0].table.tobytes() == from_json[0][0].table.tobytes()
+
+    def test_companion_table_is_a_view_of_the_tensors_read(self, tmp_path, monkeypatch):
+        """The companion's triplets and rows are read into one buffer and the
+        node table is a view of it: no concatenated copy."""
+        read = []
+        original = graphs.read_checkpoint_data
+
+        def recorded(path):
+            read.append(original(path))
+            return read[-1]
+
+        monkeypatch.setattr(graphs, "read_checkpoint_data", recorded)
+        loaded, _ = read_graphs(self._write(tmp_path))
+        (_, data), = read
+        table = loaded[0].table
+        assert np.shares_memory(table, data) and table.base is not None
+        # Triplets first, then every sample's four content rows in order.
+        assert all(sg.rows[0] == table.shape[0] - 4 * (len(loaded) - i)
+                   for i, sg in enumerate(loaded))
 
     def test_companion_read_equals_what_was_written(self, tmp_path):
         subgraphs = self._subgraphs()

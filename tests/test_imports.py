@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used, and so is every
-top-level function and class. No linter ships with the project, so this
-walks each module's syntax tree with ``ast``."""
+"""Every import in the package is used, and so is every top-level
+function and class. No linter ships with the project, so this walks each
+module's syntax tree with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -10,26 +10,47 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "graphkd"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_nodes(scope):
+    """The nodes inside ``scope``, in source order, leaving out the bodies
+    of the functions it defines."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, FUNCTIONS):
+            yield from _scope_nodes(child)
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by top-level imports that nothing else in the module reads."""
+    """Names bound by imports that nothing else in their scope reads: the
+    module for an import outside every function, else the function whose
+    body holds it."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        bound = {}
+        for node in _scope_nodes(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        unused += [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+    return unused
 
 
 def test_finds_an_unused_import():
     source = "import json\nimport os\nfrom x import a, b as c\nprint(os.sep, c)\n"
     assert unused_imports(source) == ["json (line 1)", "a (line 3)"]
+    # An import in a function counts for that function only, and one under
+    # an ``if`` for the module.
+    source = ("import typing\nif typing.TYPE_CHECKING:\n    import csv\n\n"
+              "def f():\n    import re\n    from . import y, z\n    return y\n\n"
+              "def g():\n    return re.sub\n")
+    assert unused_imports(source) == ["csv (line 3)", "re (line 6)", "z (line 7)"]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
@@ -79,8 +100,8 @@ def test_finds_a_dead_definition():
 
 
 def test_no_dead_top_level_definition():
-    """A definition that only tests reach is dead: the package, its
-    ``__init__`` exports and the benchmark are the only users that count."""
+    """A definition that only tests reach is dead: the package and the
+    benchmark are the only users that count."""
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unreferenced_definitions(modules, users) == []
