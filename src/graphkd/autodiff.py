@@ -72,13 +72,13 @@ class Tensor:
 
     __slots__ = ("data", "tape", "node")
 
-    def __init__(self, values, tape: "Tape | None" = None, node: int | None = None):
+    def __init__(self, values):
         data = _as_matrix(values)
         _require_finite(data, "tensor construction")
         data.flags.writeable = False
         self.data = data
-        self.tape = tape
-        self.node = node
+        self.tape = None
+        self.node = None
 
     @classmethod
     def _wrap(cls, data: Array, tape: "Tape | None", node: int | None) -> "Tensor":
@@ -166,31 +166,22 @@ class Tape:
     def __init__(self):
         self.records: list[Record] = []
         self.num_nodes = 0
-        self.parameters: list[int] = []
-        self._shapes: dict[int, tuple[int, int]] = {}
+        # Each watched tensor's node and size, in the order watched.
+        self.parameters: list[tuple[int, int]] = []
 
     def _new_node(self, shape: tuple[int, ...]) -> int:
         if len(shape) != 2:
             raise ShapeError(f"a stack of {shape[0]} matrices cannot be tracked on a tape")
         node = self.num_nodes
         self.num_nodes += 1
-        self._shapes[node] = shape
         return node
 
-    def parameter(self, values) -> Tensor:
-        """Register a trainable leaf. Untouched parameters still receive a
-        (zero) entry in the gradient vector."""
-        t = Tensor(values)
-        t.tape = self
-        t.node = self._new_node(t.data.shape)
-        self.parameters.append(t.node)
-        return t
-
     def watch(self, t: Tensor) -> Tensor:
-        """Like :meth:`parameter` but for an existing (already validated)
-        tensor; shares its storage instead of re-checking it."""
+        """Register ``t`` as a trainable leaf: a tracked tensor sharing its
+        storage. Untouched parameters still receive a (zero) entry in the
+        gradient vector."""
         out = Tensor._wrap(t.data, self, self._new_node(t.data.shape))
-        self.parameters.append(out.node)
+        self.parameters.append((out.node, t.data.size))
         return out
 
 
@@ -408,12 +399,9 @@ def backward(tape: Tape, loss: Tensor) -> Array:
                 grads[node] = grads[node] + delta
 
     blocks = []
-    for node in tape.parameters:
+    for node, size in tape.parameters:
         g = grads[node]
-        if g is None:
-            rows, cols = tape._shapes[node]
-            g = np.zeros(rows * cols)
-        blocks.append(g.reshape(-1))
+        blocks.append(np.zeros(size) if g is None else g.reshape(-1))
     return np.concatenate(blocks or [np.zeros(0)])
 
 
@@ -443,7 +431,7 @@ def gradcheck(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],
         raise DeterminismError("function returned different values for identical inputs")
 
     tape = Tape()
-    tracked = [tape.parameter(a) for a in arrays]
+    tracked = [tape.watch(Tensor(a)) for a in arrays]
     loss = f(tracked)
     analytic = split_flat(backward(tape, loss), [t.data.shape for t in tracked])
 
@@ -470,15 +458,18 @@ def gradcheck(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],
 # Optimizers
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and the term that keeps its divisor above zero.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """SGD or Adam state; Adam's moment vectors are allocated on first use."""
 
     kind: str = "adam"
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: Array | None = None
     v: Array | None = None
@@ -513,21 +504,21 @@ def optimizer_step(state: OptimizerState, params: ParameterVector, grad: Array) 
         state._scratch = np.empty_like(flat)
     elif state.m.shape != flat.shape:
         raise ShapeError(f"moment shape {state.m.shape} does not match {flat.size} parameters")
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     m = state.m
     v = state.v
     work = state._scratch
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=work)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
     m += work
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.multiply(grad, grad, out=work)
-    work *= 1.0 - state.beta2
+    work *= 1.0 - ADAM_BETA2
     v += work
     np.divide(v, c2, out=work)
     np.sqrt(work, out=work)
-    work += state.epsilon
+    work += ADAM_EPSILON
     np.divide(m, work, out=work)
     work *= lr / c1
     np.subtract(flat, work, out=work)

@@ -18,6 +18,12 @@ DEFAULT_LEARNING_RATE = {"adam": 0.001, "sgd": 0.01}
 STUDENT_KINDS = ("mlp", "transformer")
 
 
+def check_seed(seed: int) -> None:
+    """A run's seed seeds numpy's ``PCG64``, which takes no negative value."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class SynthConfig:
     samples: int = 2000
@@ -53,6 +59,7 @@ class SynthConfig:
             raise ConfigError("need at least one triplet per class")
         if len(self.split_fractions) != 3 or not abs(sum(self.split_fractions) - 1.0) <= 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {self.split_fractions}")
+        check_seed(self.seed)
 
 
 def resolved_learning_rate(config: TrainConfig) -> float:
@@ -86,6 +93,7 @@ class TrainConfig:
         for name in self.SIZES:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         """Every field, with the learning rate resolved: a checkpoint's echo."""

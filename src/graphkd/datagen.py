@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SIGNATURE_TOKENS, SPLITS, SynthConfig
-from .embeddings import (EmbeddingStore, TokenRows, Triplet, token_rows, toy_embed, triplet_id,
-                         write_store, write_triplets_tsv)
+from .embeddings import (EmbeddingStore, Triplet, token_rows, toy_embed, triplet_id, write_store,
+                         write_triplets_tsv)
 from .errors import DataError
 from .serialization import canonical_json, check_text, utf8_lines
 
@@ -83,8 +83,6 @@ class ManifestRecord:
 class Dataset:
     records: list[ManifestRecord]
     label_vocab: list[str]
-    groups: list[str]
-    split_counts: dict[str, int]
     visual_store: EmbeddingStore | None = None
 
 
@@ -96,26 +94,9 @@ def topic_signature(topic: int) -> list[str]:
     return [f"sig{topic}w{j}" for j in range(SIGNATURE_TOKENS)]
 
 
-def topic_prototype(topic: int, dim: int, seed: int,
-                    rows: TokenRows | None = None) -> np.ndarray:
-    """Unit vector the embedder produces for the pure topic signature text,
-    with token rows from ``rows`` when given (see ``toy_embed``)."""
-    return toy_embed(" ".join(topic_signature(topic)), dim, seed, rows)
-
-
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
-
-
-def _split_of(index: int, samples: int, fractions: tuple[float, float, float]) -> str:
-    train_end = round(samples * fractions[0])
-    val_end = train_end + round(samples * fractions[1])
-    if index < train_end:
-        return "train"
-    if index < val_end:
-        return "val"
-    return "test"
 
 
 def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
@@ -128,9 +109,10 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     num_topics = config.classes * config.triplets_per_class
-    rows = token_rows([" ".join(topic_signature(t)) for t in range(num_topics)],
-                      config.dim, config.seed)
-    prototypes = [topic_prototype(t, config.dim, config.seed, rows) for t in range(num_topics)]
+    # Each topic's prototype is the embedding of its pure signature text.
+    signatures = [" ".join(topic_signature(t)) for t in range(num_topics)]
+    rows = token_rows(signatures, config.dim, config.seed)
+    prototypes = [toy_embed(text, rows) for text in signatures]
     class_of = [t % config.classes for t in range(num_topics)]
     class_dirs = [_unit(rng, config.dim) for _ in range(config.classes)]
 
@@ -169,10 +151,9 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
     # every split keeps near-exact class proportions; each sample's label is
     # still marginally uniform and its topic uniform within the class.
     labels_by_index = np.empty(config.samples, dtype=np.int64)
-    boundaries = sorted({0, round(config.samples * config.split_fractions[0]),
-                         round(config.samples * config.split_fractions[0])
-                         + round(config.samples * config.split_fractions[1]),
-                         config.samples})
+    train_end = round(config.samples * config.split_fractions[0])
+    val_end = train_end + round(config.samples * config.split_fractions[1])
+    boundaries = sorted({0, train_end, val_end, config.samples})
     for start, end in zip(boundaries, boundaries[1:]):
         deck = np.arange(end - start) % config.classes
         rng.shuffle(deck)
@@ -199,7 +180,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> dict[str, Path]:
 
         # Training labels are flipped with probability label_noise (val and
         # test stay clean); the sidecar records the clean label.
-        split = _split_of(i, config.samples, config.split_fractions)
+        split = "train" if i < train_end else "val" if i < val_end else "test"
         observed = label
         if split == "train" and config.label_noise > 0:
             if rng.random() < config.label_noise:
@@ -316,14 +297,8 @@ def ingest_manifest(manifest_path, embedding_store=None) -> Dataset:
         records.append(rec)
     if not records:
         raise DataError(f"manifest {manifest_path} contains no records")
-
-    split_counts = {s: 0 for s in SPLITS}
-    for rec in records:
-        split_counts[rec.split] += 1
     return Dataset(
         records=records,
         label_vocab=sorted({r.label for r in records}),
-        groups=sorted({r.group for r in records}),
-        split_counts=split_counts,
         visual_store=embedding_store,
     )

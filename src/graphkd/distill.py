@@ -140,29 +140,22 @@ def kd_loss(target: SoftTarget, student_logits_t: Tensor,
     return kl_to_target(student_logits_t, target.probs, temperature, target.entropy)
 
 
-def combined_loss(l_sce: Tensor, l_kd: Tensor | None, kd_weight: float) -> Tensor:
-    """l_sce + kd_weight * l_kd; with weight 0 the supervised loss passes
-    through untouched (the "without framework" baseline)."""
-    if kd_weight < 0:
-        raise ConfigError(f"kd weight must be >= 0, got {kd_weight}")
-    if kd_weight == 0.0 or l_kd is None:
-        return l_sce
-    return add(l_sce, affine(l_kd, kd_weight))
-
-
 def student_loss(config: DistillConfig, graphs: list[Subgraph], targets: list[SoftTarget]):
     """A student's training loss, which ``train_student`` minimizes and
     ``verification`` gradchecks: ``loss(params, i)`` is the cross-entropy
     of graph i, plus ``config.kd_weight`` times its distillation term
-    towards ``targets[i]`` when there are targets, as a 1 x 1 tensor."""
+    towards ``targets[i]`` when there are targets, as a 1 x 1 tensor.
+    ``train_student`` passes targets exactly when the weight is above 0, so
+    with weight 0 the loss is the supervised one alone (the "without
+    framework" baseline)."""
     content = [Tensor(sg.content_features()) for sg in graphs]
 
     def loss(params: list[Tensor], i: int) -> Tensor:
         logits = student_forward(config.student, params, content[i])
         out = cross_entropy(logits, graphs[i].label)
         if targets:
-            out = combined_loss(out, kd_loss(targets[i], logits, config.temperature),
-                                config.kd_weight)
+            out = add(out, affine(kd_loss(targets[i], logits, config.temperature),
+                                  config.kd_weight))
         return out
 
     return loss

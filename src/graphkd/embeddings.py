@@ -127,10 +127,9 @@ class TokenRows:
     """One Gaussian row per distinct token of some texts, for one (dim,
     seed), numbered in order of first occurrence. ``picks`` holds each of
     those texts with its tokens' row numbers in token order, so embedding
-    one of them does not tokenize it again."""
+    one of them does not tokenize it again. The dim is ``rows.shape[1]``,
+    which an empty table keeps too."""
 
-    dim: int
-    seed: int
     rows: np.ndarray
     picks: dict[str, list[int]]
 
@@ -167,38 +166,29 @@ def token_rows(texts, dim: int, seed: int) -> TokenRows:
     rows = np.empty((len(index), dim))
     _derive_rows(index, seed, rows)
     rows.flags.writeable = False
-    return TokenRows(dim, seed, rows, picks)
+    return TokenRows(rows, picks)
 
 
-def toy_embed(text: str, dim: int, seed: int, rows: TokenRows | None = None) -> np.ndarray:
+def toy_embed(text: str, rows: TokenRows) -> np.ndarray:
     """Deterministic bag-of-tokens embedding: the L2-normalized sum of one
     Gaussian row per token, added one by one in token order. A token's row
     is blake2b of ``"{seed}:{token}"`` -> ``SeedSequence`` words -> ``PCG64``
     -> ``standard_normal(dim)`` (see ``token_rows``). Text with no tokens
     maps to the first basis vector e1 (the documented empty-text sentinel).
 
-    ``rows`` is a ``token_rows`` table for the same dim and seed that was
-    made for ``text``, among others; a graph build passes one table per
-    chunk of records. Without ``rows``, the rows of this text's tokens are
-    computed for this call."""
-    if dim < 2:
-        raise DataError(f"embedding dim must be >= 2, got {dim}")
-    if rows is None:
-        rows = token_rows([text], dim, seed)
-    elif (rows.dim, rows.seed) != (dim, seed):
-        raise DataError(f"token rows for dim {rows.dim} and seed {rows.seed} cannot "
-                        f"embed at dim {dim} and seed {seed}")
+    ``rows`` is a ``token_rows`` table that was made for ``text``, among
+    others, and gives the dim and seed; a graph build passes one table per
+    chunk of records."""
     picked = rows.picks.get(text)
     if picked is None:
         raise DataError(f"the token-row table was not made for the text {text!r}")
-    total = np.zeros(dim)
+    total = np.zeros(rows.rows.shape[1])
     for i in picked:
         total += rows.rows[i]
     norm = np.linalg.norm(total)
     if norm == 0.0:
-        vec = np.zeros(dim)
-        vec[0] = 1.0
-        return vec
+        total[0] = 1.0
+        return total
     return total / norm
 
 
@@ -209,13 +199,13 @@ def pairwise_cosine(vectors: list[np.ndarray]) -> list[float]:
     flat = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
     for v in flat[1:]:
         if v.shape != flat[0].shape:
-            raise ShapeError(f"cosine_sim dimension mismatch: {flat[0].size} vs {v.size}")
+            raise ShapeError(f"cosine of vectors of unequal dims: {flat[0].size} vs {v.size}")
     pairs = list(combinations(range(len(flat)), 2))
     if not pairs:
         return []
     norms = [np.linalg.norm(v) for v in flat]
     if min(norms) == 0.0:
-        raise DataError("cosine_sim of a zero-norm vector is undefined")
+        raise DataError("the cosine of a zero-norm vector is undefined")
     dots = np.array([np.dot(flat[a], flat[b]) for a, b in pairs])
     scales = np.array([norms[a] * norms[b] for a, b in pairs])
     return np.clip(dots / scales, -1.0, 1.0).tolist()
@@ -329,7 +319,8 @@ def triplet_id(index: int) -> str:
 
 
 class TripletStore:
-    """Knowledge triplets plus a companion embedding table keyed t0, t1, ...
+    """The embeddings of some knowledge triplets, keyed t0, t1, ... in
+    triplet order.
 
     ``ids`` are those keys, ``matrix`` their rows in that order and
     ``norms`` the rows' norms, all fixed when the store is made. A companion
@@ -341,8 +332,6 @@ class TripletStore:
         if len(triplets) != len(embeddings):
             raise DataError(
                 f"{len(triplets)} triplets but {len(embeddings)} embeddings")
-        self.triplets = list(triplets)
-        self.embeddings = embeddings
         self.ids = [triplet_id(i) for i in range(len(triplets))]
         if list(embeddings.ids) == self.ids:
             self.matrix = embeddings.matrix
@@ -361,15 +350,15 @@ class TripletStore:
     def from_texts(cls, triplets: list[Triplet], dim: int, seed: int) -> "TripletStore":
         """Embed each triplet's surface form with the stand-in embedder."""
         rows = token_rows([t.surface() for t in triplets], dim, seed)
-        vectors = [toy_embed(t.surface(), dim, seed, rows) for t in triplets]
+        vectors = [toy_embed(t.surface(), rows) for t in triplets]
         return cls(triplets, EmbeddingStore(map(triplet_id, range(len(triplets))), vectors, dim))
 
     def __len__(self) -> int:
-        return len(self.triplets)
+        return len(self.ids)
 
     @property
     def dim(self) -> int:
-        return self.embeddings.dim
+        return self.matrix.shape[1]
 
 
 def top_k_triplets(query: np.ndarray, store: TripletStore,
@@ -386,7 +375,7 @@ def top_k_triplets(query: np.ndarray, store: TripletStore,
         raise ShapeError(f"query dim {q.size} does not match store dim {store.dim}")
     qn = np.linalg.norm(q)
     if qn == 0.0:
-        raise DataError("cosine_sim of a zero-norm vector is undefined")
+        raise DataError("cannot retrieve by the cosine of a zero-norm query")
     if not np.isfinite(qn):
         raise DataError("query embedding holds non-finite values")
     scores = np.clip((store.matrix @ q) / (store.norms * qn), -1.0, 1.0)

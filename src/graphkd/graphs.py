@@ -197,31 +197,35 @@ def npmi_table(train_rows: list[np.ndarray], num_triplets: int) -> NpmiTable:
     return NpmiTable(slots, weights)
 
 
-def build_content_nodes(record: ManifestRecord, dim: int, seed: int,
-                        embedding_store: EmbeddingStore | None = None,
-                        rows: TokenRows | None = None) -> np.ndarray:
+def build_content_nodes(record: ManifestRecord, rows: TokenRows,
+                        embedding_store: EmbeddingStore | None) -> np.ndarray:
     """Embed one sample's four content nodes, one row each in the fixed kind
-    order, with token rows from ``rows`` when given (see ``toy_embed``)."""
-    question = toy_embed(record.question, dim, seed, rows)
-    language = toy_embed(record.language_context, dim, seed, rows)
+    order, at the dim of the token-row table ``rows`` (see ``toy_embed``).
+    A visual embedding read from the store must have that dim and a norm
+    above zero, since its cosines divide by it."""
+    question = toy_embed(record.question, rows)
+    language = toy_embed(record.language_context, rows)
     if record.visual_ref is not None:
         if embedding_store is None:
             raise DataError(
                 f"sample '{record.sample_id}' references embedding id "
                 f"'{record.visual_ref}' but no store was supplied")
         visual = embedding_store.row(record.visual_ref)
-        if visual.size != dim:
-            raise ConfigError(
-                f"embedding store dim {visual.size} does not match graph dim {dim}")
+        if visual.size != rows.rows.shape[1]:
+            raise ConfigError(f"embedding store dim {visual.size} does not match graph dim "
+                              f"{rows.rows.shape[1]}")
+        if not visual.any():
+            raise DataError(f"sample '{record.sample_id}' references the zero-norm "
+                            f"embedding '{record.visual_ref}'")
     else:
-        visual = toy_embed(record.visual_text or "", dim, seed, rows)
+        visual = toy_embed(record.visual_text or "", rows)
 
     mean = 0.5 * (visual + language)
     norm = np.linalg.norm(mean)
     if norm > 1e-12:
         vl = mean / norm
     else:
-        vl = np.zeros(dim)
+        vl = np.zeros(len(mean))
         vl[0] = 1.0
     return np.stack([question, language, visual, vl])
 
@@ -313,7 +317,7 @@ def build_dataset_graphs(dataset: Dataset, triplet_store: TripletStore, seed: in
     label_index = {label: i for i, label in enumerate(dataset.label_vocab)}
     base = 4 * len(dataset.records)
     table = np.empty((base + len(triplet_store), dim))
-    _embed_content(dataset, dim, seed, table)
+    _embed_content(dataset, seed, table)
 
     built: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(len(dataset.records)):
@@ -340,14 +344,14 @@ def _texts(records):
             for text in (r.question, r.language_context, r.visual_text or ""))
 
 
-def _embed_content(dataset: Dataset, dim: int, seed: int, table: np.ndarray) -> None:
-    """Write record i's four content rows to rows 4i..4i+3 of ``table``."""
+def _embed_content(dataset: Dataset, seed: int, table: np.ndarray) -> None:
+    """Write record i's four content rows to rows 4i..4i+3 of ``table``, at
+    the table's dim."""
     for start in range(0, len(dataset.records), TOKEN_CHUNK_RECORDS):
         records = dataset.records[start:start + TOKEN_CHUNK_RECORDS]
-        rows = token_rows(_texts(records), dim, seed)
+        rows = token_rows(_texts(records), table.shape[1], seed)
         for i, record in enumerate(records, start):
-            table[4 * i:4 * i + 4] = build_content_nodes(record, dim, seed,
-                                                         dataset.visual_store, rows)
+            table[4 * i:4 * i + 4] = build_content_nodes(record, rows, dataset.visual_store)
         del rows  # before the next chunk's table is made
 
 

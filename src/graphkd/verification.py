@@ -12,24 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, gradcheck
-from .config import DistillConfig, TeacherConfig
+from .config import DistillConfig, TeacherConfig, check_seed
 from .distill import init_student, soft_target, student_loss
 from .graphs import CONTENT_KINDS, Subgraph, normalize_adjacency
 from .teacher import init_teacher, teacher_loss
 
 FIXTURE_DIM = 6
 FIXTURE_CLASSES = 3
+FIXTURE_COMMONSENSE = 2
 
 
-def fixture_subgraph(seed: int = 0, dim: int = FIXTURE_DIM,
-                     commonsense: int = 2) -> Subgraph:
-    """A deterministic small subgraph: 4 content nodes plus a few
-    commonsense nodes with random unit embeddings, one row each of its own
-    table, and random sparse symmetric edge weights in [0, 1]."""
+def fixture_subgraph(seed: int = 0) -> Subgraph:
+    """A deterministic small subgraph: 4 content nodes plus
+    ``FIXTURE_COMMONSENSE`` commonsense nodes with random unit embeddings,
+    one row each of its own table, and random sparse symmetric edge weights
+    in [0, 1]."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    ids = [*CONTENT_KINDS, *(f"t{i}" for i in range(commonsense))]
+    ids = [*CONTENT_KINDS, *(f"t{i}" for i in range(FIXTURE_COMMONSENSE))]
     n = len(ids)
-    table = np.array([vec / np.linalg.norm(vec) for vec in rng.standard_normal((n, dim))])
+    table = np.array([vec / np.linalg.norm(vec)
+                      for vec in rng.standard_normal((n, FIXTURE_DIM))])
 
     adjacency = np.zeros((n, n))
     for i in range(n):
@@ -65,6 +67,7 @@ def student_loss_error(kind: str, seed: int = 0, eps: float = 1e-5) -> float:
 
 
 def run_all(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
+    check_seed(seed)
     return {
         "teacher": teacher_loss_error(seed, eps),
         "student-mlp": student_loss_error("mlp", seed, eps),

@@ -23,8 +23,9 @@ from itertools import combinations
 
 import numpy as np
 
-from graphkd.autodiff import Tape, Tensor, backward, cross_entropy, kl_to_target, split_flat
-from graphkd.distill import combined_loss, init_student, student_forward
+from graphkd.autodiff import (Tape, Tensor, add, affine, backward, cross_entropy, kl_to_target,
+                              split_flat)
+from graphkd.distill import init_student, student_forward
 from graphkd.embeddings import pairwise_cosine, token_rows, top_k_triplets
 from graphkd.graphs import CONTENT_KINDS, Subgraph, build_content_nodes, normalize_adjacency
 from graphkd.teacher import init_teacher, resolved_learning_rate, teacher_forward
@@ -134,7 +135,7 @@ def _train(arrays, samples, epochs, seed_rng, kind, learning_rate, loss_of):
     for _ in range(epochs):
         for idx in seed_rng.permutation(samples):
             tape = Tape()
-            tracked = [tape.parameter(a) for a in arrays]
+            tracked = [tape.watch(Tensor(a)) for a in arrays]
             loss = loss_of(tracked, idx)
             grads = split_flat(backward(tape, loss), [a.shape for a in arrays])
             arrays = optimizer.update(arrays, grads)
@@ -168,8 +169,8 @@ def train_student_reference(train, config, teachers):
         sce = cross_entropy(logits, train[idx].label)
         if config.kd_weight == 0:
             return sce
-        return combined_loss(sce, kd_step_reference(soft[idx], logits, config.temperature),
-                             config.kd_weight)
+        return add(sce, affine(kd_step_reference(soft[idx], logits, config.temperature),
+                               config.kd_weight))
 
     return _train(arrays, len(train), config.epochs, rng, config.optimizer,
                   resolved_learning_rate(config), loss_of)
@@ -249,11 +250,11 @@ def build_graphs_reference(dataset, triplet_store, seed, k=3):
     built = []
     stats = CooccurrenceCounts()
     for record in dataset.records:
-        content = build_content_nodes(record, dim, seed, dataset.visual_store, rows)
+        content = build_content_nodes(record, rows, dataset.visual_store)
         log = [(kind, f"t{row}", sim) for kind, query in zip(CONTENT_KINDS, content)
                for row, sim in zip(*(a.tolist() for a in top_k_triplets(query, triplet_store, k)))]
         ids = sorted({tid for _, tid, _ in log}, key=_index)
-        commonsense = [triplet_store.embeddings.row(tid) for tid in ids]
+        commonsense = [triplet_store.matrix[_index(tid)] for tid in ids]
         built.append((record, content, ids, commonsense, log))
         if record.split == "train":
             stats.observe(set(ids))

@@ -47,7 +47,7 @@ class TestMatmul:
 
     def test_records_only_when_tracked(self):
         tape = Tape()
-        w = tape.parameter([[1.0, 2.0]])
+        w = tape.watch(Tensor([[1.0, 2.0]]))
         matmul(Tensor([[1.0], [1.0]]), Tensor([[2.0, 2.0]]))
         assert len(tape.records) == 0
         matmul(w, Tensor([[1.0], [1.0]]))
@@ -88,20 +88,20 @@ class TestRowSoftmax:
 class TestBackward:
     def test_sum_loss_gives_ones(self):
         tape = Tape()
-        w = tape.parameter(np.arange(4.0).reshape(2, 2))
+        w = tape.watch(Tensor(np.arange(4.0).reshape(2, 2)))
         grads = backward(tape, total(w))
         np.testing.assert_array_equal(grads, np.ones(4))
 
     def test_untouched_parameter_gets_zeros(self):
         tape = Tape()
-        w = tape.parameter(np.ones((2, 2)))
-        unused = tape.parameter(np.ones((3, 1)))
+        w = tape.watch(Tensor(np.ones((2, 2))))
+        unused = tape.watch(Tensor(np.ones((3, 1))))
         grads = backward(tape, total(w))
         np.testing.assert_array_equal(grads, [1.0] * 4 + [0.0] * 3)
 
     def test_loss_must_be_scalar(self):
         tape = Tape()
-        w = tape.parameter(np.ones((2, 2)))
+        w = tape.watch(Tensor(np.ones((2, 2))))
         with pytest.raises(ShapeError):
             backward(tape, relu(w))
 
@@ -111,17 +111,17 @@ class TestBackward:
 
     def test_gradient_accumulates_over_consumers(self):
         tape = Tape()
-        w = tape.parameter([[2.0]])
+        w = tape.watch(Tensor([[2.0]]))
         loss = add(matmul(w, w), affine(w, 3.0))  # w^2 + 3w -> d/dw = 2w + 3
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads, [7.0])
 
     def test_tape_is_topological(self):
         tape = Tape()
-        w = tape.parameter(np.ones((2, 2)))
+        w = tape.watch(Tensor(np.ones((2, 2))))
         x = relu(matmul(w, Tensor(np.ones((2, 2)))))
         total(matmul(x, x))
-        seen = set(tape.parameters)
+        seen = {node for node, _ in tape.parameters}
         for rec in tape.records:
             for node in rec.inputs:
                 if node is not None:
@@ -182,7 +182,7 @@ class TestOps:
 
     def test_bias_gradient_sums_over_rows(self):
         tape = Tape()
-        b = tape.parameter([[1.0, 1.0]])
+        b = tape.watch(Tensor([[1.0, 1.0]]))
         grads = backward(tape, total(add(Tensor(np.zeros((4, 2))), b)))
         np.testing.assert_array_equal(grads, [4.0, 4.0])
 
@@ -399,10 +399,8 @@ class TestStacks:
     def test_stack_on_a_tape_raises(self):
         tape = Tape()
         with pytest.raises(ShapeError, match="stack"):
-            tape.parameter(np.zeros((2, 3, 3)))
-        with pytest.raises(ShapeError, match="stack"):
             tape.watch(Tensor(np.zeros((2, 3, 3))))
-        w = tape.parameter(np.ones((3, 2)))
+        w = tape.watch(Tensor(np.ones((3, 2))))
         with pytest.raises(ShapeError, match="stack"):
             matmul(Tensor(np.ones((2, 3, 3))), w)
         with pytest.raises(ShapeError, match="stack"):
@@ -446,7 +444,7 @@ class TestKlToTarget:
             positive = p[p > 0]
             entropy = float(np.sum(positive * np.log(positive)))
             tape = Tape()
-            kd = kl_to_target(tape.parameter(z), p, temperature, entropy)
+            kd = kl_to_target(tape.watch(Tensor(z)), p, temperature, entropy)
             grad = backward(tape, affine(kd, weight))
             want_loss, want_grad = kd_chain_reference(p, z, temperature,
                                                       np.ones((1, 1)) * weight)
@@ -457,7 +455,7 @@ class TestKlToTarget:
         z = np.array([[1.0, -0.5, 2.0]])
         p = np.array([0.2, 0.0, 0.8])
         tape = Tape()
-        grad = backward(tape, kl_to_target(tape.parameter(z), p, 2.0, 0.0))
+        grad = backward(tape, kl_to_target(tape.watch(Tensor(z)), p, 2.0, 0.0))
         q = row_softmax(Tensor(z / 2.0)).data[0]
         np.testing.assert_allclose(grad, 2.0 * (q - p), atol=1e-12)
 
@@ -520,6 +518,6 @@ class TestGradcheckTable:
         for loss, shapes in GRADCHECK_CASES[op]:
             params = [Tensor(_away_from_zero(rng, s)) for s in shapes]
             tape = Tape()
-            loss([tape.parameter(p.data) for p in params])
+            loss([tape.watch(Tensor(p.data)) for p in params])
             assert op in {rec.op for rec in tape.records}
             assert gradcheck(loss, params, eps=1e-5) <= 1e-8

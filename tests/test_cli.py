@@ -186,10 +186,12 @@ def _gemb(dim, entries, count=None, magic=EMBEDDING_MAGIC, version=EMBEDDING_VER
 
 GEMB_MUTATIONS = ["truncated", "trailing-byte", "count-plus-one", "count-minus-one",
                   "dim-zero", "wrong-dim", "nan-value", "inf-value", "duplicate-id",
-                  "bad-utf8-id", "bad-magic", "bad-version"]
+                  "bad-utf8-id", "bad-magic", "bad-version", "zero-vector"]
 
 
 def _mutate_gemb(path, mutation):
+    """Rewrite the store at ``path`` with ``mutation``; returns the id of the
+    second entry, the one most mutations change."""
     blob = path.read_bytes()
     store = read_store(path)
     dim = store.dim
@@ -216,9 +218,12 @@ def _mutate_gemb(path, mutation):
         blob = _gemb(dim, [entries[0], (b"\xff" * len(second), row)] + entries[2:])
     elif mutation == "bad-magic":
         blob = _gemb(dim, entries, magic=b"GEMX")
+    elif mutation == "zero-vector":
+        blob = _gemb(dim, [entries[0], (second, row * 0.0)] + entries[2:])
     else:
         blob = _gemb(dim, entries, version=EMBEDDING_VERSION + 1)
     path.write_bytes(blob)
+    return second.decode("utf-8")
 
 
 class TestMalformedInputs:
@@ -280,7 +285,7 @@ class TestMalformedInputs:
         shutil.copytree(trained[0].parent / "d", data)
         paths = {"embeddings": data / "visual.gemb",
                  "triplet-embeddings": data / "triplets.gemb"}
-        _mutate_gemb(paths[store], mutation)
+        second = _mutate_gemb(paths[store], mutation)
         out = tmp_path / "g.graphs"
         capsys.readouterr()
         assert run(["build-graphs", "--manifest", str(data / "manifest.jsonl"),
@@ -291,6 +296,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists() and not companion_path(out).exists()
+        if mutation == "zero-vector":
+            assert f"'{second}'" in err
 
     @pytest.mark.parametrize("artifact", ["manifest", "triplets", "graphs", "report"])
     def test_non_utf8_input_exits_two_naming_the_path(self, trained, report, tmp_path, capsys,
@@ -567,6 +574,16 @@ class TestDataErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-synth", "gradcheck"])
+    def test_negative_seed_exits_two_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {"gen-synth": ["gen-synth", "--samples", "60", "--out", str(out)],
+                "gradcheck": ["gradcheck"]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_noise_whose_confuser_count_overflows_exits_two(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["gen-synth", "--samples", "60", "--noise", "1e18", "--out", str(out)]) == 2
@@ -617,6 +634,8 @@ class TestFlagsFirst:
         (["train-teacher", "--lr", "-1"], "learning_rate"),
         (["distill", "--teacher", "t.ckpt", "--student", "mlp", "--lr", "-1"],
          "learning_rate"),
+        (["train-teacher", "--seed", "-1"], "seed"),
+        (["distill", "--teacher", "t.ckpt", "--student", "mlp", "--seed", "-1"], "seed"),
     ])
     def test_bad_flag_with_missing_graphs_exits_two_naming_the_flag(self, tmp_path, capsys,
                                                                     argv, field):

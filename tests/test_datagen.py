@@ -1,15 +1,15 @@
 """Synthetic generation and manifest ingestion."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from graphkd.datagen import (ManifestRecord, SynthConfig, generate_synthetic,
-                             ingest_manifest, parse_manifest_line, topic_prototype,
-                             topic_signature)
+                             ingest_manifest, parse_manifest_line, topic_signature)
 from graphkd.embeddings import (EmbeddingStore, TripletStore, read_store,
-                                read_triplets_tsv, toy_embed)
+                                read_triplets_tsv, token_rows, toy_embed)
 from graphkd.errors import ConfigError, DataError
 from graphkd.serialization import canonical_json
 
@@ -41,12 +41,13 @@ class TestGeneration:
         dataset = ingest_manifest(small_dataset["manifest"], embedding_store=store)
         assert len(dataset.records) == SMALL["samples"]
         assert dataset.label_vocab == ["c0", "c1", "c2", "c3"]
-        assert dataset.groups == ["g0", "g1", "g2"]
+        assert sorted({r.group for r in dataset.records}) == ["g0", "g1", "g2"]
 
     def test_split_counts(self, small_dataset):
         dataset = ingest_manifest(small_dataset["manifest"],
                                   read_store(small_dataset["visual_embeddings"]))
-        assert dataset.split_counts == {"train": 168, "val": 24, "test": 48}
+        assert Counter(r.split for r in dataset.records) == {"train": 168, "val": 24,
+                                                             "test": 48}
 
     def test_triplet_store_alignment(self, small_dataset):
         triplets = read_triplets_tsv(small_dataset["triplets"])
@@ -108,10 +109,12 @@ class TestGeneration:
         assert len(header["class_directions"]) == 4
         assert sorted(set(header["topic_classes"])) == [0, 1, 2, 3]
 
-    def test_topic_prototype_matches_embedder(self):
-        proto = topic_prototype(5, 16, 3)
-        direct = toy_embed(" ".join(topic_signature(5)), 16, 3)
-        assert (proto == direct).all()
+    def test_topic_prototype_matches_embedder(self, small_dataset):
+        header = json.loads(small_dataset["ground_truth"].read_text().splitlines()[0])
+        for topic in (0, 5):
+            text = " ".join(topic_signature(topic))
+            direct = toy_embed(text, token_rows([text], SMALL["dim"], SMALL["seed"]))
+            assert header["topic_prototypes"][topic] == direct.tolist()
 
     def test_config_echo_written(self, small_dataset):
         echo = json.loads(small_dataset["config"].read_text())
@@ -131,6 +134,8 @@ class TestGeneration:
             SynthConfig(label_noise=1.0).validate()
         with pytest.raises(ConfigError):
             SynthConfig(split_fractions=(0.5, 0.1, 0.1)).validate()
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            SynthConfig(seed=-1).validate()
 
 
 class TestIngestValidation:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from graphkd import autodiff
-from graphkd.autodiff import Tape, Tensor
+from graphkd.autodiff import Tape, Tensor, cross_entropy
 from graphkd.config import STUDENT_KINDS
-from graphkd.distill import (DistillConfig, combined_loss, compute_soft_labels, init_student,
+from graphkd.distill import (DistillConfig, compute_soft_labels, init_student,
                              kd_loss, load_model, load_predictor, save_student, soft_target,
                              student_forward, student_logits, student_loss, train_student)
 from graphkd.errors import ConfigError, DataError, NumericError, ShapeError
@@ -156,7 +156,7 @@ class TestKdLoss:
 
     def test_one_tape_record(self):
         tape = Tape()
-        kd_loss(soft_target(np.array([0.25, 0.75])), tape.parameter([[0.5, -0.5]]),
+        kd_loss(soft_target(np.array([0.25, 0.75])), tape.watch(Tensor([[0.5, -0.5]])),
                 temperature=2.0)
         assert [rec.op for rec in tape.records] == ["kl_to_target"]
 
@@ -203,22 +203,44 @@ class TestSoftTargetsOncePerRun:
         assert calls["optimizer_step"] == 0 and calls["kd_loss"] == 0
 
 
-class TestCombinedLoss:
-    def test_weighted_sum(self):
-        out = combined_loss(Tensor([[0.5]]), Tensor([[0.25]]), 1.0)
-        assert out.item() == pytest.approx(0.75, abs=1e-12)
+class TestStudentLoss:
+    @staticmethod
+    def _terms(kd_weight, target_of):
+        """(student loss, cross-entropy, distillation term) of one graph at
+        temperature 2, towards the target ``target_of(logit row)``, or with
+        no targets when ``target_of`` is None."""
+        config = DistillConfig(student="mlp", dim=8, num_classes=3, hidden=4,
+                               kd_weight=kd_weight, temperature=2.0)
+        graphs = _subgraphs(1)
+        rng = np.random.Generator(np.random.PCG64(0))
+        params = [Tensor(a) for a in init_student(config, rng).tensors]
+        logits = student_forward("mlp", params, Tensor(graphs[0].content_features()))
+        target = soft_target(target_of(logits.data[0])) if target_of else None
+        loss = student_loss(config, graphs, [target] if target else [])(params, 0).item()
+        kd = kd_loss(target, logits, 2.0).item() if target else None
+        return loss, cross_entropy(logits, graphs[0].label).item(), kd
 
-    def test_zero_weight_passes_supervised_loss_through(self):
-        sce = Tensor([[0.5]])
-        assert combined_loss(sce, Tensor([[0.25]]), 0.0) is sce
+    def test_weighted_sum(self):
+        loss, ce, kd = self._terms(0.5, lambda row: np.array([0.2, 0.3, 0.5]))
+        assert kd > 0 and loss == ce + 0.5 * kd
+
+    def test_without_targets_the_loss_is_the_cross_entropy(self):
+        loss, ce, _ = self._terms(0.0, None)
+        assert loss == ce
 
     def test_zero_kd_term(self):
-        out = combined_loss(Tensor([[0.5]]), Tensor([[0.0]]), 1.0)
-        assert out.item() == pytest.approx(0.5, abs=1e-12)
+        # A student whose tempered softmax is the target has no distillation term.
+        def own_softmax(row):
+            e = np.exp((row - row.max()) / 2.0)
+            return e / e.sum()
+
+        loss, ce, kd = self._terms(1.0, own_softmax)
+        assert kd == pytest.approx(0.0, abs=1e-12)
+        assert loss == pytest.approx(ce, abs=1e-12)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            combined_loss(Tensor([[0.5]]), Tensor([[0.25]]), -0.1)
+        with pytest.raises(ConfigError, match="kd weight must be >= 0"):
+            DistillConfig(student="mlp", dim=8, num_classes=3, kd_weight=-0.1).validate()
 
 
 class TestStudentForward:

@@ -19,26 +19,31 @@ def cosine_sim(u, v) -> float:
     return pairwise_cosine([u, v])[0]
 
 
+def _embed(text: str, dim: int, seed: int) -> np.ndarray:
+    """``text`` embedded with a token-row table made for it alone."""
+    return toy_embed(text, token_rows([text], dim, seed))
+
+
 class TestToyEmbed:
     def test_deterministic(self):
-        a = toy_embed("cat sat", 64, 7)
-        b = toy_embed("cat sat", 64, 7)
+        a = _embed("cat sat", 64, 7)
+        b = _embed("cat sat", 64, 7)
         assert (a == b).all()
 
     def test_unit_norm(self):
         for text in ("cat sat", "a", "many different words here 123"):
-            assert abs(np.linalg.norm(toy_embed(text, 32, 3)) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(_embed(text, 32, 3)) - 1.0) <= 1e-12
 
     def test_empty_text_sentinel(self):
         for text in ("", "   ", "!!! ???"):
-            vec = toy_embed(text, 8, 0)
+            vec = _embed(text, 8, 0)
             expected = np.zeros(8)
             expected[0] = 1.0
             np.testing.assert_array_equal(vec, expected)
 
     def test_seed_changes_vector(self):
         # Pinned regression value for the documented example pair of seeds.
-        cos = cosine_sim(toy_embed("cat sat", 64, 7), toy_embed("cat sat", 64, 8))
+        cos = cosine_sim(_embed("cat sat", 64, 7), _embed("cat sat", 64, 8))
         assert cos < 0.99
         assert cos == pytest.approx(0.16852713049302984, abs=1e-9)
 
@@ -46,11 +51,11 @@ class TestToyEmbed:
         assert tokenize("The CAT, sat-on 2 mats!") == ["the", "cat", "sat", "on", "2", "mats"]
 
     def test_token_order_irrelevant(self):
-        assert (toy_embed("alpha beta", 16, 1) == toy_embed("beta alpha", 16, 1)).all()
+        assert (_embed("alpha beta", 16, 1) == _embed("beta alpha", 16, 1)).all()
 
     def test_rejects_tiny_dim(self):
-        with pytest.raises(DataError):
-            toy_embed("x", 1, 0)
+        with pytest.raises(DataError, match="dim must be >= 2"):
+            token_rows(["x"], 1, 0)
 
 
 def _reference_seed(token: str, seed: int) -> int:
@@ -121,8 +126,8 @@ class TestTokenRows:
         rows = token_rows(texts, 16, 2)
         for text in texts:
             want = _reference_embed(text, 16, 2).tobytes()
-            assert toy_embed(text, 16, 2, rows).tobytes() == want, text
-            assert toy_embed(text, 16, 2).tobytes() == want, text
+            assert toy_embed(text, rows).tobytes() == want, text
+            assert _embed(text, 16, 2).tobytes() == want, text
 
     # 2422 distinct tokens: 346 full chunks of 7, or a partial last chunk of 9.
     @pytest.mark.parametrize("chunk", [7, 9])
@@ -142,12 +147,6 @@ class TestTokenRows:
         rows = token_rows(["", "!!"], 8, 0)
         assert rows.picks == {"": [], "!!": []} and rows.rows.shape == (0, 8)
 
-    def test_table_of_other_dim_or_seed_refused(self):
-        rows = token_rows(["cat sat"], 16, 7)
-        for dim, seed in ((8, 7), (16, 8)):
-            with pytest.raises(DataError, match="token rows for dim 16 and seed 7"):
-                toy_embed("cat sat", dim, seed, rows)
-
     def test_token_missing_from_table_refused(self):
         rows = token_rows(["cat sat"], 16, 7)
         # A text the table was not made for is refused, even when the
@@ -155,7 +154,7 @@ class TestTokenRows:
         for text in ("cat dog", "sat cat"):
             with pytest.raises(DataError,
                                match=f"table was not made for the text '{text}'"):
-                toy_embed(text, 16, 7, rows)
+                toy_embed(text, rows)
 
 
 class TestCosine:
@@ -203,7 +202,7 @@ class TestTopK:
         rng = np.random.default_rng(4)
         rows = rng.normal(0, 1, (10, 16))
         store = _store_from_rows(rows)
-        top, sims = top_k_triplets(store.embeddings.row("t1"), store, 3)
+        top, sims = top_k_triplets(store.matrix[1], store, 3)
         assert top[0] == 1
         assert sims[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -238,7 +237,7 @@ class TestTopK:
             rows = rng.normal(0, 1, (size, dim))
             store = _store_from_rows(rows)
             query = rng.normal(0, 1, dim)
-            scored = [cosine_sim(query, store.embeddings.row(f"t{i}")) for i in range(size)]
+            scored = [cosine_sim(query, store.matrix[i]) for i in range(size)]
             ranked = sorted(range(size), key=lambda i: (-scored[i], i))[:k]
             top, sims = top_k_triplets(query, store, k)
             assert top.tolist() == ranked
@@ -266,7 +265,8 @@ class TestTopK:
         rows = rng.normal(0, 1, (9, 6))
         in_order = _store_from_rows(rows)
         order = [4, 0, 8, 2, 7, 1, 5, 3, 6]
-        shuffled = TripletStore(in_order.triplets,
+        triplets = [Triplet(f"h{i}", "r", f"x{i}") for i in range(9)]
+        shuffled = TripletStore(triplets,
                                 EmbeddingStore([f"t{i}" for i in order], rows[order]))
         assert shuffled.matrix.tobytes() == in_order.matrix.tobytes()
         assert not shuffled.matrix.flags.writeable
@@ -437,8 +437,9 @@ class TestTripletStore:
 
     def test_matrix_is_the_stores_own_when_ids_are_in_order(self):
         rows = np.random.default_rng(3).normal(0, 1, (5, 4))
-        store = _store_from_rows(rows)
-        assert store.matrix is store.embeddings.matrix
+        table = EmbeddingStore([f"t{i}" for i in range(5)], rows)
+        store = TripletStore([Triplet(f"h{i}", "r", f"x{i}") for i in range(5)], table)
+        assert store.matrix is table.matrix
         assert store.ids == [f"t{i}" for i in range(5)]
         assert store.norms.tobytes() == np.linalg.norm(store.matrix, axis=1).tobytes()
         with pytest.raises(ValueError, match="read-only"):
@@ -448,10 +449,10 @@ class TestTripletStore:
     def test_from_texts_embeds_surfaces(self):
         triplets = [Triplet("cat", "sat on", "mat"), Triplet("dog", "ran", "far")]
         store = TripletStore.from_texts(triplets, 16, 3)
-        expected = toy_embed("cat sat on mat", 16, 3)
+        expected = _embed("cat sat on mat", 16, 3)
         np.testing.assert_array_equal(
-            store.embeddings.row("t0"), expected.astype(np.float32).astype(np.float64))
-        assert store.embeddings.ids == ("t0", "t1")
+            store.matrix[0], expected.astype(np.float32).astype(np.float64))
+        assert store.ids == ["t0", "t1"]
 
     def test_from_texts_with_no_triplets(self):
         store = TripletStore.from_texts([], 8, 3)

@@ -15,8 +15,8 @@ import pytest
 from graphkd import embeddings, graphs
 from graphkd.datagen import ManifestRecord, SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import (EmbeddingStore, Triplet, TripletStore, read_store,
-                                read_triplets_tsv, tokenize, top_k_triplets, toy_embed,
-                                write_store)
+                                read_triplets_tsv, token_rows, tokenize, top_k_triplets,
+                                toy_embed, write_store)
 from graphkd.errors import ConfigError, DataError, FormatError, NumericError
 from graphkd.graphs import (CONTENT_KINDS, GRAPHS_FORMAT, GRAPHS_VERSION, build_content_nodes,
                             build_dataset_graphs, build_edges, companion_path,
@@ -35,23 +35,30 @@ def _record(**overrides):
     return ManifestRecord(**base)
 
 
+def _content_nodes(record, dim=16, seed=7, store=None):
+    """``record``'s content nodes, from a token-row table made for its texts."""
+    texts = [record.question, record.language_context, record.visual_text or ""]
+    return build_content_nodes(record, token_rows(texts, dim, seed), store)
+
+
 class TestContentNodes:
     def test_four_nodes_in_fixed_order(self):
         rec = _record()
-        rows = build_content_nodes(rec, 16, 7)
+        rows = _content_nodes(rec)
+        table = token_rows([rec.question, rec.language_context, rec.visual_text], 16, 7)
         assert rows.shape == (4, 16)
         for row, text in zip(rows, (rec.question, rec.language_context, rec.visual_text)):
-            np.testing.assert_array_equal(row, toy_embed(text, 16, 7))
+            np.testing.assert_array_equal(row, toy_embed(text, table))
 
     def test_vl_equals_shared_vector(self):
         # Equal visual and language vectors: their renormalized mean is the
         # shared (unit) vector itself.
         rec = _record(language_context="shared ctx", visual_text="shared ctx")
-        rows = build_content_nodes(rec, 16, 7)
+        rows = _content_nodes(rec)
         np.testing.assert_allclose(rows[3], rows[1], atol=1e-12)
 
     def test_empty_visual_text_gets_sentinel(self):
-        rows = build_content_nodes(_record(visual_text=""), 8, 7)
+        rows = _content_nodes(_record(visual_text=""), dim=8)
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_array_equal(rows[2], expected)
@@ -60,23 +67,26 @@ class TestContentNodes:
         vec = np.arange(8.0) / np.linalg.norm(np.arange(8.0))
         store = EmbeddingStore(["v7"], [vec])
         rec = _record(visual_text=None, visual_ref="v7")
-        rows = build_content_nodes(rec, 8, 7, embedding_store=store)
+        rows = _content_nodes(rec, dim=8, store=store)
         np.testing.assert_array_equal(rows[2], store.row("v7"))
+
+    def test_store_of_another_dim_refused(self):
+        rec = _record(visual_text=None, visual_ref="v7")
+        with pytest.raises(ConfigError, match="store dim 8 does not match graph dim 16"):
+            _content_nodes(rec, store=EmbeddingStore(["v7"], [np.ones(8)]))
 
     def test_missing_ref_names_id(self):
         rec = _record(visual_text=None, visual_ref="v404")
         with pytest.raises(DataError, match="v404"):
-            build_content_nodes(rec, 8, 7, embedding_store=EmbeddingStore([], [], 8))
+            _content_nodes(rec, dim=8, store=EmbeddingStore([], [], 8))
 
     def test_ref_without_store(self):
         rec = _record(visual_text=None, visual_ref="v0")
         with pytest.raises(DataError):
-            build_content_nodes(rec, 8, 7)
+            _content_nodes(rec, dim=8)
 
     def test_deterministic(self):
-        a = build_content_nodes(_record(), 16, 7)
-        b = build_content_nodes(_record(), 16, 7)
-        assert (a == b).all()
+        assert (_content_nodes(_record()) == _content_nodes(_record())).all()
 
 
 def _basis_store(dim=16):
@@ -816,7 +826,7 @@ class TestBuildPassOrder:
         rows = {}
         for sg in build_dataset_graphs(dataset, store, seed=5, k=2):
             for node_id, row in zip(sg.ids[4:], sg.rows[4:]):
-                assert sg.table[row].tobytes() == store.embeddings.row(node_id).tobytes()
+                assert sg.table[row].tobytes() == store.matrix[store.ids.index(node_id)].tobytes()
                 rows.setdefault(node_id, []).append(int(row))
         first, *others = max(rows.values(), key=len)
         assert others and set(others) == {first}
@@ -827,12 +837,14 @@ class TestBuildPassOrder:
         """A triplet GEMB may list its ids in any order; retrieval and node
         rows go by id, not by position."""
         dataset, store = synth
-        ids = store.embeddings.ids
+        ids = store.ids
         order = ids[1::2] + ids[::2][::-1]
         write_store(tmp_path / "t.gemb",
-                    EmbeddingStore(order, [store.embeddings.row(tid) for tid in order]))
-        reread = TripletStore(store.triplets, read_store(tmp_path / "t.gemb"))
-        assert reread.embeddings.ids != ids
+                    EmbeddingStore(order, [store.matrix[ids.index(tid)] for tid in order]))
+        table = read_store(tmp_path / "t.gemb")
+        assert list(table.ids) != ids
+        reread = TripletStore(
+            [Triplet(tid, "r", "x") for tid in ids], table)
         got = build_dataset_graphs(dataset, reread, seed=5, k=2)
         assert_same_graphs((got, {}), (build_dataset_graphs(dataset, store, seed=5, k=2), {}))
         assert not got[0].table.flags.writeable

@@ -105,3 +105,83 @@ def test_no_dead_top_level_definition():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unreferenced_definitions(modules, users) == []
+
+
+# Defaulted parameters that no call in the package or the benchmark passes,
+# and why each one may stay a parameter.
+EXEMPT_DEFAULTS = {
+    # numpy's PCG64 calls it, through the ISeedSequence protocol.
+    "_SeedWords.generate_state(dtype)",
+}
+
+
+def _defaulted(func, skip_first: bool) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of ``func`` that has a default;
+    the position is None for keyword-only parameters. A method's first
+    parameter is not counted in the positions."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args][1 if skip_first else 0:]
+    found = [(a.arg, i) for i, a in enumerate(positional)
+             if i >= len(positional) - len(args.defaults)]
+    found += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args[:position + 1]))
+
+
+def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """"Function(parameter)" for each defaulted parameter of a function or
+    method of ``modules`` (name -> source) that no call in ``modules`` or
+    ``callers`` (sources) passes, by position or by keyword. Calls are
+    matched by name: ``f(...)`` and ``x.f(...)`` both call every ``f``, and
+    a class's name calls its ``__init__``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in [*modules.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for source in modules.values():
+        tree = ast.parse(source)
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, FUNCTIONS)}
+        for func in ast.walk(tree):
+            if not isinstance(func, FUNCTIONS):
+                continue
+            cls = owner.get(id(func))
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+            called = cls.name if method and func.name == "__init__" else func.name
+            label = f"{cls.name}.{func.name}" if cls else func.name
+            for name, position in _defaulted(func, method):
+                if not any(_passes(call, name, position) for call in calls.get(called, [])):
+                    unpassed.append(f"{label}({name})")
+    return [entry for entry in unpassed if entry not in EXEMPT_DEFAULTS]
+
+
+def test_finds_a_default_that_no_call_passes():
+    modules = {"a": "def f(x, y=1, *, z=2):\n    pass\n\n"
+                    "def g(x, y=1):\n    pass\n\n"
+                    "class C:\n    def __init__(self, a=0, b=1):\n        pass\n\n"
+                    "    def m(self, c=0):\n        pass\n\n"
+                    "f(0, z=3)\ng(*[1, 2])\n",
+               "b": "from .a import C\nC(5)\nC(b=2).m(1)\n"}
+    assert unpassed_defaults(modules, []) == ["f(y)"]
+    assert unpassed_defaults(modules, ["f(1, 2)\n"]) == []
+
+
+def test_every_default_is_passed_somewhere():
+    """A default that every caller leaves alone is a constant: the package
+    and the benchmark are the only callers that count."""
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unpassed_defaults(modules, users) == []

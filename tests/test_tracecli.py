@@ -7,10 +7,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import graphkd
 from graphkd import graphs
 from graphkd.datagen import SynthConfig, generate_synthetic, ingest_manifest
 from graphkd.embeddings import TripletStore, read_store, read_triplets_tsv
+from graphkd.graphs import CONTENT_KINDS
+from reference import make_subgraph
 
 TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
 
@@ -67,9 +71,16 @@ def test_traced_training_records_every_training_span(monkeypatch):
     tracer = tracecli.Tracer()
     tracer.install(graphkd)
     from graphkd import distill, teacher
-    from graphkd.verification import fixture_subgraph
 
-    samples = [fixture_subgraph(seed=s, commonsense=s % 3) for s in range(6)]
+    # Graphs of 4, 5 and 6 nodes, with random features and edge weights.
+    rng = np.random.Generator(np.random.PCG64(0))
+    samples = []
+    for s in range(6):
+        n = 4 + s % 3
+        weights = np.triu(rng.uniform(0.05, 1.0, (n, n)), 1)
+        samples.append(make_subgraph([*CONTENT_KINDS, *(f"t{i}" for i in range(n - 4))],
+                                     rng.standard_normal((n, 6)), weights + weights.T,
+                                     label=s % 3))
     train, val = samples[:4], samples[4:]
     t_config = teacher.TeacherConfig(dim=6, num_classes=3, hidden=4, head_hidden=4,
                                      epochs=2, seed=0)
